@@ -22,6 +22,7 @@ from gtlab.core import (
     DRIVER,
     INCURRED,
     PURE,
+    Instance,
     RunResult,
     TestRecord,
     Transcript,
@@ -543,11 +544,13 @@ def transcript_json(transcript: Transcript) -> Dict[str, object]:
 
 
 def counterexample_json(
-    run: RunResult, failed_check: str, values: Dict[str, object]
+    run: RunResult, instance: Instance, failed_check: str, values: Dict[str, object]
 ) -> Dict[str, object]:
-    defectives = sorted(i for i, lab in run.classified.items() if lab == DEFECTIVE)
+    """A self-contained failure dump: the ground-truth instance (never the
+    run's own labels, which a failed run may have wrong), the transcript,
+    the failed check and its values."""
     return {
-        "instance": {"n": len(run.classified), "defectives": defectives},
+        "instance": {"n": instance.n, "defectives": sorted(instance.defectives)},
         "transcript": transcript_json(run.transcript),
         "failed_check": failed_check,
         "values": values,

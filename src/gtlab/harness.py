@@ -16,7 +16,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 from gtlab import bounds, kernels
 from gtlab.analysis import StructureError, analyze, counterexample_json
 from gtlab.competitive import run_individual, run_zc
-from gtlab.core import PoolOracle, RunResult, finalize, instance_from_mask
+from gtlab.core import Instance, PoolOracle, RunResult, finalize, instance_from_mask
 from gtlab.zigzag import run_zd, run_zu
 
 ALGORITHMS = kernels.ALGORITHMS
@@ -50,14 +50,16 @@ class WorstCaseCell:
         return [i for i in range(self.n) if self.argmax_mask >> i & 1]
 
 
-def _run_checked(algorithm: str, n: int, mask: int) -> RunResult:
-    instance = instance_from_mask(n, mask)
+def _run_checked(algorithm: str, instance: Instance) -> RunResult:
     result = RUNNERS[algorithm](PoolOracle(instance))
     verdict = finalize(result, instance)
     if not verdict.ok:
-        dump = counterexample_json(result, "finalize", {"problems": verdict.problems})
+        dump = counterexample_json(
+            result, instance, "finalize", {"problems": verdict.problems}
+        )
         raise AssertionError(
-            f"{algorithm} failed correctness at n={n}: {json.dumps(dump, sort_keys=True)}"
+            f"{algorithm} failed correctness at n={instance.n}: "
+            f"{json.dumps(dump, sort_keys=True)}"
         )
     return result
 
@@ -101,7 +103,7 @@ def worst_case(
     worst = -1
     argmax = 0
     for mask in masks:
-        result = _run_checked(algorithm, n, mask)
+        result = _run_checked(algorithm, instance_from_mask(n, mask))
         if result.tests_used > worst:
             worst = result.tests_used
             argmax = mask
@@ -330,7 +332,8 @@ def _cell_bound_rows(
 def _analyze_upward_runs(n: int) -> List[dict]:
     violations: List[dict] = []
     for mask in range(1 << n):
-        result = _run_checked("zu", n, mask)
+        instance = instance_from_mask(n, mask)
+        result = _run_checked("zu", instance)
         d = mask.bit_count()
         try:
             report = analyze(result)
@@ -342,7 +345,7 @@ def _analyze_upward_runs(n: int) -> List[dict]:
                     "d": d,
                     "check": "structure",
                     "counterexample": counterexample_json(
-                        result, "structure", {"error": str(exc)}
+                        result, instance, "structure", {"error": str(exc)}
                     ),
                 }
             )
@@ -354,7 +357,9 @@ def _analyze_upward_runs(n: int) -> List[dict]:
                     "n": n,
                     "d": d,
                     "check": name,
-                    "counterexample": counterexample_json(result, name, values),
+                    "counterexample": counterexample_json(
+                        result, instance, name, values
+                    ),
                 }
             )
     return violations

@@ -242,13 +242,24 @@ def test_transcript_json_round_trips_through_json():
 
 
 def test_counterexample_dump_names_the_instance():
-    run = _zu(9, {2, 6, 7})
+    inst = Instance(9, frozenset({2, 6, 7}))
+    run = run_zu(PoolOracle(inst))
     report = analyze(run)
     check, values = report.failures[0]
-    dump = counterexample_json(run, check, values)
+    dump = counterexample_json(run, inst, check, values)
     assert dump["instance"] == {"n": 9, "defectives": [2, 6, 7]}
     assert dump["failed_check"] == "tuple-bound"
     json.dumps(dump, sort_keys=True)
+
+
+def test_counterexample_dump_ignores_the_runs_own_labels():
+    # A run that labels only one item, and labels it wrongly, must still dump
+    # the ground-truth instance.
+    inst = Instance(6, frozenset({1, 4}))
+    run = run_zu(PoolOracle(inst))
+    run.classified = {0: DEFECTIVE}
+    dump = counterexample_json(run, inst, "finalize", {"problems": ["wrong"]})
+    assert dump["instance"] == {"n": 6, "defectives": [1, 4]}
 
 
 def test_phase_count_never_exceeds_defectives_plus_one():

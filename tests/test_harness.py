@@ -178,3 +178,20 @@ def test_grid_catches_a_broken_pool_schedule(monkeypatch):
 def test_json_report_has_no_unserializable_values():
     report = verify_grid(9, algorithms=["zu"], checks=["bounds", "analysis"])
     json.loads(harness.report_to_json(report))
+
+
+def test_finalize_failure_dumps_the_ground_truth_instance(monkeypatch):
+    honest = harness.RUNNERS["zd"]
+
+    def labels_one_item(oracle):
+        run = honest(oracle)
+        run.transcript.identifications = run.transcript.identifications[:1]
+        run.classified = run.transcript.classified()
+        return run
+
+    monkeypatch.setitem(harness.RUNNERS, "zd", labels_one_item)
+    with pytest.raises(AssertionError) as info:
+        worst_case("zd", 5, 2)
+    dump = json.loads(str(info.value).split(": ", 1)[1])
+    assert dump["failed_check"] == "finalize"
+    assert dump["instance"] == {"n": 5, "defectives": [0, 1]}

@@ -1,7 +1,8 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gtlab import kernels
-from gtlab.core import PoolOracle, finalize, instance_from_mask
+from gtlab.core import DEFECTIVE, GOOD, PoolOracle, instance_from_mask
 from gtlab.harness import RUNNERS
 
 compiled_only = pytest.mark.skipif(
@@ -26,6 +27,73 @@ def test_pure_count_matches_recorded_runs():
                 assert tests == result.tests_used, (algorithm, n, mask)
                 assert bad == mask
                 assert good == ((1 << n) - 1) & ~mask
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(kernels.ALGORITHMS), st.integers(9, 40), st.data())
+def test_pure_count_matches_recorded_runs_at_larger_n(algorithm, n, data):
+    # Sparse masks reach the long pure streaks that dense ones rarely do.
+    sparse = st.sets(st.integers(0, n - 1), max_size=4).map(
+        lambda items: sum(1 << i for i in items)
+    )
+    mask = data.draw(st.one_of(st.integers(0, (1 << n) - 1), sparse))
+    tests, good, bad = kernels.count_run(algorithm, n, mask, backend="pure")
+    result = RUNNERS[algorithm](PoolOracle(instance_from_mask(n, mask)))
+    recorded_bad = sum(1 << i for i, lab in result.classified.items() if lab == DEFECTIVE)
+    recorded_good = sum(1 << i for i, lab in result.classified.items() if lab == GOOD)
+    assert tests == result.tests_used
+    assert (good, bad) == (recorded_good, recorded_bad)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.sampled_from(["zu", "zc"]), st.integers(97, 200), st.data())
+def test_pure_counter_matches_recorded_runs_past_count_run_range(algorithm, n, data):
+    # zu's whole-remaining test after six pure results first fires at n=97,
+    # beyond count_run's range, so the counter itself is pinned here.
+    defectives = data.draw(st.sets(st.integers(0, n - 1), max_size=3))
+    mask = sum(1 << i for i in defectives)
+    counted = kernels._PURE_COUNTERS[algorithm]((1 << n) - 1, mask)
+    result = RUNNERS[algorithm](PoolOracle(instance_from_mask(n, mask)))
+    assert counted == (result.tests_used, ((1 << n) - 1) ^ mask, mask)
+
+
+def test_sweep_ground_truth_check_fires(monkeypatch):
+    honest = kernels._PURE_COUNTERS["zd"]
+
+    def drops_a_defective(items, defect):
+        tests, good, bad = honest(items, defect)
+        return tests, good, bad & (bad - 1)
+
+    monkeypatch.setitem(kernels._PURE_COUNTERS, "zd", drops_a_defective)
+    with pytest.raises(AssertionError, match="misclassified"):
+        kernels.sweep("zd", 5, backend="pure")
+
+
+@pytest.mark.parametrize("backend", ["pure", pytest.param("compiled", marks=compiled_only)])
+def test_count_run_rejects_masks_outside_n(backend):
+    for n, mask in [(4, 1 << 10), (4, 1 << 4), (0, 1), (8, -1)]:
+        with pytest.raises(ValueError):
+            kernels.count_run("zd", n, mask, backend=backend)
+    assert kernels.count_run("zd", 4, 0b1000, backend=backend)[2] == 0b1000
+
+
+@pytest.mark.parametrize("backend", ["pure", pytest.param("compiled", marks=compiled_only)])
+def test_count_run_rejects_unsupported_sizes_and_algorithms(backend):
+    with pytest.raises(ValueError):
+        kernels.count_run("zd", -1, 0, backend=backend)
+    with pytest.raises(ValueError):
+        kernels.count_run("zd", kernels.MAX_COUNT_N + 1, 0, backend=backend)
+    with pytest.raises(ValueError):
+        kernels.count_run("sorting", 4, 0, backend=backend)
+
+
+@pytest.mark.parametrize("backend", ["pure", pytest.param("compiled", marks=compiled_only)])
+def test_sweep_limit_is_shared_by_both_backends(backend):
+    assert kernels.MAX_SWEEP_N == 24
+    with pytest.raises(ValueError):
+        kernels.sweep("zd", kernels.MAX_SWEEP_N + 1, backend=backend)
+    with pytest.raises(ValueError):
+        kernels.sweep("zd", -1, backend=backend)
 
 
 @compiled_only
