@@ -12,8 +12,8 @@ from __future__ import annotations
 
 import math
 from collections import defaultdict
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass, field
+from typing import Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from gtlab.core import (
     ADDITIONAL,
@@ -43,8 +43,7 @@ class StructureError(Exception):
     """Transcript shape contradicts the upward strategy's grammar."""
 
 
-@dataclass(frozen=True)
-class TestView:
+class TestView(NamedTuple):
     seq: int
     kind: str
     rank: Optional[int]
@@ -76,12 +75,18 @@ class ZigZagTuple:
 
 @dataclass(frozen=True)
 class Classification:
+    """The test classes and tuples of one transcript, plus the parse they
+    were read from (per-test views and phases), which the budget checks
+    reuse instead of parsing the transcript again."""
+
     c1: frozenset
     c2: frozenset
     c3: frozenset
     c4: frozenset
     additional: frozenset
     tuples: Tuple[ZigZagTuple, ...]
+    views: Dict[int, TestView] = field(compare=False, repr=False)
+    phases: Tuple[Phase, ...] = field(compare=False, repr=False)
 
 
 @dataclass
@@ -96,28 +101,29 @@ def _views(transcript: Transcript) -> Dict[int, TestView]:
     incurred: Dict[int, int] = defaultdict(int)
     idents: Dict[int, int] = defaultdict(int)
     defect: Dict[int, int] = defaultdict(int)
+    tops = []
     for rec in transcript.records:
         if rec.kind == INCURRED:
             incurred[rec.parent] += 1
+        else:
+            tops.append(rec)
     for ident in transcript.identifications:
         idents[ident.attributed_to] += 1
         if ident.label == DEFECTIVE:
             defect[ident.attributed_to] += 1
-    out = {}
-    for rec in transcript.records:
-        if rec.kind == INCURRED:
-            continue
-        out[rec.seq] = TestView(
-            seq=rec.seq,
-            kind=rec.kind,
-            rank=rec.rank,
-            status=rec.status,
-            pool=tuple(rec.pool),
-            incurred=1 + incurred[rec.seq],
-            identified=idents[rec.seq],
-            defectives=defect[rec.seq],
+    return {
+        rec.seq: TestView(
+            rec.seq,
+            rec.kind,
+            rec.rank,
+            rec.status,
+            tuple(rec.pool),
+            1 + incurred[rec.seq],
+            idents[rec.seq],
+            defect[rec.seq],
         )
-    return out
+        for rec in tops
+    }
 
 
 def _check_phase(tests: Sequence[TestRecord], closed: bool) -> None:
@@ -261,14 +267,29 @@ def _type_floor(tuple_type: str, rank: int) -> Tuple[int, int]:
 
 def classify(transcript: Transcript) -> Classification:
     views = _views(transcript)
-    phases = segment_phases(transcript)
+    phases = tuple(segment_phases(transcript))
     recs_by_parent: Dict[int, List[TestRecord]] = defaultdict(list)
     for rec in transcript.records:
         if rec.kind == INCURRED:
             recs_by_parent[rec.parent].append(rec)
     trailing = phases[-1] if phases and not phases[-1].closed else None
     c1: Set[int] = set(trailing.tests) if trailing else set()
-    additional = frozenset(s for s, v in views.items() if v.kind == ADDITIONAL)
+    # Pure drivers with a full pool, by rank, in test order: the only tests
+    # that can partner a contaminated driver one rank up.
+    partners: Dict[int, List[int]] = defaultdict(list)
+    additional: Set[int] = set()
+    for seq in sorted(views):
+        view = views[seq]
+        if view.kind == ADDITIONAL:
+            additional.add(seq)
+        elif (
+            view.kind == DRIVER
+            and view.status == PURE
+            and view.rank is not None
+            and len(view.pool) == pool_size(view.rank)
+            and seq not in c1
+        ):
+            partners[view.rank].append(seq)
     c2: Set[int] = set()
     c3: Set[int] = set()
     matched: Set[int] = set()
@@ -277,33 +298,20 @@ def classify(transcript: Transcript) -> Classification:
         if not phase.closed:
             continue
         ender = views[phase.tests[-1]]
-        extra = next((s for s in phase.tests if views[s].kind == ADDITIONAL), None)
+        extra = next((s for s in phase.tests if s in additional), None)
         if ender.rank == 0:
             if extra is not None:
                 raise StructureError("additional test in a rank-0 phase")
             c2.add(ender.seq)
             continue
         rank = ender.rank or 0
-        want = pool_size(rank - 1)
-
-        def eligible(view: TestView) -> bool:
-            return (
-                view.kind == DRIVER
-                and view.status == PURE
-                and view.rank == rank - 1
-                and len(view.pool) == want
-                and view.seq not in matched
-                and view.seq not in c1
-            )
-
-        candidates = [s for s in phase.tests[:-1] if eligible(views[s])]
-        if not candidates:
-            candidates = sorted(s for s, v in views.items() if eligible(v))
-        if not candidates:
+        eligible = [s for s in partners.get(rank - 1, ()) if s not in matched]
+        if not eligible:
             raise StructureError(
                 f"no pure partner of rank {rank - 1} for test {ender.seq}"
             )
-        partner = candidates[0]
+        # A partner inside the phase wins; otherwise the earliest in the run.
+        partner = next((s for s in phase.tests[:-1] if s in eligible), eligible[0])
         matched.add(partner)
         ttype = _tuple_type(ender, recs_by_parent.get(ender.seq, []))
         defectives = views[partner].defectives + ender.defectives
@@ -326,14 +334,16 @@ def classify(transcript: Transcript) -> Classification:
         c3.update((partner, ender.seq))
         if extra is not None:
             c3.add(extra)
-    c4 = {s for s in views if s not in c1 and s not in c2 and s not in c3}
+    c4 = set(views).difference(c1, c2, c3)
     return Classification(
         c1=frozenset(c1),
         c2=frozenset(c2),
         c3=frozenset(c3),
         c4=frozenset(c4),
-        additional=additional,
+        additional=frozenset(additional),
         tuples=tuple(tuples),
+        views=views,
+        phases=phases,
     )
 
 
@@ -344,9 +354,9 @@ def _budget(d: int, n: int) -> float:
 def verify_observations(
     classification: Classification, transcript: Transcript
 ) -> Tuple[Verdict, List[Tuple[str, Dict[str, object]]]]:
-    views = _views(transcript)
-    failures: List[Tuple[str, Dict[str, object]]] = []
     cls = classification
+    views = cls.views
+    failures: List[Tuple[str, Dict[str, object]]] = []
     in_tuples: List[int] = []
     for t in cls.tuples:
         in_tuples.extend([t.pure_test, t.cont_test])
@@ -375,7 +385,7 @@ def verify_observations(
                 ("c4-rank-gap", {"c4_max": top_c4, "contaminated_max": top_cont})
             )
     d_run = sum(1 for i in transcript.identifications if i.label == DEFECTIVE)
-    n_phases = len(segment_phases(transcript))
+    n_phases = len(cls.phases)
     if n_phases > d_run + 1:
         failures.append(("phase-count", {"phases": n_phases, "defectives": d_run}))
     problems = [f"{name}: {vals}" for name, vals in failures]
@@ -385,8 +395,8 @@ def verify_observations(
 def check_class_bounds(
     classification: Classification, transcript: Transcript
 ) -> Tuple[Verdict, List[Tuple[str, Dict[str, object]]]]:
-    views = _views(transcript)
     cls = classification
+    views = cls.views
     failures: List[Tuple[str, Dict[str, object]]] = []
 
     lhs = sum(views[s].incurred for s in cls.c1)
@@ -500,7 +510,6 @@ def upward_subtranscript(run: RunResult) -> Transcript:
 
 def analyze(run: RunResult) -> AnalysisReport:
     transcript = upward_subtranscript(run)
-    phases = segment_phases(transcript)
     classification = classify(transcript)
     obs_verdict, obs_failures = verify_observations(classification, transcript)
     bound_verdict, bound_failures = check_class_bounds(classification, transcript)
@@ -510,7 +519,7 @@ def analyze(run: RunResult) -> AnalysisReport:
         problems=obs_verdict.problems + bound_verdict.problems,
     )
     return AnalysisReport(
-        phases=phases,
+        phases=list(classification.phases),
         classification=classification,
         verdict=verdict,
         failures=failures,

@@ -34,6 +34,9 @@ CSV_COLUMNS = ("algorithm", "n", "d", "worst_tests", "bound_name", "bound_value"
 
 DEFAULT_CHECKS = ("bounds", "competitive", "count", "analysis")
 
+# Largest n the verify grid sweeps.
+MAX_GRID_N = 20
+
 
 @dataclass(frozen=True)
 class WorstCaseCell:
@@ -410,17 +413,29 @@ def verify_grid(
 ) -> dict:
     """Sweeps every algorithm over 1..n_max and evaluates every applicable
     bound per cell. Violations are enumerated, never short-circuited.
+    Unknown algorithms or check families and a negative worker count are
+    rejected; workers 0 or 1 run serially, and None reads GTLAB_WORKERS.
     """
-    if not 1 <= n_max <= 20:
-        raise ValueError("need 1 <= n_max <= 20")
+    if not 1 <= n_max <= MAX_GRID_N:
+        raise ValueError(f"need 1 <= n_max <= {MAX_GRID_N}")
     algorithms = tuple(algorithms or ALGORITHMS)
     for algorithm in algorithms:
         if algorithm not in RUNNERS:
             raise ValueError(f"unknown algorithm {algorithm!r}")
     checks = tuple(checks if checks is not None else DEFAULT_CHECKS)
+    for check in checks:
+        if check not in DEFAULT_CHECKS:
+            raise ValueError(
+                f"unknown check family {check!r}; known: {', '.join(DEFAULT_CHECKS)}"
+            )
     if workers is None:
         env = os.environ.get("GTLAB_WORKERS")
-        workers = int(env) if env else 0
+        try:
+            workers = int(env) if env else 0
+        except ValueError:
+            raise ValueError(f"GTLAB_WORKERS must be an integer, got {env!r}") from None
+    if workers < 0:
+        raise ValueError(f"need workers >= 0 (--workers or GTLAB_WORKERS), got {workers}")
     tasks = [
         (algorithm, n, checks, backend)
         for algorithm in algorithms

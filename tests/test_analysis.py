@@ -1,7 +1,10 @@
+import hashlib
 import json
+from collections import Counter
 
 import pytest
 
+from gtlab import analysis
 from gtlab.analysis import (
     StructureError,
     analyze,
@@ -12,6 +15,7 @@ from gtlab.analysis import (
     upward_subtranscript,
 )
 from gtlab.competitive import run_zc
+from gtlab.harness import report_to_json, verify_grid
 from gtlab.core import (
     ADDITIONAL,
     CONTAMINATED,
@@ -37,6 +41,18 @@ KNOWN_OFFENDERS = {
     (9, (1, 6, 7, 8)),
     (9, (2, 6, 7, 8)),
 }
+
+
+# Output pins, captured before `analyze` parsed each transcript only once:
+# the SHA-256 of the n <= 10 upward-strategy analysis grid report, and a
+# digest of the analysis failures of every quarter-round run with an upward
+# portion for n <= 10 (1608 runs).
+GRID_10_ANALYSIS_SHA256 = (
+    "e0b10fe861fc87a13541dab0f61fa76f756ce7690e07824c4aca1ed302f2937f"
+)
+ZC_UPWARD_FAILURES_SHA256 = (
+    "e931ffa4f2c7552dd93c78ad122227bf01cb6edbf33e9ef7aa2a347ab13dee8a"
+)
 
 
 def _zu(n, defectives):
@@ -118,7 +134,6 @@ def test_test_accounting_recomposes_exactly():
     for n, defectives in [(6, {1, 4}), (12, {8}), (100, {99}), (9, {1, 6, 7})]:
         run = _zu(n, defectives)
         report = analyze(run)
-        views_total = 0
         cls = report.classification
         seen = set(cls.c1) | set(cls.c2) | set(cls.c3) | set(cls.c4)
         for rec in run.transcript.records:
@@ -268,3 +283,62 @@ def test_phase_count_never_exceeds_defectives_plus_one():
             run = run_zu(PoolOracle(instance_from_mask(n, mask)))
             phases = segment_phases(run.transcript)
             assert len(phases) <= mask.bit_count() + 1, (n, mask)
+
+
+def test_analysis_grid_report_is_pinned():
+    report = verify_grid(10, algorithms=["zu"], checks=["analysis"])
+    digest = hashlib.sha256(report_to_json(report).encode()).hexdigest()
+    assert digest == GRID_10_ANALYSIS_SHA256
+
+
+def test_upward_portions_of_quarter_round_runs_are_pinned():
+    digest = hashlib.sha256()
+    portions = 0
+    for n in range(1, 11):
+        for mask in range(1 << n):
+            run = run_zc(PoolOracle(instance_from_mask(n, mask)))
+            try:
+                upward_subtranscript(run)
+            except ValueError:
+                continue
+            portions += 1
+            failures = analyze(run).failures
+            digest.update(json.dumps([n, mask, failures], sort_keys=True).encode())
+    assert portions == 1608
+    assert digest.hexdigest() == ZC_UPWARD_FAILURES_SHA256
+
+
+PARSE_STEPS = (
+    "_views",
+    "segment_phases",
+    "upward_subtranscript",
+    "classify",
+    "verify_observations",
+    "check_class_bounds",
+)
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        _zu(9, {1, 6, 7}),
+        _zu(100, {99}),
+        run_zc(PoolOracle(Instance(16, frozenset({0, 4, 8, 12})))),
+    ],
+    ids=["zu-known-red", "zu-additional", "zc-upward"],
+)
+def test_analyze_parses_each_transcript_once(monkeypatch, run):
+    calls = Counter()
+
+    def counted(name, original):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    for name in PARSE_STEPS:
+        monkeypatch.setattr(analysis, name, counted(name, getattr(analysis, name)))
+    report = analyze(run)
+    assert calls == {name: 1 for name in PARSE_STEPS}
+    assert report.phases == list(report.classification.phases)

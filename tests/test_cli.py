@@ -84,6 +84,27 @@ def test_verify_exits_one_when_a_check_trips(capsys):
     assert report["violations"]
 
 
+def test_verify_unknown_check_exits_2(capsys):
+    code = main(["verify", "--n-max", "3", "--checks", "bogus"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "unknown check family 'bogus'" in captured.err
+
+
+def test_verify_negative_workers_exits_2(capsys):
+    code = main(["verify", "--n-max", "3", "--workers", "-1"])
+    assert code == 2
+    assert "workers >= 0" in capsys.readouterr().err
+
+
+def test_verify_non_integer_env_workers_exits_2(capsys, monkeypatch):
+    monkeypatch.setenv("GTLAB_WORKERS", "2.5")
+    code = main(["verify", "--n-max", "3"])
+    assert code == 2
+    assert "GTLAB_WORKERS" in capsys.readouterr().err
+
+
 def test_verify_reports_are_stable(capsys):
     argv = ["verify", "--n-max", "5"]
     _, out_a = _capture(capsys, argv)

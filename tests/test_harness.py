@@ -156,10 +156,31 @@ def test_verify_grid_csv_layout(tmp_path):
 def test_verify_grid_rejects_bad_arguments():
     with pytest.raises(ValueError):
         verify_grid(0)
-    with pytest.raises(ValueError):
-        verify_grid(21)
+    with pytest.raises(ValueError, match=str(harness.MAX_GRID_N)):
+        verify_grid(harness.MAX_GRID_N + 1)
     with pytest.raises(ValueError):
         verify_grid(5, algorithms=["zz"])
+
+
+def test_verify_grid_rejects_unknown_check_families():
+    with pytest.raises(ValueError, match="unknown check family 'bogus'"):
+        verify_grid(3, checks=["bogus"])
+    with pytest.raises(ValueError, match="'analyses'"):
+        verify_grid(3, algorithms=["zu"], checks=["bounds", "analyses"])
+
+
+def test_verify_grid_rejects_negative_workers(monkeypatch):
+    with pytest.raises(ValueError, match="workers >= 0"):
+        verify_grid(3, workers=-1)
+    monkeypatch.setenv("GTLAB_WORKERS", "-2")
+    with pytest.raises(ValueError, match="workers >= 0"):
+        verify_grid(3)
+
+
+def test_verify_grid_env_workers_must_be_an_integer(monkeypatch):
+    monkeypatch.setenv("GTLAB_WORKERS", "two")
+    with pytest.raises(ValueError, match="GTLAB_WORKERS must be an integer, got 'two'"):
+        verify_grid(3)
 
 
 def test_grid_catches_a_broken_pool_schedule(monkeypatch):
