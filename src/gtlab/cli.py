@@ -82,7 +82,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     if args.algs:
         algorithms = [tok for tok in args.algs.split(",") if tok]
     checks = None
-    if args.checks:
+    if args.checks is not None:
         checks = [tok for tok in args.checks.split(",") if tok]
     report = harness.verify_grid(
         args.n_max, algorithms=algorithms, checks=checks, workers=args.workers

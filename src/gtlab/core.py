@@ -66,12 +66,12 @@ class PoolOracle:
         if not items:
             raise ValueError("empty pool")
         n = self.instance.n
-        for item in items:
-            if not 0 <= item < n:
-                raise ValueError("pool index %r outside [0, %d)" % (item, n))
+        if min(items) < 0 or max(items) >= n:
+            for item in items:
+                if not 0 <= item < n:
+                    raise ValueError("pool index %r outside [0, %d)" % (item, n))
         self.query_count += 1
-        defectives = self.instance.defectives
-        return any(item in defectives for item in items)
+        return not self.instance.defectives.isdisjoint(items)
 
 
 @dataclass
@@ -244,7 +244,7 @@ def finalize(run: RunResult, instance: Instance) -> Verdict:
             problems.append("record %d has seq %d" % (i + 1, rec.seq))
             break
         kinds_by_seq[rec.seq] = rec.kind
-        truth_hit = any(item in instance.defectives for item in rec.pool)
+        truth_hit = not instance.defectives.isdisjoint(rec.pool)
         if (rec.raw_outcome == CONTAMINATED) != truth_hit:
             problems.append("record %d outcome does not match ground truth" % rec.seq)
             break

@@ -77,7 +77,8 @@ def worst_case(
     cap: int = 10**7,
 ) -> WorstCaseCell:
     """Maximizes tests over defective sets of size d. Exhaustive mode walks
-    every set in ascending mask order; sampled mode is a lower estimate.
+    every set in ascending mask order; sampled mode is a lower estimate over
+    samples >= 1 seeded draws.
     Every run is finalized; a correctness failure aborts with the mask.
     """
     if algorithm not in RUNNERS:
@@ -96,6 +97,8 @@ def worst_case(
         )
         exact = True
     elif mode == "sampled":
+        if samples < 1:
+            raise ValueError(f"need samples >= 1, got {samples}")
         rng = random.Random(seed)
         masks = (
             sum(1 << i for i in rng.sample(range(n), d)) for _ in range(samples)
@@ -126,6 +129,13 @@ class _MinimaxSolver:
     solvable(family, t) asks whether some strategy always isolates the truth
     within t more pools. Memo entries hold [largest failing t, smallest
     succeeding t] per canonical family key.
+
+    The key drops items every candidate contains or none does, colours the
+    rest by iterated incidence refinement, and takes the least sorted tuple
+    of relabeled rows over every ordering of each colour group. Each group
+    ordering is turned into a per-row table once, so a relabeled row costs
+    one addition per group. Past 1000 orderings the key keeps one labeled
+    ordering, which costs duplicate search but never a wrong value.
     """
 
     def __init__(self, n: int):
@@ -228,28 +238,35 @@ class _MinimaxSolver:
             by_color[col_color[j]].append(j)
         groups = [by_color[c] for c in sorted(by_color)]
         if _perm_budget(groups) <= 1000:
-            best = None
-            for perm in itertools.product(
-                *[itertools.permutations(g) for g in groups]
-            ):
-                order = [j for part in perm for j in part]
-                key = self._remap(family, order)
-                if best is None or key < best:
-                    best = key
+            orders = [itertools.permutations(g) for g in groups]
         else:
             # Too symmetric to canonicalize cheaply; a labeled key only costs
             # duplicate work, never a wrong answer.
-            best = self._remap(family, [j for g in groups for j in g])
-        return (m,) + best
-
-    @staticmethod
-    def _remap(family: Tuple[int, ...], order: List[int]) -> tuple:
-        return tuple(
-            sorted(
-                sum(1 << p for p, j in enumerate(order) if mask >> j & 1)
-                for mask in family
-            )
+            orders = [[tuple(g)] for g in groups]
+        # Columns are relabeled group by group, so group g owns the bit
+        # positions offset .. offset+len(g)-1. Each ordering of a group gives
+        # one table of every row's bits at those positions; a relabeled row
+        # is the sum of one table entry per group (zero when no item is
+        # informative).
+        tables = []
+        offset = 0
+        for g, group_orders in zip(groups, orders):
+            bits = [1 << p for p in range(offset, offset + len(g))]
+            per_order = []
+            for order in group_orders:
+                table = [0] * m
+                for bit, j in zip(bits, order):
+                    for r in col_rows[j]:
+                        table[r] += bit
+                per_order.append(table)
+            tables.append(per_order)
+            offset += len(g)
+        zeros = [0] * m
+        best = min(
+            tuple(sorted(map(sum, zip(zeros, *choice))))
+            for choice in itertools.product(*tables)
         )
+        return (m,) + best
 
 
 def _dense(sigs: list) -> list:
@@ -413,8 +430,9 @@ def verify_grid(
 ) -> dict:
     """Sweeps every algorithm over 1..n_max and evaluates every applicable
     bound per cell. Violations are enumerated, never short-circuited.
-    Unknown algorithms or check families and a negative worker count are
-    rejected; workers 0 or 1 run serially, and None reads GTLAB_WORKERS.
+    Unknown algorithms or check families, an empty check list and a
+    negative worker count are rejected; checks None runs every family,
+    workers 0 or 1 run serially, and None reads GTLAB_WORKERS.
     """
     if not 1 <= n_max <= MAX_GRID_N:
         raise ValueError(f"need 1 <= n_max <= {MAX_GRID_N}")
@@ -423,6 +441,10 @@ def verify_grid(
         if algorithm not in RUNNERS:
             raise ValueError(f"unknown algorithm {algorithm!r}")
     checks = tuple(checks if checks is not None else DEFAULT_CHECKS)
+    if not checks:
+        raise ValueError(
+            f"need at least one check family; known: {', '.join(DEFAULT_CHECKS)}"
+        )
     for check in checks:
         if check not in DEFAULT_CHECKS:
             raise ValueError(

@@ -62,6 +62,18 @@ def test_worstcase_json(capsys):
     assert len(payload["argmax_defectives"]) == 2
 
 
+@pytest.mark.parametrize("samples", ["0", "-5"])
+def test_worstcase_sampled_without_samples_exits_2(capsys, samples):
+    code = main(
+        ["worstcase", "--alg", "zu", "--n", "10", "--d", "3",
+         "--mode", "sampled", "--samples", samples]
+    )
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "need samples >= 1" in captured.err
+
+
 def test_verify_clean_grid_exits_zero(capsys, tmp_path):
     out_csv = tmp_path / "grid.csv"
     code, out = _capture(
@@ -90,6 +102,15 @@ def test_verify_unknown_check_exits_2(capsys):
     assert code == 2
     assert captured.out == ""
     assert "unknown check family 'bogus'" in captured.err
+
+
+@pytest.mark.parametrize("checks", [",", ""])
+def test_verify_empty_check_list_exits_2(capsys, checks):
+    code = main(["verify", "--n-max", "3", "--checks", checks])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "at least one check family" in captured.err
 
 
 def test_verify_negative_workers_exits_2(capsys):

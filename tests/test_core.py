@@ -41,10 +41,43 @@ def test_oracle_intersection_and_count():
 
 def test_oracle_rejects_bad_pools():
     oracle = PoolOracle(Instance(4, frozenset({0})))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^empty pool$"):
         oracle.contaminated([])
+    with pytest.raises(ValueError, match="^empty pool$"):
+        oracle.contaminated(iter(()))
     with pytest.raises(ValueError):
         oracle.contaminated([4])
+
+
+@pytest.mark.parametrize(
+    "pool, offender",
+    [
+        ([-1], -1),
+        ([0, 2, -3], -3),
+        ([4], 4),
+        ([1, 4, 2], 4),
+        ([3, 0, 9, 5], 9),
+        # The first offender in pool order is named.
+        ([1, 7, -2], 7),
+        ([1, -2, 7], -2),
+    ],
+)
+def test_oracle_names_the_out_of_range_item(pool, offender):
+    oracle = PoolOracle(Instance(4, frozenset({0})))
+    with pytest.raises(ValueError) as info:
+        oracle.contaminated(pool)
+    assert str(info.value) == "pool index %r outside [0, 4)" % offender
+
+
+def test_rejected_queries_are_not_counted():
+    oracle = PoolOracle(Instance(4, frozenset({2})))
+    assert oracle.contaminated([2, 3]) is True
+    for bad in ([], [-1], [4], [0, 1, 4]):
+        with pytest.raises(ValueError):
+            oracle.contaminated(bad)
+    assert oracle.query_count == 1
+    assert oracle.contaminated([0, 1]) is False
+    assert oracle.query_count == 2
 
 
 def test_session_records_in_sequence():
@@ -120,6 +153,22 @@ def test_finalize_flags_missing_item():
     run = RunResult("partial", session.tests, session.transcript(), session.classified())
     verdict = finalize(run, inst)
     assert not verdict.ok
+
+
+def test_finalize_flags_an_outcome_that_contradicts_ground_truth():
+    inst = Instance(4, frozenset({3}))
+    run = _honest_run(inst)
+    assert finalize(run, inst).ok
+    # Record 2 tested item 1, which is good; claim it came back contaminated.
+    run.transcript.records[1].raw_outcome = CONTAMINATED
+    verdict = finalize(run, inst)
+    assert verdict.problems == ["record 2 outcome does not match ground truth"]
+    # And a contaminated answer turned pure on the defective item.
+    run = _honest_run(inst)
+    run.transcript.records[3].raw_outcome = PURE
+    assert finalize(run, inst).problems == [
+        "record 4 outcome does not match ground truth"
+    ]
 
 
 def test_finalize_flags_test_count_mismatch():

@@ -1,7 +1,9 @@
+import itertools
 import json
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gtlab import bounds, harness, kernels
 from gtlab.harness import MinimaxLimits, minimax_m, verify_grid, worst_case
@@ -57,6 +59,98 @@ def test_minimax_is_label_invariant():
     assert solver._canonical_key(fam_a) == solver._canonical_key(relabeled)
 
 
+# minimax_m(n, d) for every cell the default MinimaxLimits admit, row n
+# listing d = 0..n.
+MINIMAX_TABLE = {
+    1: [0, 0],
+    2: [0, 1, 0],
+    3: [0, 2, 2, 0],
+    4: [0, 2, 3, 3, 0],
+    5: [0, 3, 4, 4, 4, 0],
+    6: [0, 3, 5, 5, 5, 5, 0],
+    7: [0, 3, 5, 6, 6, 6, 6, 0],
+    8: [0, 3, 6, 7, 7, 7, 7, 7, 0],
+}
+
+
+def test_minimax_table_is_pinned():
+    limits = MinimaxLimits()
+    admitted = [
+        (n, d)
+        for n in range(1, limits.max_n + 1)
+        for d in range(n + 1)
+        if math.comb(n, d) <= limits.max_candidates
+    ]
+    pinned = [(n, d) for n, row in MINIMAX_TABLE.items() for d in range(len(row))]
+    assert admitted == pinned
+    for n, d in admitted:
+        assert minimax_m(n, d) == MINIMAX_TABLE[n][d], (n, d)
+
+
+def _relabel(family, perm):
+    # Item i of the family becomes item perm[i].
+    return tuple(
+        sorted(sum(1 << perm[i] for i in range(len(perm)) if mask >> i & 1) for mask in family)
+    )
+
+
+def _informative_part(family):
+    # Items that every candidate contains, or none does, say nothing about
+    # which candidate is the truth; the canonical key leaves them out.
+    shared = -1
+    seen = 0
+    for mask in family:
+        shared &= mask
+        seen |= mask
+    active = seen & ~shared
+    return {mask & active for mask in family}
+
+
+def _isomorphic(a, b, n):
+    core_a, core_b = _informative_part(a), _informative_part(b)
+    return len(core_a) == len(core_b) and any(
+        set(_relabel(core_a, perm)) == core_b
+        for perm in itertools.permutations(range(n))
+    )
+
+
+def _families(n):
+    return st.lists(
+        st.integers(0, (1 << n) - 1), min_size=1, max_size=min(1 << n, 10), unique=True
+    ).map(lambda masks: tuple(sorted(masks)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 5), st.data())
+def test_canonical_key_ignores_item_labels(n, data):
+    family = data.draw(_families(n))
+    perm = data.draw(st.permutations(range(n)))
+    solver = harness._MinimaxSolver(n)
+    assert solver._canonical_key(family) == solver._canonical_key(_relabel(family, perm))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 5), st.data())
+def test_canonical_key_merges_only_isomorphic_families(n, data):
+    # For n <= 5 every colour group has at most 5! = 120 orderings, so the
+    # key never takes the labeled fallback and equal keys must mean the
+    # families are the same up to relabeling (and conversely). The second
+    # family is either drawn afresh or a relabeled copy of the first with
+    # at most one bit flipped, which keeps near misses common.
+    a = data.draw(_families(n))
+    b = _relabel(a, data.draw(st.permutations(range(n))))
+    if data.draw(st.booleans()):
+        b = data.draw(_families(n))
+    elif data.draw(st.booleans()):
+        row = data.draw(st.integers(0, len(b) - 1))
+        flipped = b[row] ^ (1 << data.draw(st.integers(0, n - 1)))
+        if flipped not in b:
+            b = tuple(sorted(b[:row] + (flipped,) + b[row + 1 :]))
+    solver = harness._MinimaxSolver(n)
+    same_key = solver._canonical_key(a) == solver._canonical_key(b)
+    assert same_key == _isomorphic(a, b, n), (a, b)
+
+
 def test_worst_case_exhaustive_is_deterministic():
     a = worst_case("zu", 9, 2)
     b = worst_case("zu", 9, 2)
@@ -83,6 +177,12 @@ def test_worst_case_sampled_is_a_lower_estimate():
     assert sampled.worst_tests <= exact.worst_tests
     again = worst_case("zc", 10, 3, mode="sampled", samples=60, seed=1)
     assert again.worst_tests == sampled.worst_tests
+
+
+@pytest.mark.parametrize("samples", [0, -5])
+def test_worst_case_sampled_needs_a_sample(samples):
+    with pytest.raises(ValueError, match=f"need samples >= 1, got {samples}"):
+        worst_case("zu", 10, 3, mode="sampled", samples=samples)
 
 
 def test_worst_case_refuses_oversized_enumeration():
@@ -167,6 +267,13 @@ def test_verify_grid_rejects_unknown_check_families():
         verify_grid(3, checks=["bogus"])
     with pytest.raises(ValueError, match="'analyses'"):
         verify_grid(3, algorithms=["zu"], checks=["bounds", "analyses"])
+
+
+def test_verify_grid_rejects_an_empty_check_list():
+    with pytest.raises(ValueError, match="at least one check family"):
+        verify_grid(3, checks=[])
+    with pytest.raises(ValueError, match="at least one check family"):
+        verify_grid(3, checks=())
 
 
 def test_verify_grid_rejects_negative_workers(monkeypatch):
