@@ -79,7 +79,7 @@ def _cmd_worstcase(args: argparse.Namespace) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     algorithms = None
-    if args.algs:
+    if args.algs is not None:
         algorithms = [tok for tok in args.algs.split(",") if tok]
     checks = None
     if args.checks is not None:
@@ -166,7 +166,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_vf.add_argument("--n-max", type=int, dest="n_max", required=True)
     p_vf.add_argument("--algs", help="comma-separated algorithm subset")
     p_vf.add_argument("--checks", help="comma-separated check families")
-    p_vf.add_argument("--workers", type=int)
+    p_vf.add_argument(
+        "--workers",
+        type=int,
+        help="worker processes (default GTLAB_WORKERS, else serial); the tasks "
+        "are the (algorithm, n) sweeps and the zu transcript analysis in "
+        "mask-range shards, and the report does not depend on the count",
+    )
     p_vf.add_argument("--out", help="also write the grid as CSV here")
     p_vf.set_defaults(func=_cmd_verify)
 

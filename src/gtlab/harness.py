@@ -11,6 +11,7 @@ import random
 from collections import defaultdict
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from gtlab import bounds, kernels
@@ -32,10 +33,23 @@ SCHEMA_VERSION = 1
 
 CSV_COLUMNS = ("algorithm", "n", "d", "worst_tests", "bound_name", "bound_value", "pass")
 
-DEFAULT_CHECKS = ("bounds", "competitive", "count", "analysis")
+# Each check family and the algorithms it evaluates.
+CHECK_ALGORITHMS = {
+    "bounds": ("zd", "zu", "zc"),
+    "competitive": ("zc",),
+    "count": ("individual",),
+    "analysis": ("zu",),
+}
+
+DEFAULT_CHECKS = tuple(CHECK_ALGORITHMS)
 
 # Largest n the verify grid sweeps.
 MAX_GRID_N = 20
+
+# Masks per transcript-analysis task. The zu analysis of the largest n
+# dominates a grid; split into shards this size and handed out in list
+# order, it leaves at most one shard running after the other workers finish.
+_ANALYSIS_SHARD = 1 << 10
 
 
 @dataclass(frozen=True)
@@ -349,9 +363,10 @@ def _cell_bound_rows(
     return rows
 
 
-def _analyze_upward_runs(n: int) -> List[dict]:
+def _analyze_upward_runs(n: int, lo: int, hi: int) -> List[dict]:
+    """Analysis violations of the zu runs on masks lo..hi-1, in mask order."""
     violations: List[dict] = []
-    for mask in range(1 << n):
+    for mask in range(lo, hi):
         instance = instance_from_mask(n, mask)
         result = _run_checked("zu", instance)
         d = mask.bit_count()
@@ -385,8 +400,9 @@ def _analyze_upward_runs(n: int) -> List[dict]:
     return violations
 
 
-def _grid_task(args: Tuple[str, int, Sequence[str], Optional[str]]) -> dict:
-    algorithm, n, checks, backend = args
+def _sweep_task(
+    algorithm: str, n: int, checks: Sequence[str], backend: Optional[str]
+) -> Tuple[List[dict], List[dict]]:
     cells = []
     per_d = kernels.sweep(algorithm, n, backend=backend)
     for d, (worst, argmax) in enumerate(per_d):
@@ -416,9 +432,32 @@ def _grid_task(args: Tuple[str, int, Sequence[str], Optional[str]]) -> dict:
                         "argmax_mask": cell["argmax_mask"],
                     }
                 )
-    if algorithm == "zu" and "analysis" in checks:
-        violations.extend(_analyze_upward_runs(n))
-    return {"cells": cells, "violations": violations}
+    return cells, violations
+
+
+def _analysis_task(n: int, lo: int, hi: int) -> Tuple[List[dict], List[dict]]:
+    return [], _analyze_upward_runs(n, lo, hi)
+
+
+def _grid_tasks(
+    algorithms: Sequence[str], n_max: int, checks: Sequence[str], backend: Optional[str]
+) -> List[partial]:
+    """Every (algorithm, n) sweep, each followed by its zu analysis shards in
+    mask order, so joining the outputs in list order gives the report."""
+    tasks = []
+    for algorithm in algorithms:
+        for n in range(1, n_max + 1):
+            tasks.append(partial(_sweep_task, algorithm, n, checks, backend))
+            if algorithm == "zu" and "analysis" in checks:
+                end = 1 << n
+                for lo in range(0, end, _ANALYSIS_SHARD):
+                    hi = min(lo + _ANALYSIS_SHARD, end)
+                    tasks.append(partial(_analysis_task, n, lo, hi))
+    return tasks
+
+
+def _run_task(task: partial) -> Tuple[List[dict], List[dict]]:
+    return task()
 
 
 def verify_grid(
@@ -430,13 +469,23 @@ def verify_grid(
 ) -> dict:
     """Sweeps every algorithm over 1..n_max and evaluates every applicable
     bound per cell. Violations are enumerated, never short-circuited.
-    Unknown algorithms or check families, an empty check list and a
-    negative worker count are rejected; checks None runs every family,
-    workers 0 or 1 run serially, and None reads GTLAB_WORKERS.
+
+    algorithms and checks None select every algorithm and every check
+    family. Unknown or empty selections are rejected, and so is one in which
+    no check family applies to any selected algorithm (CHECK_ALGORITHMS).
+
+    The grid is one task list: each (algorithm, n) sweep, followed for zu
+    by its transcript analysis in mask-range shards. workers 0 or 1 run it
+    serially, more hand it to a process pool in list order, None reads
+    GTLAB_WORKERS, and a negative count is rejected. Sharding keeps the
+    largest n from leaving one worker busy alone; outputs are joined in list
+    order, so the report is the same for every worker count.
     """
     if not 1 <= n_max <= MAX_GRID_N:
         raise ValueError(f"need 1 <= n_max <= {MAX_GRID_N}")
-    algorithms = tuple(algorithms or ALGORITHMS)
+    algorithms = tuple(algorithms if algorithms is not None else ALGORITHMS)
+    if not algorithms:
+        raise ValueError(f"need at least one algorithm; known: {', '.join(ALGORITHMS)}")
     for algorithm in algorithms:
         if algorithm not in RUNNERS:
             raise ValueError(f"unknown algorithm {algorithm!r}")
@@ -450,6 +499,12 @@ def verify_grid(
             raise ValueError(
                 f"unknown check family {check!r}; known: {', '.join(DEFAULT_CHECKS)}"
             )
+    if not any(a in CHECK_ALGORITHMS[c] for c in checks for a in algorithms):
+        pairs = "; ".join(f"{c}: {'/'.join(a)}" for c, a in CHECK_ALGORITHMS.items())
+        raise ValueError(
+            f"no check in {', '.join(checks)} applies to {', '.join(algorithms)}; "
+            f"applicable pairs are {pairs}"
+        )
     if workers is None:
         env = os.environ.get("GTLAB_WORKERS")
         try:
@@ -458,18 +513,14 @@ def verify_grid(
             raise ValueError(f"GTLAB_WORKERS must be an integer, got {env!r}") from None
     if workers < 0:
         raise ValueError(f"need workers >= 0 (--workers or GTLAB_WORKERS), got {workers}")
-    tasks = [
-        (algorithm, n, checks, backend)
-        for algorithm in algorithms
-        for n in range(1, n_max + 1)
-    ]
+    tasks = _grid_tasks(algorithms, n_max, checks, backend)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            outputs = list(pool.map(_grid_task, tasks))
+            outputs = list(pool.map(_run_task, tasks))
     else:
-        outputs = [_grid_task(task) for task in tasks]
-    cells = [cell for out in outputs for cell in out["cells"]]
-    violations = [v for out in outputs for v in out["violations"]]
+        outputs = [_run_task(task) for task in tasks]
+    cells = [cell for out_cells, _ in outputs for cell in out_cells]
+    violations = [v for _, out_violations in outputs for v in out_violations]
     return {
         "schema_version": SCHEMA_VERSION,
         "n_max": n_max,

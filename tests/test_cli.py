@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from gtlab import harness
 from gtlab.cli import main
 
 
@@ -111,6 +112,35 @@ def test_verify_empty_check_list_exits_2(capsys, checks):
     assert code == 2
     assert captured.out == ""
     assert "at least one check family" in captured.err
+
+
+@pytest.mark.parametrize("algs", [",", ""])
+def test_verify_empty_algorithm_list_exits_2(capsys, algs):
+    code = main(["verify", "--n-max", "3", "--algs", algs])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "at least one algorithm" in captured.err
+
+
+def test_verify_selection_no_check_applies_to_exits_2(capsys):
+    argv = ["verify", "--n-max", "3", "--algs", "individual", "--checks", "analysis"]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "no check in analysis applies to individual" in captured.err
+
+
+def test_verify_workers_match_serial_across_shards(capsys):
+    # The smallest n whose zu analysis spans two shards.
+    n = harness._ANALYSIS_SHARD.bit_length()
+    assert 1 << (n - 1) <= harness._ANALYSIS_SHARD < 1 << n
+    argv = ["verify", "--n-max", str(n), "--workers"]
+    serial = _capture(capsys, argv + ["1"])
+    parallel = _capture(capsys, argv + ["2"])
+    assert serial[0] == 1
+    assert parallel == serial
 
 
 def test_verify_negative_workers_exits_2(capsys):

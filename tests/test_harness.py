@@ -218,6 +218,35 @@ def test_verify_grid_workers_match_serial(tmp_path):
     serial = verify_grid(6)
     parallel = verify_grid(6, workers=3)
     assert harness.report_to_json(serial) == harness.report_to_json(parallel)
+    # The smallest n whose zu analysis spans two shards.
+    n = harness._ANALYSIS_SHARD.bit_length()
+    assert 1 << (n - 1) <= harness._ANALYSIS_SHARD < 1 << n
+    checks = ["bounds", "analysis"]
+    serial = verify_grid(n, algorithms=["zu"], checks=checks, workers=1)
+    parallel = verify_grid(n, algorithms=["zu"], checks=checks, workers=2)
+    assert serial["violations"]
+    assert harness.report_to_json(serial) == harness.report_to_json(parallel)
+
+
+def test_analysis_shards_join_to_the_full_range():
+    full = harness._analyze_upward_runs(10, 0, 1 << 10)
+    parts = [
+        harness._analyze_upward_runs(10, lo, hi)
+        for lo, hi in [(0, 1), (1, 300), (300, 1 << 10)]
+    ]
+    assert sum(1 for part in parts if part) == 2
+    assert [v for part in parts for v in part] == full
+
+
+def test_verify_grid_report_does_not_depend_on_the_shard_size(monkeypatch):
+    checks = ["bounds", "analysis"]
+    default = harness.report_to_json(verify_grid(10, algorithms=["zu"], checks=checks))
+    monkeypatch.setattr(harness, "_ANALYSIS_SHARD", 37)
+    assert len(harness._grid_tasks(["zu"], 10, checks, None)) == 10 + sum(
+        -(-(1 << n) // 37) for n in range(1, 11)
+    )
+    small = harness.report_to_json(verify_grid(10, algorithms=["zu"], checks=checks))
+    assert small == default
 
 
 def test_verify_grid_env_workers(monkeypatch):
@@ -274,6 +303,34 @@ def test_verify_grid_rejects_an_empty_check_list():
         verify_grid(3, checks=[])
     with pytest.raises(ValueError, match="at least one check family"):
         verify_grid(3, checks=())
+
+
+def test_verify_grid_rejects_an_empty_algorithm_list():
+    with pytest.raises(ValueError, match="at least one algorithm"):
+        verify_grid(3, algorithms=[])
+    with pytest.raises(ValueError, match="at least one algorithm"):
+        verify_grid(3, algorithms=())
+
+
+@pytest.mark.parametrize(
+    "algorithms, checks",
+    [
+        (["individual"], ["analysis"]),
+        (["zd", "zu"], ["competitive", "count"]),
+        (["individual", "zc"], ["analysis"]),
+        (["zu"], ["count"]),
+    ],
+)
+def test_verify_grid_rejects_a_selection_no_check_applies_to(algorithms, checks):
+    with pytest.raises(ValueError, match="applies to"):
+        verify_grid(3, algorithms=algorithms, checks=checks)
+
+
+@pytest.mark.parametrize("check", ["bounds", "competitive", "count"])
+def test_check_algorithms_names_where_each_bound_family_writes_rows(check):
+    report = verify_grid(8, checks=[check])
+    with_rows = {c["algorithm"] for c in report["cells"] if c["bound_values"]}
+    assert with_rows == set(harness.CHECK_ALGORITHMS[check])
 
 
 def test_verify_grid_rejects_negative_workers(monkeypatch):
