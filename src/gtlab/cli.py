@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
 import sys
 from typing import List, Optional
@@ -77,6 +78,17 @@ def _cmd_worstcase(args: argparse.Namespace) -> int:
     return 0
 
 
+def _check_writable(path: str) -> None:
+    # Checked before the sweep, so a bad path costs no grid.
+    parent = os.path.dirname(path) or "."
+    if not os.path.isdir(parent):
+        raise ValueError(f"cannot write {path}: no directory {parent}")
+    if os.path.isdir(path):
+        raise ValueError(f"cannot write {path}: it is a directory")
+    if not os.access(path if os.path.exists(path) else parent, os.W_OK):
+        raise ValueError(f"cannot write {path}: permission denied")
+
+
 def _cmd_verify(args: argparse.Namespace) -> int:
     algorithms = None
     if args.algs is not None:
@@ -84,6 +96,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     checks = None
     if args.checks is not None:
         checks = [tok for tok in args.checks.split(",") if tok]
+    if args.out:
+        _check_writable(args.out)
     report = harness.verify_grid(
         args.n_max, algorithms=algorithms, checks=checks, workers=args.workers
     )

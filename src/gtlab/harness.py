@@ -12,7 +12,7 @@ from collections import defaultdict
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from gtlab import bounds, kernels
 from gtlab.analysis import StructureError, analyze, counterexample_json
@@ -105,10 +105,7 @@ def worst_case(
             raise ValueError(
                 f"exhaustive search over C({n},{d})={count} masks exceeds cap {cap}"
             )
-        masks: Iterable[int] = sorted(
-            sum(1 << i for i in combo)
-            for combo in itertools.combinations(range(n), d)
-        )
+        masks: Iterable[int] = _masks_of_weight(n, d)
         exact = True
     elif mode == "sampled":
         if samples < 1:
@@ -130,6 +127,21 @@ def worst_case(
     return WorstCaseCell(algorithm, n, d, worst, argmax, exact)
 
 
+def _masks_of_weight(n: int, d: int) -> Iterator[int]:
+    """Every n-bit mask with d set bits, in ascending order, one at a time
+    (Gosper's hack: the next larger mask with the same popcount)."""
+    if d == 0:
+        yield 0
+        return
+    mask = (1 << d) - 1
+    end = 1 << n
+    while mask < end:
+        yield mask
+        low = mask & -mask
+        ripple = mask + low
+        mask = ripple | ((mask ^ ripple) >> 2) // low
+
+
 @dataclass(frozen=True)
 class MinimaxLimits:
     max_n: int = 8
@@ -144,12 +156,23 @@ class _MinimaxSolver:
     within t more pools. Memo entries hold [largest failing t, smallest
     succeeding t] per canonical family key.
 
+    Two kinds of family are answered without a key. With t >= m - 1 pools
+    for m candidates, any one-item pool on an item two candidates disagree
+    on splits them. With t at least the number of informative items (in
+    some candidates but not all), testing each of them alone decides the
+    family. Both tests give the same answer on every isomorphic family, so
+    no memo entry another family would read is lost.
+
     The key drops items every candidate contains or none does, colours the
     rest by iterated incidence refinement, and takes the least sorted tuple
-    of relabeled rows over every ordering of each colour group. Each group
+    of relabeled rows over every ordering of each colour group. A group is
+    fully symmetric when every permutation of its items maps the family
+    onto itself; then every ordering of it gives the same rows, so it keeps
+    its labeled ordering and only the other groups are permuted. Each group
     ordering is turned into a per-row table once, so a relabeled row costs
-    one addition per group. Past 1000 orderings the key keeps one labeled
-    ordering, which costs duplicate search but never a wrong value.
+    one addition per group. Past 1000 orderings of the groups that are not
+    fully symmetric, the key keeps one labeled ordering of every group,
+    which costs duplicate search but never a wrong value.
     """
 
     def __init__(self, n: int):
@@ -157,10 +180,13 @@ class _MinimaxSolver:
         self.memo: Dict[tuple, List[int]] = {}
 
     def solvable(self, family: Tuple[int, ...], t: int) -> bool:
-        if len(family) <= 1:
+        m = len(family)
+        if m <= 1:
             return True
-        if (len(family) - 1).bit_length() > t:
+        if (m - 1).bit_length() > t:
             return False
+        if t >= m - 1 or t >= _informative(family).bit_count():
+            return True
         key = self._canonical_key(family)
         entry = self.memo.get(key)
         if entry is None:
@@ -251,8 +277,13 @@ class _MinimaxSolver:
         for j in active:
             by_color[col_color[j]].append(j)
         groups = [by_color[c] for c in sorted(by_color)]
-        if _perm_budget(groups) <= 1000:
-            orders = [itertools.permutations(g) for g in groups]
+        members = set(family)
+        free = [not _fully_symmetric(members, g) for g in groups]
+        if _perm_budget([g for g, f in zip(groups, free) if f]) <= 1000:
+            orders = [
+                itertools.permutations(g) if f else [tuple(g)]
+                for g, f in zip(groups, free)
+            ]
         else:
             # Too symmetric to canonicalize cheaply; a labeled key only costs
             # duplicate work, never a wrong answer.
@@ -281,6 +312,27 @@ class _MinimaxSolver:
             for choice in itertools.product(*tables)
         )
         return (m,) + best
+
+
+def _informative(family: Tuple[int, ...]) -> int:
+    """Mask of the items some candidates contain and others do not."""
+    shared = seen = family[0]
+    for mask in family:
+        shared &= mask
+        seen |= mask
+    return seen & ~shared
+
+
+def _fully_symmetric(members: set, group: Sequence[int]) -> bool:
+    """Whether every permutation of group's items maps the family, a set of
+    masks, onto itself. Swaps of adjacent items generate every permutation,
+    so it suffices that each maps every member to a member."""
+    for a, b in zip(group, group[1:]):
+        swap = 1 << a | 1 << b
+        for mask in members:
+            if (mask >> a ^ mask >> b) & 1 and mask ^ swap not in members:
+                return False
+    return True
 
 
 def _dense(sigs: list) -> list:
@@ -316,12 +368,7 @@ def minimax_m(n: int, d: int, limits: Optional[MinimaxLimits] = None) -> int:
             f"refused: C({n},{d})={count} candidate sets exceed the limit "
             f"{limits.max_candidates}"
         )
-    family = tuple(
-        sorted(
-            sum(1 << i for i in combo)
-            for combo in itertools.combinations(range(n), d)
-        )
-    )
+    family = tuple(_masks_of_weight(n, d))
     solver = _MinimaxSolver(n)
     floor = int(bounds.info_lower_bound(n, d).value)
     for t in range(floor, n + 1):
@@ -460,6 +507,12 @@ def _run_task(task: partial) -> Tuple[List[dict], List[dict]]:
     return task()
 
 
+def _reject_repeats(kind: str, names: Sequence[str]) -> None:
+    repeated = sorted({name for name in names if names.count(name) > 1})
+    if repeated:
+        raise ValueError(f"repeated {kind} {', '.join(map(repr, repeated))}")
+
+
 def verify_grid(
     n_max: int,
     algorithms: Optional[Sequence[str]] = None,
@@ -471,8 +524,9 @@ def verify_grid(
     bound per cell. Violations are enumerated, never short-circuited.
 
     algorithms and checks None select every algorithm and every check
-    family. Unknown or empty selections are rejected, and so is one in which
-    no check family applies to any selected algorithm (CHECK_ALGORITHMS).
+    family. Unknown, repeated or empty selections are rejected, and so is
+    one in which no check family applies to any selected algorithm
+    (CHECK_ALGORITHMS).
 
     The grid is one task list: each (algorithm, n) sweep, followed for zu
     by its transcript analysis in mask-range shards. workers 0 or 1 run it
@@ -489,6 +543,7 @@ def verify_grid(
     for algorithm in algorithms:
         if algorithm not in RUNNERS:
             raise ValueError(f"unknown algorithm {algorithm!r}")
+    _reject_repeats("algorithm", algorithms)
     checks = tuple(checks if checks is not None else DEFAULT_CHECKS)
     if not checks:
         raise ValueError(
@@ -499,6 +554,7 @@ def verify_grid(
             raise ValueError(
                 f"unknown check family {check!r}; known: {', '.join(DEFAULT_CHECKS)}"
             )
+    _reject_repeats("check family", checks)
     if not any(a in CHECK_ALGORITHMS[c] for c in checks for a in algorithms):
         pairs = "; ".join(f"{c}: {'/'.join(a)}" for c, a in CHECK_ALGORITHMS.items())
         raise ValueError(

@@ -132,6 +132,34 @@ def test_verify_selection_no_check_applies_to_exits_2(capsys):
     assert "no check in analysis applies to individual" in captured.err
 
 
+def test_verify_repeated_names_exit_2(capsys):
+    argv = ["verify", "--n-max", "2", "--algs", "zu,zu", "--checks", "bounds,bounds"]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "repeated algorithm 'zu'" in captured.err
+
+
+@pytest.mark.parametrize(
+    "out, reason", [("missing/x.csv", "no directory"), (".", "it is a directory")]
+)
+def test_verify_unwritable_out_exits_2_before_the_sweep(
+    capsys, monkeypatch, tmp_path, out, reason
+):
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("swept the grid")
+
+    monkeypatch.setattr(harness, "verify_grid", no_sweep)
+    out_csv = tmp_path / out
+    code = main(["verify", "--n-max", "2", "--checks", "bounds", "--out", str(out_csv)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: cannot write {out_csv}: {reason}")
+    assert not (tmp_path / "missing").exists()
+
+
 def test_verify_workers_match_serial_across_shards(capsys):
     # The smallest n whose zu analysis spans two shards.
     n = harness._ANALYSIS_SHARD.bit_length()

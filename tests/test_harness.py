@@ -151,6 +151,103 @@ def test_canonical_key_merges_only_isomorphic_families(n, data):
     assert same_key == _isomorphic(a, b, n), (a, b)
 
 
+def _permuting(n, group, order):
+    # The item permutation that sends group[k] to order[k] and fixes the rest.
+    perm = list(range(n))
+    for src, dst in zip(group, order):
+        perm[src] = dst
+    return perm
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 5), st.data())
+def test_fully_symmetric_means_every_group_permutation_is_an_automorphism(n, data):
+    family = data.draw(_families(n))
+    group = data.draw(st.lists(st.integers(0, n - 1), unique=True))
+    every = all(
+        set(_relabel(family, _permuting(n, group, order))) == set(family)
+        for order in itertools.permutations(group)
+    )
+    assert harness._fully_symmetric(set(family), group) == every
+
+
+@st.composite
+def _block_symmetric_families(draw, n):
+    # Families closed under every permutation of one block of items, so the
+    # block's colour group is often fully symmetric and the key skips it.
+    block = draw(st.lists(st.integers(0, n - 1), min_size=2, unique=True))
+    seeds = draw(st.lists(st.integers(0, (1 << n) - 1), min_size=1, max_size=3))
+    family = set()
+    for order in itertools.permutations(block):
+        family.update(_relabel(seeds, _permuting(n, block, order)))
+    assert harness._fully_symmetric(family, block)
+    return tuple(sorted(family))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(2, 5), st.data())
+def test_canonical_key_ignores_item_labels_of_block_symmetric_families(n, data):
+    family = data.draw(_block_symmetric_families(n))
+    perm = data.draw(st.permutations(range(n)))
+    solver = harness._MinimaxSolver(n)
+    assert solver._canonical_key(family) == solver._canonical_key(_relabel(family, perm))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(2, 5), st.data())
+def test_canonical_key_merges_only_isomorphic_block_symmetric_families(n, data):
+    # As in the general test: the second family is a fresh draw, a relabeled
+    # copy of the first, or that copy with one bit flipped.
+    a = data.draw(_block_symmetric_families(n))
+    b = _relabel(a, data.draw(st.permutations(range(n))))
+    if data.draw(st.booleans()):
+        b = data.draw(_block_symmetric_families(n))
+    elif data.draw(st.booleans()):
+        row = data.draw(st.integers(0, len(b) - 1))
+        flipped = b[row] ^ (1 << data.draw(st.integers(0, n - 1)))
+        if flipped not in b:
+            b = tuple(sorted(b[:row] + (flipped,) + b[row + 1 :]))
+    solver = harness._MinimaxSolver(n)
+    same_key = solver._canonical_key(a) == solver._canonical_key(b)
+    assert same_key == _isomorphic(a, b, n), (a, b)
+
+
+def test_solvable_answers_trivial_families_without_a_key(monkeypatch):
+    def no_key(self, family):
+        raise AssertionError("computed a key")
+
+    monkeypatch.setattr(harness._MinimaxSolver, "_canonical_key", no_key)
+    solver = harness._MinimaxSolver(6)
+    # Three candidates over six informative items: t >= m - 1.
+    assert solver.solvable((0b000011, 0b001100, 0b110000), 2)
+    # Every candidate contains item 5, and items 0..2 take all eight
+    # patterns: three informative items and t = 3 < m - 1.
+    assert solver.solvable(tuple(0b100000 | mask for mask in range(8)), 3)
+    # Five singletons: past the information bound (t >= 3) but below
+    # m - 1 = 4 and the five informative items, so the key is needed.
+    singles = (1, 2, 4, 8, 16)
+    assert solver.solvable(singles, 4)
+    with pytest.raises(AssertionError, match="computed a key"):
+        solver.solvable(singles, 3)
+
+
+# minimax_m past the default limits, under raised limits.
+@pytest.mark.parametrize(
+    "n, d, value", [(9, 2, 6), (9, 7, 8), (10, 2, 6), (9, 3, 8), (10, 3, 8)]
+)
+def test_minimax_past_the_default_limits(n, d, value):
+    assert minimax_m(n, d, MinimaxLimits(max_n=10, max_candidates=120)) == value
+
+
+def test_masks_of_weight_ascend_like_sorted_combinations():
+    for n in range(11):
+        for d in range(n + 1):
+            expected = sorted(
+                sum(1 << i for i in combo) for combo in itertools.combinations(range(n), d)
+            )
+            assert list(harness._masks_of_weight(n, d)) == expected, (n, d)
+
+
 def test_worst_case_exhaustive_is_deterministic():
     a = worst_case("zu", 9, 2)
     b = worst_case("zu", 9, 2)
@@ -303,6 +400,19 @@ def test_verify_grid_rejects_an_empty_check_list():
         verify_grid(3, checks=[])
     with pytest.raises(ValueError, match="at least one check family"):
         verify_grid(3, checks=())
+
+
+@pytest.mark.parametrize(
+    "algorithms, checks, message",
+    [
+        (["zu", "zu"], ["bounds"], "repeated algorithm 'zu'"),
+        (["zc", "zd", "zc"], ["bounds"], "repeated algorithm 'zc'"),
+        (["zu"], ["bounds", "analysis", "bounds"], "repeated check family 'bounds'"),
+    ],
+)
+def test_verify_grid_rejects_repeated_names(algorithms, checks, message):
+    with pytest.raises(ValueError, match=message):
+        verify_grid(2, algorithms=algorithms, checks=checks)
 
 
 def test_verify_grid_rejects_an_empty_algorithm_list():
