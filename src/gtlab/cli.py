@@ -123,6 +123,9 @@ def _bound_row(report: bounds.BoundReport) -> dict:
 
 def _cmd_bounds(args: argparse.Namespace) -> int:
     n, d = args.n, args.d
+    # Also rejects nan, which json.dumps would print as the invalid NaN.
+    if not 0 < args.rho < 1:
+        raise ValueError(f"need 0 < --rho < 1, got {args.rho}")
     rows = [
         _bound_row(bounds.info_lower_bound(n, d)),
         _bound_row(bounds.stirling_lower_bound(n, d, args.rho)),

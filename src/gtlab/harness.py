@@ -448,10 +448,10 @@ def _analyze_upward_runs(n: int, lo: int, hi: int) -> List[dict]:
 
 
 def _sweep_task(
-    algorithm: str, n: int, checks: Sequence[str], backend: Optional[str]
+    algorithm: str, n: int, checks: Sequence[str]
 ) -> Tuple[List[dict], List[dict]]:
     cells = []
-    per_d = kernels.sweep(algorithm, n, backend=backend)
+    per_d = kernels.sweep(algorithm, n)
     for d, (worst, argmax) in enumerate(per_d):
         rows = _cell_bound_rows(algorithm, n, d, worst, checks)
         cells.append(
@@ -487,14 +487,14 @@ def _analysis_task(n: int, lo: int, hi: int) -> Tuple[List[dict], List[dict]]:
 
 
 def _grid_tasks(
-    algorithms: Sequence[str], n_max: int, checks: Sequence[str], backend: Optional[str]
+    algorithms: Sequence[str], n_max: int, checks: Sequence[str]
 ) -> List[partial]:
     """Every (algorithm, n) sweep, each followed by its zu analysis shards in
     mask order, so joining the outputs in list order gives the report."""
     tasks = []
     for algorithm in algorithms:
         for n in range(1, n_max + 1):
-            tasks.append(partial(_sweep_task, algorithm, n, checks, backend))
+            tasks.append(partial(_sweep_task, algorithm, n, checks))
             if algorithm == "zu" and "analysis" in checks:
                 end = 1 << n
                 for lo in range(0, end, _ANALYSIS_SHARD):
@@ -518,7 +518,6 @@ def verify_grid(
     algorithms: Optional[Sequence[str]] = None,
     checks: Optional[Sequence[str]] = None,
     workers: Optional[int] = None,
-    backend: Optional[str] = None,
 ) -> dict:
     """Sweeps every algorithm over 1..n_max and evaluates every applicable
     bound per cell. Violations are enumerated, never short-circuited.
@@ -569,7 +568,7 @@ def verify_grid(
             raise ValueError(f"GTLAB_WORKERS must be an integer, got {env!r}") from None
     if workers < 0:
         raise ValueError(f"need workers >= 0 (--workers or GTLAB_WORKERS), got {workers}")
-    tasks = _grid_tasks(algorithms, n_max, checks, backend)
+    tasks = _grid_tasks(algorithms, n_max, checks)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             outputs = list(pool.map(_run_task, tasks))

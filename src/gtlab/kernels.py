@@ -1,11 +1,11 @@
-"""Counting backends for the exhaustive sweeps.
+"""The bitmask counter behind the exhaustive sweeps.
 
-Both backends answer (tests, good_mask, defective_mask) for one run of a
-strategy on one defective mask, and both are validated against ground truth
-inside sweep(). Neither builds a transcript; recorded runs go through
+count_run answers (tests, good_mask, defective_mask) for one run of a
+strategy on one defective mask, and sweep() validates every such answer
+against ground truth. No transcript is built; recorded runs go through
 core.Session and PoolOracle as usual.
 
-The pure counter replays the strategy rules of zigzag, splitting and
+The counter replays the strategy rules of zigzag, splitting and
 competitive on Python ints: the defective set, the remaining set and every
 pool are bitmasks, a query is one ``pool & defect``, and whole-pool steps
 (pure pools, pair and triple resolution, individual scans) are single mask
@@ -18,24 +18,20 @@ always the lowest s set bits of its mask.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 # Re-exported: perfbench's tracer patches kernels.PoolOracle.
 from gtlab.core import PoolOracle  # noqa: F401
 from gtlab.splitting import pool_size
 from gtlab.zigzag import initial_rank
 
-try:
-    from gtlab import _fastpath
-except ImportError:
-    _fastpath = None
+# Read by perfbench's run stamp; the bitmask counter is the only one.
+BACKEND = "pure"
 
-BACKEND = "pure" if _fastpath is None else "compiled"
-
-# Largest n a sweep (2^n runs) accepts, on either backend.
+# Largest n a sweep (2^n runs) accepts.
 MAX_SWEEP_N = 24
-# Largest n count_run accepts, on either backend: the compiled kernel keeps
-# masks in 64-bit integers.
+# Largest n count_run accepts, a fixed part of its interface. The counters
+# themselves take masks of any width (tests pin zu and zc up to n = 200).
 MAX_COUNT_N = 62
 
 Count = Tuple[int, int, int]
@@ -247,7 +243,6 @@ _PURE_COUNTERS = {
 }
 
 ALGORITHMS = tuple(_PURE_COUNTERS)
-_ALG_IDS = {name: i for i, name in enumerate(ALGORITHMS)}
 
 
 def _check_algorithm(algorithm: str) -> None:
@@ -255,37 +250,22 @@ def _check_algorithm(algorithm: str) -> None:
         raise ValueError(f"unknown algorithm {algorithm!r}")
 
 
-def count_run(
-    algorithm: str, n: int, defective_mask: int, backend: Optional[str] = None
-) -> Count:
+def count_run(algorithm: str, n: int, defective_mask: int) -> Count:
     _check_algorithm(algorithm)
     if not 0 <= n <= MAX_COUNT_N:
         raise ValueError(f"count_run handles 0 <= n <= {MAX_COUNT_N}")
     if defective_mask < 0 or defective_mask >> n:
         raise ValueError(f"defective mask {defective_mask:#x} outside {n} items")
-    backend = backend or BACKEND
-    if backend == "compiled":
-        if _fastpath is None:
-            raise RuntimeError("compiled backend unavailable")
-        return _fastpath.count_run(_ALG_IDS[algorithm], n, defective_mask)
     return _PURE_COUNTERS[algorithm]((1 << n) - 1, defective_mask)
 
 
-def sweep(
-    algorithm: str, n: int, backend: Optional[str] = None
-) -> List[Tuple[int, int]]:
+def sweep(algorithm: str, n: int) -> List[Tuple[int, int]]:
     """Runs every defective mask of n items; returns per-d (worst_tests,
     first mask attaining it). Raises AssertionError on any misclassification.
     """
     _check_algorithm(algorithm)
     if not 0 <= n <= MAX_SWEEP_N:
         raise ValueError(f"sweep handles 0 <= n <= {MAX_SWEEP_N}")
-    backend = backend or BACKEND
-    if backend == "compiled":
-        if _fastpath is None:
-            raise RuntimeError("compiled backend unavailable")
-        worst, argmax = _fastpath.sweep(_ALG_IDS[algorithm], n)
-        return list(zip(worst, argmax))
     count = _PURE_COUNTERS[algorithm]
     full = (1 << n) - 1
     worst = [-1] * (n + 1)

@@ -218,6 +218,15 @@ def test_bounds_rejects_bad_input(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("rho", ["nan", "inf", "0", "1", "-0.5", "7"])
+def test_bounds_rejects_rho_outside_the_open_unit_interval(capsys, rho):
+    code = main(["bounds", "--n", "10", "--d", "3", "--rho", rho])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: need 0 < --rho < 1")
+
+
 def test_unknown_subcommand_exits_2():
     with pytest.raises(SystemExit) as err:
         main(["frobnicate"])

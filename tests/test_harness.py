@@ -339,7 +339,7 @@ def test_verify_grid_report_does_not_depend_on_the_shard_size(monkeypatch):
     checks = ["bounds", "analysis"]
     default = harness.report_to_json(verify_grid(10, algorithms=["zu"], checks=checks))
     monkeypatch.setattr(harness, "_ANALYSIS_SHARD", 37)
-    assert len(harness._grid_tasks(["zu"], 10, checks, None)) == 10 + sum(
+    assert len(harness._grid_tasks(["zu"], 10, checks)) == 10 + sum(
         -(-(1 << n) // 37) for n in range(1, 11)
     )
     small = harness.report_to_json(verify_grid(10, algorithms=["zu"], checks=checks))
@@ -464,7 +464,7 @@ def test_grid_catches_a_broken_pool_schedule(monkeypatch):
 
     monkeypatch.setattr(zigzag, "pool_size", lambda i: 1 << i)
     try:
-        report = verify_grid(8, algorithms=["zu"], backend="pure")
+        report = verify_grid(8, algorithms=["zu"])
     except (AssertionError, ValueError):
         return
     assert report["violations"]

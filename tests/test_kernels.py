@@ -5,23 +5,21 @@ from gtlab import kernels
 from gtlab.core import DEFECTIVE, GOOD, PoolOracle, instance_from_mask
 from gtlab.harness import RUNNERS
 
-compiled_only = pytest.mark.skipif(
-    kernels.BACKEND != "compiled", reason="compiled extension not built"
-)
-
 
 def test_backend_is_declared():
-    assert kernels.BACKEND in ("pure", "compiled")
+    assert kernels.BACKEND == "pure"
     assert kernels.ALGORITHMS == ("individual", "zd", "zu", "zc")
+
+
+def test_runners_and_counters_name_the_same_algorithms():
+    assert tuple(RUNNERS) == kernels.ALGORITHMS
 
 
 def test_pure_count_matches_recorded_runs():
     for algorithm in kernels.ALGORITHMS:
         for n in range(0, 9):
             for mask in range(1 << n):
-                tests, good, bad = kernels.count_run(
-                    algorithm, n, mask, backend="pure"
-                )
+                tests, good, bad = kernels.count_run(algorithm, n, mask)
                 inst = instance_from_mask(n, mask)
                 result = RUNNERS[algorithm](PoolOracle(inst))
                 assert tests == result.tests_used, (algorithm, n, mask)
@@ -30,14 +28,14 @@ def test_pure_count_matches_recorded_runs():
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.sampled_from(kernels.ALGORITHMS), st.integers(9, 40), st.data())
+@given(st.sampled_from(kernels.ALGORITHMS), st.integers(9, kernels.MAX_COUNT_N), st.data())
 def test_pure_count_matches_recorded_runs_at_larger_n(algorithm, n, data):
     # Sparse masks reach the long pure streaks that dense ones rarely do.
     sparse = st.sets(st.integers(0, n - 1), max_size=4).map(
         lambda items: sum(1 << i for i in items)
     )
     mask = data.draw(st.one_of(st.integers(0, (1 << n) - 1), sparse))
-    tests, good, bad = kernels.count_run(algorithm, n, mask, backend="pure")
+    tests, good, bad = kernels.count_run(algorithm, n, mask)
     result = RUNNERS[algorithm](PoolOracle(instance_from_mask(n, mask)))
     recorded_bad = sum(1 << i for i, lab in result.classified.items() if lab == DEFECTIVE)
     recorded_good = sum(1 << i for i, lab in result.classified.items() if lab == GOOD)
@@ -66,56 +64,31 @@ def test_sweep_ground_truth_check_fires(monkeypatch):
 
     monkeypatch.setitem(kernels._PURE_COUNTERS, "zd", drops_a_defective)
     with pytest.raises(AssertionError, match="misclassified"):
-        kernels.sweep("zd", 5, backend="pure")
+        kernels.sweep("zd", 5)
 
 
-@pytest.mark.parametrize("backend", ["pure", pytest.param("compiled", marks=compiled_only)])
-def test_count_run_rejects_masks_outside_n(backend):
+def test_count_run_rejects_masks_outside_n():
     for n, mask in [(4, 1 << 10), (4, 1 << 4), (0, 1), (8, -1)]:
         with pytest.raises(ValueError):
-            kernels.count_run("zd", n, mask, backend=backend)
-    assert kernels.count_run("zd", 4, 0b1000, backend=backend)[2] == 0b1000
+            kernels.count_run("zd", n, mask)
+    assert kernels.count_run("zd", 4, 0b1000)[2] == 0b1000
 
 
-@pytest.mark.parametrize("backend", ["pure", pytest.param("compiled", marks=compiled_only)])
-def test_count_run_rejects_unsupported_sizes_and_algorithms(backend):
+def test_count_run_rejects_unsupported_sizes_and_algorithms():
     with pytest.raises(ValueError):
-        kernels.count_run("zd", -1, 0, backend=backend)
+        kernels.count_run("zd", -1, 0)
     with pytest.raises(ValueError):
-        kernels.count_run("zd", kernels.MAX_COUNT_N + 1, 0, backend=backend)
+        kernels.count_run("zd", kernels.MAX_COUNT_N + 1, 0)
     with pytest.raises(ValueError):
-        kernels.count_run("sorting", 4, 0, backend=backend)
+        kernels.count_run("sorting", 4, 0)
 
 
-@pytest.mark.parametrize("backend", ["pure", pytest.param("compiled", marks=compiled_only)])
-def test_sweep_limit_is_shared_by_both_backends(backend):
+def test_sweep_rejects_sizes_outside_its_limit():
     assert kernels.MAX_SWEEP_N == 24
     with pytest.raises(ValueError):
-        kernels.sweep("zd", kernels.MAX_SWEEP_N + 1, backend=backend)
+        kernels.sweep("zd", kernels.MAX_SWEEP_N + 1)
     with pytest.raises(ValueError):
-        kernels.sweep("zd", -1, backend=backend)
-
-
-@compiled_only
-def test_compiled_agrees_with_pure_exhaustively():
-    for algorithm in kernels.ALGORITHMS:
-        for n in range(0, 13):
-            assert kernels.sweep(algorithm, n, backend="compiled") == kernels.sweep(
-                algorithm, n, backend="pure"
-            ), (algorithm, n)
-
-
-@compiled_only
-def test_compiled_count_run_spot_checks():
-    for algorithm, n, mask in [
-        ("zd", 40, 1 << 39),
-        ("zu", 50, (1 << 3) | (1 << 30)),
-        ("zc", 62, (1 << 61) | 1),
-        ("individual", 62, 0),
-    ]:
-        assert kernels.count_run(algorithm, n, mask, backend="compiled") == (
-            kernels.count_run(algorithm, n, mask, backend="pure")
-        ), (algorithm, n, mask)
+        kernels.sweep("zd", -1)
 
 
 def test_sweep_orders_results_by_defective_count():
