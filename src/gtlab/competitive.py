@@ -103,7 +103,7 @@ def drive_zc(session: Session, items: Sequence[int]) -> ZcPlan:
 
 
 def run_zc(oracle: PoolOracle, items: Optional[Sequence[int]] = None) -> RunResult:
-    order: List[int] = list(range(oracle.instance.n)) if items is None else list(items)
+    order: List[int] = list(range(oracle.n)) if items is None else list(items)
     session = Session(oracle)
     plan = drive_zc(session, order)
     return RunResult(
@@ -116,7 +116,7 @@ def run_zc(oracle: PoolOracle, items: Optional[Sequence[int]] = None) -> RunResu
 
 
 def run_individual(oracle: PoolOracle, items: Optional[Sequence[int]] = None) -> RunResult:
-    order: List[int] = list(range(oracle.instance.n)) if items is None else list(items)
+    order: List[int] = list(range(oracle.n)) if items is None else list(items)
     session = Session(oracle)
     _scan_tail(session, order)
     return RunResult(

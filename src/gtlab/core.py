@@ -10,6 +10,9 @@ the same records byte for byte.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
+from itertools import filterfalse
+from operator import itemgetter
 from typing import Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Tuple
 
 PURE = "pure"
@@ -51,7 +54,16 @@ class Instance:
 
 
 def instance_from_mask(n: int, mask: int) -> Instance:
-    return Instance(n, frozenset(i for i in range(n) if (mask >> i) & 1))
+    """The instance whose defectives are the set bits of mask; bits at or
+    above n, and negative masks, are rejected rather than dropped."""
+    if mask < 0 or (n >= 0 and mask >> n):
+        raise ValueError(f"defective mask {mask:#x} outside {n} items")
+    items = []
+    while mask:
+        low = mask & -mask
+        items.append(low.bit_length() - 1)
+        mask ^= low
+    return Instance(n, frozenset(items))
 
 
 class PoolOracle:
@@ -59,22 +71,24 @@ class PoolOracle:
 
     def __init__(self, instance: Instance) -> None:
         self.instance = instance
+        self.n = instance.n
+        self.defectives = instance.defectives
         self.query_count = 0
 
     def contaminated(self, pool: Iterable[int]) -> bool:
         items = tuple(pool)
         if not items:
             raise ValueError("empty pool")
-        n = self.instance.n
+        n = self.n
         if min(items) < 0 or max(items) >= n:
             for item in items:
                 if not 0 <= item < n:
                     raise ValueError("pool index %r outside [0, %d)" % (item, n))
         self.query_count += 1
-        return not self.instance.defectives.isdisjoint(items)
+        return not self.defectives.isdisjoint(items)
 
 
-@dataclass
+@dataclass(slots=True)
 class TestRecord:
     """One oracle query.
 
@@ -104,6 +118,14 @@ class Identification(NamedTuple):
     via_test: bool
 
 
+# (item, label) of an Identification, for building classified maps.
+_ITEM_LABEL = itemgetter(0, 1)
+
+# Identification from one (item, label, attributed_to, via_test) tuple:
+# the same object the class call builds, without its Python-level __new__.
+_identification = partial(tuple.__new__, Identification)
+
+
 @dataclass
 class Transcript:
     records: List[TestRecord] = field(default_factory=list)
@@ -126,8 +148,8 @@ class Session:
     """Per-run query funnel.
 
     With record=True it builds the full transcript; with record=False it only
-    keeps the test count and the good/defective bitmasks, which is what the
-    exhaustive sweeps need.
+    keeps the test count and the good/defective bitmasks (splitting.dig runs
+    that way; the exhaustive sweeps use the kernels counters instead).
     """
 
     def __init__(self, oracle: PoolOracle, record: bool = True) -> None:
@@ -152,15 +174,7 @@ class Session:
         if self.record:
             outcome = CONTAMINATED if hit else PURE
             self.records.append(
-                TestRecord(
-                    seq=self.tests,
-                    pool=items,
-                    raw_outcome=outcome,
-                    kind=kind,
-                    rank=rank,
-                    parent=parent,
-                    status=outcome,
-                )
+                TestRecord(self.tests, items, outcome, kind, rank, parent, outcome)
             )
         return hit
 
@@ -179,13 +193,35 @@ class Session:
         else:
             self.defective_mask |= bit
         if self.record:
-            self.identifications.append(Identification(item, label, attributed_to, via_test))
+            self.identifications.append(
+                _identification((item, label, attributed_to, via_test))
+            )
 
     def identify_all(
         self, items: Iterable[int], label: str, attributed_to: Optional[int]
     ) -> None:
+        """identify(item, label, attributed_to, True) for each item in order.
+
+        A batch of distinct, not yet identified items is taken in one step.
+        Any other batch goes item by item, so it raises for the same item and
+        leaves the same state as the single calls would.
+        """
+        items = tuple(items)
+        batch = 0
         for item in items:
-            self.identify(item, label, attributed_to, True)
+            batch |= 1 << item
+        if batch.bit_count() != len(items) or batch & (self.good_mask | self.defective_mask):
+            for item in items:
+                self.identify(item, label, attributed_to, True)
+            return
+        if label == GOOD:
+            self.good_mask |= batch
+        else:
+            self.defective_mask |= batch
+        if self.record:
+            self.identifications.extend(
+                [_identification((item, label, attributed_to, True)) for item in items]
+            )
 
     def is_identified(self, item: int) -> bool:
         return bool((self.good_mask | self.defective_mask) >> item & 1)
@@ -198,7 +234,7 @@ class Session:
         return Transcript(self.records, self.identifications)
 
     def classified(self) -> Dict[int, str]:
-        return {ident.item: ident.label for ident in self.identifications}
+        return dict(map(_ITEM_LABEL, self.identifications))
 
 
 @dataclass
@@ -208,29 +244,35 @@ class Verdict:
 
 
 def finalize(run: RunResult, instance: Instance) -> Verdict:
-    """Checks a finished run against ground truth and the accounting rules."""
+    """Checks a finished run against ground truth and the accounting rules.
+
+    Problems come in check order: the test count, every repeated
+    identification, the first item never identified, the first wrong label,
+    the classified map, then the records in sequence.
+    """
 
     problems: List[str] = []
-    transcript = run.transcript
+    records = run.transcript.records
+    identifications = run.transcript.identifications
+    defectives = instance.defectives
 
-    if run.tests_used != len(transcript.records):
-        problems.append(
-            "tests_used=%d but %d records" % (run.tests_used, len(transcript.records))
-        )
+    if run.tests_used != len(records):
+        problems.append("tests_used=%d but %d records" % (run.tests_used, len(records)))
 
-    seen: Dict[int, str] = {}
-    for ident in transcript.identifications:
-        if ident.item in seen:
-            problems.append("item %d identified twice" % ident.item)
-        seen[ident.item] = ident.label
+    seen: Dict[int, str] = dict(map(_ITEM_LABEL, identifications))
+    if len(seen) != len(identifications):
+        named = set()
+        for ident in identifications:
+            if ident.item in named:
+                problems.append("item %d identified twice" % ident.item)
+            named.add(ident.item)
 
-    for item in range(instance.n):
-        if item not in seen:
-            problems.append("item %d never identified" % item)
-            break
+    missing = next(filterfalse(seen.__contains__, range(instance.n)), None)
+    if missing is not None:
+        problems.append("item %d never identified" % missing)
 
     for item, label in seen.items():
-        truth = DEFECTIVE if item in instance.defectives else GOOD
+        truth = DEFECTIVE if item in defectives else GOOD
         if label != truth:
             problems.append("item %d classified %s, truth %s" % (item, label, truth))
             break
@@ -238,24 +280,28 @@ def finalize(run: RunResult, instance: Instance) -> Verdict:
     if run.classified != seen:
         problems.append("classified map disagrees with identifications")
 
-    kinds_by_seq = {}
-    for i, rec in enumerate(transcript.records):
-        if rec.seq != i + 1:
-            problems.append("record %d has seq %d" % (i + 1, rec.seq))
+    kinds: List[str] = []
+    for seq, rec in enumerate(records, 1):
+        if rec.seq != seq:
+            problems.append("record %d has seq %d" % (seq, rec.seq))
             break
-        kinds_by_seq[rec.seq] = rec.kind
-        truth_hit = not instance.defectives.isdisjoint(rec.pool)
-        if (rec.raw_outcome == CONTAMINATED) != truth_hit:
-            problems.append("record %d outcome does not match ground truth" % rec.seq)
+        kind = rec.kind
+        kinds.append(kind)
+        # A contaminated answer is wrong exactly when the pool misses every
+        # defective, and a pure one exactly when it does not.
+        if (rec.raw_outcome == CONTAMINATED) == defectives.isdisjoint(rec.pool):
+            problems.append("record %d outcome does not match ground truth" % seq)
             break
-        if rec.kind == ADDITIONAL and rec.rank is not None:
-            problems.append("additional record %d carries a rank" % rec.seq)
-        if rec.kind == INCURRED:
-            if rec.parent is None or rec.parent >= rec.seq:
-                problems.append("incurred record %d lacks an earlier parent" % rec.seq)
+        if kind == ADDITIONAL:
+            if rec.rank is not None:
+                problems.append("additional record %d carries a rank" % seq)
+        elif kind == INCURRED:
+            parent = rec.parent
+            if parent is None or parent >= seq:
+                problems.append("incurred record %d lacks an earlier parent" % seq)
                 break
-            if kinds_by_seq.get(rec.parent) != DRIVER:
-                problems.append("incurred record %d parented by a non-driver" % rec.seq)
+            if parent < 1 or kinds[parent - 1] != DRIVER:
+                problems.append("incurred record %d parented by a non-driver" % seq)
                 break
 
     return Verdict(ok=not problems, problems=problems)

@@ -61,8 +61,7 @@ def binary_split(
             narrowed_by_query = len(half) == 1
         else:
             goods.extend(half)
-            for item in half:
-                session.identify(item, GOOD, parent, True)
+            session.identify_all(half, GOOD, parent)
             work = work[len(half):]
             narrowed_by_query = False
     found = work[0]
@@ -120,8 +119,9 @@ def quarter_split(
     m = len(X)
     if m == 0:
         raise ValueError("empty input")
-    if m > pool_size(k):
-        raise ValueError("input of size %d exceeds pool_size(%d)=%d" % (m, k, pool_size(k)))
+    limit = pool_size(k)
+    if m > limit:
+        raise ValueError("input of size %d exceeds pool_size(%d)=%d" % (m, k, limit))
     if m == 1:
         session.identify(X[0], DEFECTIVE, parent, True)
         return SplitOutcome(X[0], [], 0)
@@ -131,33 +131,25 @@ def quarter_split(
         raise ValueError("size %d needs k >= 3, got k=%d" % (m, k))
 
     big = 1 << (k - 2)
-    small = 1 << (k - 3)
-    subsets: List[List[int]] = []
-    start = 0
-    for size in (big, big, small, small):
-        if start >= m:
-            break
-        subsets.append(X[start : start + size])
-        start += size
-
+    small = big >> 1
     goods: List[int] = []
     spent = 0
-    for pos, subset in enumerate(subsets):
-        if pos == len(subsets) - 1:
-            # Every earlier run tested pure, so this one must hold the
-            # defective; no group test needed.
-            inner = binary_split(session, subset, parent)
-            return SplitOutcome(
-                inner.defective_found, goods + inner.goods_identified, spent + inner.tests_spent
-            )
-        hit = session.query(subset, INCURRED, parent=parent)
-        spent += 1
+    start = 0
+    for size in (big, big, small, small):
+        subset = X[start : start + size]
+        start += size
+        if start >= m:
+            # The last nonempty run: every earlier run tested pure, so this
+            # one must hold the defective; no group test needed.
+            hit = True
+        else:
+            hit = session.query(subset, INCURRED, parent=parent)
+            spent += 1
         if hit:
             inner = binary_split(session, subset, parent)
             return SplitOutcome(
                 inner.defective_found, goods + inner.goods_identified, spent + inner.tests_spent
             )
         goods.extend(subset)
-        for item in subset:
-            session.identify(item, GOOD, parent, True)
+        session.identify_all(subset, GOOD, parent)
     raise AssertionError("unreachable")

@@ -44,7 +44,7 @@ def drive_zd(session: Session, items: Sequence[int]) -> None:
         return
     k = initial_rank(len(remaining))
     while remaining:
-        pool = remaining[: min(pool_size(k), len(remaining))]
+        pool = remaining[: pool_size(k)]
         hit = session.query(pool, DRIVER, rank=k)
         seq = session.tests
         if not hit:
@@ -55,7 +55,8 @@ def drive_zd(session: Session, items: Sequence[int]) -> None:
             quarter_split(session, pool, k, seq)
             if k > 0:
                 k -= 1
-            remaining = session.unresolved(remaining)
+            # Only the tested pool can have been resolved.
+            remaining = session.unresolved(pool) + remaining[len(pool):]
 
 
 def resolve_pair(session: Session, pair: Sequence[int], driver_seq: int) -> str:
@@ -121,7 +122,7 @@ def drive_zu(session: Session, items: Sequence[int]) -> None:
             if not hit:
                 session.identify_all(remaining, GOOD, seq)
                 return
-        pool = remaining[: min(pool_size(k), len(remaining))]
+        pool = remaining[: pool_size(k)]
         hit = session.query(pool, DRIVER, rank=k)
         seq = session.tests
         if not hit:
@@ -156,7 +157,8 @@ def drive_zu(session: Session, items: Sequence[int]) -> None:
             k -= 1
             pure_streak = 0
             mixed_pair_flag = False
-        remaining = session.unresolved(remaining)
+        # Only the tested pool can have been resolved.
+        remaining = session.unresolved(pool) + remaining[len(pool):]
 
 
 def _wrap(algorithm: str, oracle: PoolOracle, session: Session) -> RunResult:
@@ -169,14 +171,14 @@ def _wrap(algorithm: str, oracle: PoolOracle, session: Session) -> RunResult:
 
 
 def run_zd(oracle: PoolOracle, items: Optional[Sequence[int]] = None) -> RunResult:
-    order: List[int] = list(range(oracle.instance.n)) if items is None else list(items)
+    order: List[int] = list(range(oracle.n)) if items is None else list(items)
     session = Session(oracle)
     drive_zd(session, order)
     return _wrap("zd", oracle, session)
 
 
 def run_zu(oracle: PoolOracle, items: Optional[Sequence[int]] = None) -> RunResult:
-    order: List[int] = list(range(oracle.instance.n)) if items is None else list(items)
+    order: List[int] = list(range(oracle.n)) if items is None else list(items)
     session = Session(oracle)
     drive_zu(session, order)
     return _wrap("zu", oracle, session)

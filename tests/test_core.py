@@ -2,16 +2,20 @@ import pytest
 from hypothesis import given, strategies as st
 
 from gtlab.core import (
+    ADDITIONAL,
     CONTAMINATED,
     DEFECTIVE,
     DRIVER,
     GOOD,
     INCURRED,
     PURE,
+    Identification,
     Instance,
     PoolOracle,
     RunResult,
     Session,
+    TestRecord,
+    Transcript,
     finalize,
     instance_from_mask,
 )
@@ -22,6 +26,25 @@ def test_instance_basics():
     assert inst.d == 2
     assert inst.mask == 0b01010
     assert instance_from_mask(5, 0b01010) == inst
+
+
+@pytest.mark.parametrize(
+    "n, mask, shown",
+    [(3, 0b1000, "0x8"), (3, 0b1111, "0xf"), (0, 1, "0x1"), (3, -1, "-0x1"), (5, -6, "-0x6")],
+)
+def test_instance_from_mask_rejects_bits_outside_the_items(n, mask, shown):
+    with pytest.raises(ValueError) as info:
+        instance_from_mask(n, mask)
+    assert str(info.value) == "defective mask %s outside %d items" % (shown, n)
+
+
+def test_instance_from_mask_decodes_every_mask():
+    for n in range(7):
+        for mask in range(1 << n):
+            inst = instance_from_mask(n, mask)
+            assert inst.n == n
+            assert inst.defectives == {i for i in range(n) if mask >> i & 1}
+            assert inst.mask == mask
 
 
 def test_instance_rejects_out_of_range():
@@ -123,6 +146,46 @@ def test_unrecorded_session_tracks_masks_only():
     assert session.unresolved(range(4)) == [3]
 
 
+@pytest.mark.parametrize("record", [True, False])
+def test_identify_all_names_an_item_repeated_within_the_batch(record):
+    session = Session(PoolOracle(Instance(5, frozenset({3}))), record=record)
+    with pytest.raises(AssertionError, match="^item 1 identified twice$"):
+        session.identify_all([0, 1, 2, 1, 4], GOOD, 1)
+    # The items before the repeat stay identified, as one by one.
+    assert session.good_mask == 0b00111
+    assert session.defective_mask == 0
+    expected = [Identification(i, GOOD, 1, True) for i in (0, 1, 2)]
+    assert session.identifications == (expected if record else [])
+
+
+@pytest.mark.parametrize("record", [True, False])
+def test_identify_all_names_an_item_an_earlier_call_identified(record):
+    session = Session(PoolOracle(Instance(5, frozenset({2}))), record=record)
+    session.identify(2, DEFECTIVE, None, True)
+    with pytest.raises(AssertionError, match="^item 2 identified twice$"):
+        session.identify_all([0, 1, 2, 3], GOOD, 4)
+    assert session.good_mask == 0b00011
+    assert session.defective_mask == 0b00100
+    expected = [Identification(2, DEFECTIVE, None, True)] + [
+        Identification(i, GOOD, 4, True) for i in (0, 1)
+    ]
+    assert session.identifications == (expected if record else [])
+
+
+def test_identify_all_matches_identify_item_by_item():
+    inst = Instance(6, frozenset({5}))
+    batch, single = Session(PoolOracle(inst)), Session(PoolOracle(inst))
+    batch.identify_all([4, 0, 2], GOOD, 3)
+    batch.identify_all([5], DEFECTIVE, None)
+    batch.identify_all([], GOOD, 1)
+    for item in (4, 0, 2):
+        single.identify(item, GOOD, 3, True)
+    single.identify(5, DEFECTIVE, None, True)
+    assert batch.identifications == single.identifications
+    assert (batch.good_mask, batch.defective_mask) == (single.good_mask, single.defective_mask)
+    assert batch.unresolved(range(6)) == [1, 3]
+
+
 def _honest_run(instance: Instance) -> RunResult:
     session = Session(PoolOracle(instance))
     for item in range(instance.n):
@@ -187,3 +250,138 @@ def test_oracle_matches_set_intersection(n, data):
         return
     pool = data.draw(st.lists(st.integers(0, n - 1), min_size=1, unique=True))
     assert oracle.contaminated(pool) == bool(set(pool) & inst.defectives)
+
+
+def _record(seq, pool, hit, kind, rank=None, parent=None):
+    outcome = CONTAMINATED if hit else PURE
+    return TestRecord(
+        seq=seq, pool=tuple(pool), raw_outcome=outcome, kind=kind,
+        rank=rank, parent=parent, status=outcome,
+    )
+
+
+def _forged(records, identifications, tests_used=None, classified=None) -> RunResult:
+    transcript = Transcript(list(records), [Identification(*i) for i in identifications])
+    return RunResult(
+        "forged",
+        len(transcript.records) if tests_used is None else tests_used,
+        transcript,
+        transcript.classified() if classified is None else classified,
+    )
+
+
+def _labels(instance, order=None):
+    items = range(instance.n) if order is None else order
+    return [
+        (i, DEFECTIVE if i in instance.defectives else GOOD, None, False) for i in items
+    ]
+
+
+_INST = Instance(4, frozenset({2}))
+
+
+@pytest.mark.parametrize(
+    "run, problems",
+    [
+        (_forged([], _labels(_INST)), []),
+        (
+            _forged([], _labels(_INST, [0, 1, 2, 3, 1, 0])),
+            ["item 1 identified twice", "item 0 identified twice"],
+        ),
+        # Only the first missing item is named.
+        (_forged([], _labels(_INST, [0, 3])), ["item 1 never identified"]),
+        # Only the first wrong label, in first-identification order, is named.
+        (
+            _forged([], [(3, DEFECTIVE, None, False), (0, GOOD, None, False),
+                         (2, GOOD, None, False), (1, GOOD, None, False)]),
+            ["item 3 classified defective, truth good"],
+        ),
+        (
+            _forged([], _labels(_INST), classified={0: GOOD}),
+            ["classified map disagrees with identifications"],
+        ),
+        (_forged([], _labels(_INST), tests_used=2), ["tests_used=2 but 0 records"]),
+        # A seq break stops the record walk: record 3's wrong outcome is not named.
+        (
+            _forged([_record(1, [0], False, DRIVER), _record(5, [1], False, DRIVER),
+                     _record(3, [2], False, DRIVER)], _labels(_INST)),
+            ["record 2 has seq 5"],
+        ),
+        # A ranked additional record is named each time, and the walk goes on.
+        (
+            _forged([_record(1, [0, 1, 3], False, ADDITIONAL, rank=2),
+                     _record(2, [2], True, DRIVER, rank=0),
+                     _record(3, [0, 1, 2, 3], True, ADDITIONAL, rank=0),
+                     _record(4, [1], True, DRIVER)], _labels(_INST)),
+            ["additional record 1 carries a rank", "additional record 3 carries a rank",
+             "record 4 outcome does not match ground truth"],
+        ),
+        (
+            _forged([_record(1, [2, 3], True, DRIVER, rank=1),
+                     _record(2, [2], True, INCURRED, parent=1),
+                     _record(3, [3], False, INCURRED, parent=2),
+                     _record(4, [0], True, DRIVER)], _labels(_INST)),
+            ["incurred record 3 parented by a non-driver"],
+        ),
+        (
+            _forged([_record(1, [0, 1, 2, 3], True, ADDITIONAL),
+                     _record(2, [2], True, INCURRED, parent=1)], _labels(_INST)),
+            ["incurred record 2 parented by a non-driver"],
+        ),
+        (
+            _forged([_record(1, [0], False, DRIVER),
+                     _record(2, [2], True, INCURRED, parent=0)], _labels(_INST)),
+            ["incurred record 2 parented by a non-driver"],
+        ),
+        (
+            _forged([_record(1, [0], False, DRIVER),
+                     _record(2, [2], True, INCURRED, parent=-1)], _labels(_INST)),
+            ["incurred record 2 parented by a non-driver"],
+        ),
+        (
+            _forged([_record(1, [0], False, DRIVER),
+                     _record(2, [2], True, INCURRED),
+                     _record(3, [1], True, DRIVER)], _labels(_INST)),
+            ["incurred record 2 lacks an earlier parent"],
+        ),
+        (
+            _forged([_record(1, [0], False, DRIVER),
+                     _record(2, [2], True, INCURRED, parent=2)], _labels(_INST)),
+            ["incurred record 2 lacks an earlier parent"],
+        ),
+        (
+            _forged([_record(1, [0], False, DRIVER),
+                     _record(2, [2], True, INCURRED, parent=3)], _labels(_INST)),
+            ["incurred record 2 lacks an earlier parent"],
+        ),
+    ],
+)
+def test_finalize_names_each_problem(run, problems):
+    verdict = finalize(run, _INST)
+    assert verdict.problems == problems
+    assert verdict.ok == (not problems)
+
+
+def test_finalize_lists_every_problem_in_check_order():
+    # Item 0 is labelled good, then defective: the label check reads its
+    # last label but keeps its first position.
+    run = _forged(
+        [_record(1, [0, 1], False, DRIVER, rank=1),
+         _record(2, [3], False, ADDITIONAL, rank=0),
+         _record(3, [2], False, DRIVER, rank=0),
+         _record(4, [0, 1, 2, 3], True, ADDITIONAL, rank=3)],
+        [(0, GOOD, 1, True), (3, GOOD, 2, True), (0, DEFECTIVE, 1, True),
+         (3, DEFECTIVE, 2, True), (2, GOOD, 3, True)],
+        tests_used=7,
+        classified={0: DEFECTIVE},
+    )
+    assert finalize(run, _INST).problems == [
+        "tests_used=7 but 4 records",
+        "item 0 identified twice",
+        "item 3 identified twice",
+        "item 1 never identified",
+        "item 0 classified defective, truth good",
+        "classified map disagrees with identifications",
+        "additional record 2 carries a rank",
+        "record 3 outcome does not match ground truth",
+    ]

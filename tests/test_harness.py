@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 import math
@@ -6,7 +7,27 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gtlab import bounds, harness, kernels
+from gtlab.analysis import transcript_json
+from gtlab.core import PoolOracle, instance_from_mask
 from gtlab.harness import MinimaxLimits, minimax_m, verify_grid, worst_case
+
+# SHA-256 over every recorded run of every algorithm for n <= 9: the test
+# count and the full transcript JSON of each (algorithm, n, mask).
+RECORDED_RUNS_SHA256 = "1a99141e1015a5e63a72e09ce97cc567f6f914f4a45f357f7fb1c3f403a13585"
+
+
+def test_recorded_transcripts_are_pinned():
+    digest = hashlib.sha256()
+    runs = 0
+    for algorithm, runner in harness.RUNNERS.items():
+        for n in range(10):
+            for mask in range(1 << n):
+                result = runner(PoolOracle(instance_from_mask(n, mask)))
+                row = [algorithm, n, mask, result.tests_used, transcript_json(result.transcript)]
+                digest.update(json.dumps(row, sort_keys=True).encode())
+                runs += 1
+    assert runs == 4 * ((1 << 10) - 1)
+    assert digest.hexdigest() == RECORDED_RUNS_SHA256
 
 
 def test_minimax_pinned_cells():
