@@ -11,8 +11,11 @@ reported in the verdict so callers can collect counterexamples.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from collections import defaultdict
 from dataclasses import dataclass, field
+from functools import lru_cache
+from itertools import accumulate
 from typing import Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from gtlab.core import (
@@ -28,7 +31,7 @@ from gtlab.core import (
     Transcript,
     Verdict,
 )
-from gtlab.splitting import pool_size
+from gtlab.splitting import pool_size, quarter_plan, quarter_run_sizes
 
 _RATE = 1.431
 _SHIFT = 1.1242
@@ -171,55 +174,30 @@ def segment_phases(transcript: Transcript) -> List[Phase]:
     return phases
 
 
-def _check_scan(pool: Sequence[int], recs: Sequence[TestRecord]) -> None:
-    if not recs or len(recs) > len(pool):
-        raise StructureError("individual scan length mismatch")
-    for i, rec in enumerate(recs):
-        if list(rec.pool) != [pool[i]]:
-            raise StructureError("individual scan tested an unexpected item")
-    if _hit(recs[-1]):
-        if any(_hit(r) for r in recs[:-1]):
-            raise StructureError("scan continued past a contaminated item")
-    elif len(recs) != len(pool) - 1:
-        raise StructureError("all-pure scan must stop before the last item")
+@lru_cache(maxsize=None)
+def _offsets_by_queries(m: int, rank: int) -> Dict[tuple, int]:
+    """The leftmost-defective offset of each extraction in quarter_plan."""
+    return {e.queries: p for p, e in enumerate(quarter_plan(m, rank))}
 
 
-def _check_binary(items: Sequence[int], recs: Sequence[TestRecord]) -> None:
-    work = list(items)
-    pos = 0
-    while len(work) > 1:
-        half = work[: (len(work) + 1) // 2]
-        if pos >= len(recs) or list(recs[pos].pool) != half:
-            raise StructureError("halving step tested an unexpected pool")
-        work = half if _hit(recs[pos]) else work[len(half):]
-        pos += 1
-    if pos != len(recs):
-        raise StructureError("halving left unexplained incurred tests")
-
-
-def _quarter_kind(pool: Sequence[int], rank: int, recs: Sequence[TestRecord]) -> int:
-    """Replays the four-way extraction; returns the 1-based index of the
-    first contaminated subset."""
-    big, small = 1 << (rank - 2), 1 << (rank - 3)
-    subsets: List[List[int]] = []
-    start = 0
-    for size in (big, big, small, small):
-        subsets.append(list(pool[start: start + size]))
-        start += size
-    nonempty = [s for s in subsets if s]
-    pos = 0
-    for j, subset in enumerate(nonempty):
-        if j == len(nonempty) - 1:
-            _check_binary(subset, recs[pos:])
-            return j + 1
-        if pos >= len(recs) or list(recs[pos].pool) != subset:
-            raise StructureError("subset group test missing from transcript")
-        hit = _hit(recs[pos])
-        pos += 1
-        if hit:
-            _check_binary(subset, recs[pos:])
-            return j + 1
-    raise StructureError("no contaminated subset found")
+def _extracted_offset(
+    pool: Sequence[int], rank: int, recs: Sequence[TestRecord]
+) -> int:
+    """The offset in pool of the defective a recorded four-way extraction
+    found; raises StructureError unless the extraction is one the plan lists."""
+    if not 0 < len(pool) <= pool_size(rank):
+        raise StructureError("driver pool does not fit its rank")
+    offset = {item: pos for pos, item in enumerate(pool)}
+    try:
+        queries = tuple(
+            (tuple(offset[item] for item in rec.pool), _hit(rec)) for rec in recs
+        )
+    except KeyError:
+        raise StructureError("incurred test outside its driver's pool") from None
+    p = _offsets_by_queries(len(pool), rank).get(queries)
+    if p is None:
+        raise StructureError("incurred tests do not follow the four-way extraction")
+    return p
 
 
 def _tuple_type(ender: TestView, recs: Sequence[TestRecord]) -> str:
@@ -238,17 +216,17 @@ def _tuple_type(ender: TestView, recs: Sequence[TestRecord]) -> str:
         ):
             raise StructureError("rank-1 contaminated driver is not a resolved pair")
         return "r1-pair"
+    if rank == 2 and len(recs) == len(pool) and all(
+        list(r.pool) == [item] for r, item in zip(recs, pool)
+    ):
+        return "r2-triple"
+    p = _extracted_offset(pool, rank, recs)
     if rank == 2:
-        if len(recs) == len(pool) and all(
-            list(r.pool) == [item] for r, item in zip(recs, pool)
-        ):
-            return "r2-triple"
-        _check_scan(pool, recs)
         return "r2-scan"
     if len(pool) <= 3:
-        _check_scan(pool, recs)
         return "deep-scan"
-    return f"deep-q{_quarter_kind(pool, rank, recs)}"
+    ends = list(accumulate(quarter_run_sizes(rank)))
+    return f"deep-q{bisect_right(ends, p) + 1}"
 
 
 def _type_floor(tuple_type: str, rank: int) -> Tuple[int, int]:

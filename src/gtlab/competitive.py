@@ -105,23 +105,11 @@ def drive_zc(session: Session, items: Sequence[int]) -> ZcPlan:
 def run_zc(oracle: PoolOracle, items: Optional[Sequence[int]] = None) -> RunResult:
     order: List[int] = list(range(oracle.n)) if items is None else list(items)
     session = Session(oracle)
-    plan = drive_zc(session, order)
-    return RunResult(
-        algorithm="zc",
-        tests_used=session.tests,
-        transcript=session.transcript(),
-        classified=session.classified(),
-        plan=plan,
-    )
+    return session.result("zc", drive_zc(session, order))
 
 
 def run_individual(oracle: PoolOracle, items: Optional[Sequence[int]] = None) -> RunResult:
     order: List[int] = list(range(oracle.n)) if items is None else list(items)
     session = Session(oracle)
     _scan_tail(session, order)
-    return RunResult(
-        algorithm="individual",
-        tests_used=session.tests,
-        transcript=session.transcript(),
-        classified=session.classified(),
-    )
+    return session.result("individual")

@@ -223,9 +223,6 @@ class Session:
                 [_identification((item, label, attributed_to, True)) for item in items]
             )
 
-    def is_identified(self, item: int) -> bool:
-        return bool((self.good_mask | self.defective_mask) >> item & 1)
-
     def unresolved(self, items: Iterable[int]) -> List[int]:
         done = self.good_mask | self.defective_mask
         return [x for x in items if not (done >> x) & 1]
@@ -235,6 +232,12 @@ class Session:
 
     def classified(self) -> Dict[int, str]:
         return dict(map(_ITEM_LABEL, self.identifications))
+
+    def result(self, algorithm: str, plan: object = None) -> RunResult:
+        """The finished run of algorithm, as the runners return it."""
+        return RunResult(
+            algorithm, self.tests, self.transcript(), self.classified(), plan
+        )
 
 
 @dataclass

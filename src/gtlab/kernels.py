@@ -5,15 +5,17 @@ strategy on one defective mask, and sweep() validates every such answer
 against ground truth. No transcript is built; recorded runs go through
 core.Session and PoolOracle as usual.
 
-The counter replays the strategy rules of zigzag, splitting and
-competitive on Python ints: the defective set, the remaining set and every
-pool are bitmasks, a query is one ``pool & defect``, and whole-pool steps
-(pure pools, pair and triple resolution, individual scans) are single mask
-operations. That is exact because every ordered item sequence on the
-counting path is an ascending subsequence of range(n): the whole range, the
-remaining suffix of a zd or zu run, the runs of a four-way split, zc's
-quarters and its merged halves. So "the first s items" of a sequence is
-always the lowest s set bits of its mask.
+The counter replays the strategy rules of zigzag and competitive on Python
+ints: the defective set, the remaining set and every pool are bitmasks, a
+query is one ``pool & defect``, and whole-pool steps (pure pools, pair and
+triple resolution, individual scans) are single mask operations. The
+four-way extraction is not replayed: its test count is read from
+splitting.quarter_plan at the offset of the pool's lowest defective. That
+is exact because every ordered item sequence on the counting path is an
+ascending subsequence of range(n): the whole range, the remaining suffix of
+a zd or zu run, zc's quarters and its merged halves. So "the first s items"
+of a sequence is always the lowest s set bits of its mask, and an item's
+offset in a pool is the number of pool bits below it.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from typing import List, Tuple
 
 # Re-exported: perfbench's tracer patches kernels.PoolOracle.
 from gtlab.core import PoolOracle  # noqa: F401
-from gtlab.splitting import pool_size
+from gtlab.splitting import pool_size, quarter_plan
 from gtlab.zigzag import initial_rank
 
 # Read by perfbench's run stamp; the bitmask counter is the only one.
@@ -31,7 +33,7 @@ BACKEND = "pure"
 # Largest n a sweep (2^n runs) accepts.
 MAX_SWEEP_N = 24
 # Largest n count_run accepts, a fixed part of its interface. The counters
-# themselves take masks of any width (tests pin zu and zc up to n = 200).
+# themselves take masks of any width (tests pin zd, zu and zc up to n = 200).
 MAX_COUNT_N = 62
 
 Count = Tuple[int, int, int]
@@ -54,52 +56,17 @@ def _individual(items: int, defect: int) -> Count:
     return items.bit_count(), items ^ bad, bad
 
 
-def _binary(window: int, defect: int) -> Count:
-    """splitting.binary_split: narrows a contaminated window to one item."""
-    tests = good = 0
-    m = window.bit_count()
-    while m > 1:
-        size = (m + 1) >> 1
-        half = _prefix(window, size)
-        tests += 1
-        if half & defect:
-            window = half
-            m = size
-        else:
-            good |= half
-            window ^= half
-            m -= size
-    return tests, good, window
-
-
 def _quarter(pool: int, k: int, defect: int) -> Count:
-    """splitting.quarter_split on a contaminated pool of at most pool_size(k)."""
-    m = pool.bit_count()
-    if m == 1:
-        return 0, 0, pool
-    if m <= 3:
-        # Test one by one up to the first defective; the last item is
-        # inferred defective when every earlier one tested pure.
-        last = 1 << (pool.bit_length() - 1)
-        hit = pool & defect & ~last
-        if not hit:
-            return m - 1, pool ^ last, last
-        bad = hit & -hit
-        good = pool & (bad - 1)
-        return good.bit_count() + 1, good, bad
-    big = 1 << (k - 2)
-    tests = good = 0
-    for size in (big, big, big >> 1, big >> 1):
-        run = _prefix(pool, size)
-        pool ^= run
-        if not pool:
-            break  # the last nonempty run is inferred contaminated
-        tests += 1
-        if run & defect:
-            break
-        good |= run
-    inner, inner_good, bad = _binary(run, defect)
-    return tests + inner, good | inner_good, bad
+    """splitting.quarter_split on a contaminated pool of at most pool_size(k).
+
+    The extraction finds the pool's lowest defective and resolves exactly
+    the items before it (good) and the defective itself, spending what
+    quarter_plan lists for that offset.
+    """
+    low = pool & defect
+    low &= -low
+    good = pool & (low - 1)
+    return quarter_plan(pool.bit_count(), k)[good.bit_count()].tests, good, low
 
 
 def _zd(items: int, defect: int) -> Count:

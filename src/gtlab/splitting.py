@@ -2,15 +2,25 @@
 
 These are the building blocks the pool strategies share. All of them work on
 ordered item sequences and always test prefixes, which keeps transcripts
-deterministic.
+deterministic. quarter_plan tabulates the four-way extraction per offset of
+the leftmost defective, for the bitmask counter and the transcript analysis.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from functools import lru_cache
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
-from gtlab.core import DEFECTIVE, GOOD, INCURRED, PoolOracle, Session
+from gtlab.core import (
+    CONTAMINATED,
+    DEFECTIVE,
+    GOOD,
+    INCURRED,
+    Instance,
+    PoolOracle,
+    Session,
+)
 
 
 def pool_size(i: int) -> int:
@@ -97,6 +107,12 @@ def _scan_individuals(
     raise AssertionError("unreachable")
 
 
+def quarter_run_sizes(k: int) -> Tuple[int, int, int, int]:
+    """The four runs a pool of rank k >= 3 is cut into, in test order."""
+    big = 1 << (k - 2)
+    return big, big, big >> 1, big >> 1
+
+
 def quarter_split(
     session: Session,
     items: Sequence[int],
@@ -130,12 +146,10 @@ def quarter_split(
     if k <= 2:
         raise ValueError("size %d needs k >= 3, got k=%d" % (m, k))
 
-    big = 1 << (k - 2)
-    small = big >> 1
     goods: List[int] = []
     spent = 0
     start = 0
-    for size in (big, big, small, small):
+    for size in quarter_run_sizes(k):
         subset = X[start : start + size]
         start += size
         if start >= m:
@@ -153,3 +167,37 @@ def quarter_split(
         goods.extend(subset)
         session.identify_all(subset, GOOD, parent)
     raise AssertionError("unreachable")
+
+
+class Extraction(NamedTuple):
+    """quarter_split on a pool whose leftmost defective sits at one offset:
+    the tests it spends and its queries, each as (pool offsets, hit)."""
+
+    tests: int
+    queries: Tuple[Tuple[Tuple[int, ...], bool], ...]
+
+
+@lru_cache(maxsize=None)
+def quarter_plan(m: int, k: int) -> Tuple[Extraction, ...]:
+    """The extraction of an m-item pool at rank k, for each offset p of its
+    leftmost defective.
+
+    quarter_split depends only on p: every pool it queries either holds p
+    or lies wholly before it, so it resolves exactly offsets 0..p (those
+    before p good, p defective) and leaves the rest unresolved. Running it
+    once on a pool whose only defective is p therefore gives the extraction
+    of every pool with that leftmost defective.
+    """
+    if m < 1:
+        raise ValueError("empty input")
+    plan = []
+    for p in range(m):
+        session = Session(PoolOracle(Instance(m, frozenset({p}))))
+        quarter_split(session, range(m), k, None)
+        plan.append(
+            Extraction(
+                session.tests,
+                tuple((r.pool, r.raw_outcome == CONTAMINATED) for r in session.records),
+            )
+        )
+    return tuple(plan)

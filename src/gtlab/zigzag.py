@@ -161,24 +161,15 @@ def drive_zu(session: Session, items: Sequence[int]) -> None:
         remaining = session.unresolved(pool) + remaining[len(pool):]
 
 
-def _wrap(algorithm: str, oracle: PoolOracle, session: Session) -> RunResult:
-    return RunResult(
-        algorithm=algorithm,
-        tests_used=session.tests,
-        transcript=session.transcript(),
-        classified=session.classified(),
-    )
-
-
 def run_zd(oracle: PoolOracle, items: Optional[Sequence[int]] = None) -> RunResult:
     order: List[int] = list(range(oracle.n)) if items is None else list(items)
     session = Session(oracle)
     drive_zd(session, order)
-    return _wrap("zd", oracle, session)
+    return session.result("zd")
 
 
 def run_zu(oracle: PoolOracle, items: Optional[Sequence[int]] = None) -> RunResult:
     order: List[int] = list(range(oracle.n)) if items is None else list(items)
     session = Session(oracle)
     drive_zu(session, order)
-    return _wrap("zu", oracle, session)
+    return session.result("zu")

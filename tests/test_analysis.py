@@ -234,6 +234,45 @@ def test_classify_requires_a_partner():
         classify(Transcript(records, idents))
 
 
+def _tampered(run, seq, **changes):
+    # The run's transcript with record seq rebuilt from changes (or, for a
+    # seq past the end, appended).
+    records = list(run.transcript.records)
+    if seq <= len(records):
+        old = records[seq - 1]
+        fields = dict(
+            pool=old.pool,
+            outcome=old.raw_outcome,
+            kind=old.kind,
+            rank=old.rank,
+            parent=old.parent,
+        )
+        fields.update(changes)
+        records[seq - 1] = _rec(seq, **fields)
+    else:
+        records.append(_rec(seq, **changes))
+    return Transcript(records, list(run.transcript.identifications))
+
+
+def test_classify_rejects_a_tampered_quarter_extraction():
+    # zu on 12 items with defective 8: driver 4 tests (6..11) at rank 3, and
+    # its extraction queries (6, 7) pure, (8, 9) contaminated, then (8,).
+    # Tampers: a changed halving pool, an item outside the driver's pool, an
+    # extra trailing incurred test, and a driver pool too large for its rank.
+    run = _zu(12, {8})
+    assert classify(run.transcript).tuples[0].tuple_type == "deep-q2"
+    assert [r.pool for r in run.transcript.records[4:7]] == [(6, 7), (8, 9), (8,)]
+    tampers = [
+        _tampered(run, 7, pool=(9,)),
+        _tampered(run, 5, pool=(5, 6)),
+        _tampered(run, 9, pool=(8,), outcome=CONTAMINATED, kind=INCURRED, parent=4),
+        _tampered(run, 4, rank=2),
+    ]
+    for transcript in tampers:
+        with pytest.raises(StructureError):
+            classify(transcript)
+
+
 def test_classify_requires_a_defective_per_tuple():
     records = [
         _rec(1, [0], PURE, DRIVER, rank=0),

@@ -1,9 +1,11 @@
 import math
+import random
 
 import pytest
 from hypothesis import given, strategies as st
 
 from gtlab.core import (
+    CONTAMINATED,
     DEFECTIVE,
     GOOD,
     Instance,
@@ -11,7 +13,13 @@ from gtlab.core import (
     Session,
     instance_from_mask,
 )
-from gtlab.splitting import binary_split, dig, pool_size, quarter_split
+from gtlab.splitting import (
+    binary_split,
+    dig,
+    pool_size,
+    quarter_plan,
+    quarter_split,
+)
 
 POOL_SIZES = [1, 2, 3, 6, 12, 24, 48, 96]
 
@@ -180,3 +188,46 @@ def test_binary_split_identifies_goods_consistently(m, data):
     assert out.defective_found in inst.defectives
     for item in out.goods_identified:
         assert item not in inst.defectives
+
+
+def _extraction_cases():
+    # Every (m, k) quarter_split accepts up to rank 6, each with its defective
+    # sets: all of them for m <= 12, else every single-defective pool plus
+    # seeded random sets.
+    rng = random.Random(20)
+    for k in range(7):
+        for m in range(1, pool_size(k) + 1):
+            if m >= 4 and k <= 2:
+                continue
+            if m <= 12:
+                masks = range(1, 1 << m)
+            else:
+                masks = [1 << p for p in range(m)]
+                masks += [rng.randrange(1, 1 << m) for _ in range(40)]
+            yield m, k, masks
+
+
+def test_quarter_split_resolves_exactly_its_leftmost_defective_as_planned():
+    # The precondition the bitmask counter and the transcript analysis rely
+    # on: the extraction depends only on the leftmost defective's offset p.
+    for m, k, masks in _extraction_cases():
+        plan = quarter_plan(m, k)
+        assert len(plan) == m
+        for mask in masks:
+            p = (mask & -mask).bit_length() - 1
+            session = Session(PoolOracle(instance_from_mask(m, mask)))
+            out = quarter_split(session, list(range(m)), k, parent=None)
+            assert session.good_mask == (1 << p) - 1, (m, k, mask)
+            assert session.defective_mask == 1 << p, (m, k, mask)
+            assert out.defective_found == p
+            queries = tuple(
+                (r.pool, r.raw_outcome == CONTAMINATED) for r in session.records
+            )
+            assert (out.tests_spent, queries) == plan[p], (m, k, mask)
+            assert session.tests == plan[p].tests
+
+
+def test_quarter_plan_rejects_what_quarter_split_rejects():
+    for m, k in [(0, 3), (7, 3), (4, 2), (25, 5)]:
+        with pytest.raises(ValueError):
+            quarter_plan(m, k)
