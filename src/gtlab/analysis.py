@@ -331,7 +331,7 @@ def _budget(d: int, n: int) -> float:
 
 def verify_observations(
     classification: Classification, transcript: Transcript
-) -> Tuple[Verdict, List[Tuple[str, Dict[str, object]]]]:
+) -> List[Tuple[str, Dict[str, object]]]:
     cls = classification
     views = cls.views
     failures: List[Tuple[str, Dict[str, object]]] = []
@@ -366,13 +366,12 @@ def verify_observations(
     n_phases = len(cls.phases)
     if n_phases > d_run + 1:
         failures.append(("phase-count", {"phases": n_phases, "defectives": d_run}))
-    problems = [f"{name}: {vals}" for name, vals in failures]
-    return Verdict(ok=not failures, problems=problems), failures
+    return failures
 
 
 def check_class_bounds(
     classification: Classification, transcript: Transcript
-) -> Tuple[Verdict, List[Tuple[str, Dict[str, object]]]]:
+) -> List[Tuple[str, Dict[str, object]]]:
     cls = classification
     views = cls.views
     failures: List[Tuple[str, Dict[str, object]]] = []
@@ -451,8 +450,7 @@ def check_class_bounds(
             ("test-recomposition", {"lhs": total, "rhs": len(transcript.records)})
         )
 
-    problems = [f"{name}: {vals}" for name, vals in failures]
-    return Verdict(ok=not failures, problems=problems), failures
+    return failures
 
 
 def upward_subtranscript(run: RunResult) -> Transcript:
@@ -489,12 +487,10 @@ def upward_subtranscript(run: RunResult) -> Transcript:
 def analyze(run: RunResult) -> AnalysisReport:
     transcript = upward_subtranscript(run)
     classification = classify(transcript)
-    obs_verdict, obs_failures = verify_observations(classification, transcript)
-    bound_verdict, bound_failures = check_class_bounds(classification, transcript)
-    failures = obs_failures + bound_failures
+    failures = verify_observations(classification, transcript)
+    failures += check_class_bounds(classification, transcript)
     verdict = Verdict(
-        ok=obs_verdict.ok and bound_verdict.ok,
-        problems=obs_verdict.problems + bound_verdict.problems,
+        ok=not failures, problems=[f"{name}: {vals}" for name, vals in failures]
     )
     return AnalysisReport(
         phases=list(classification.phases),

@@ -21,7 +21,12 @@ from gtlab.harness import ALGORITHMS, RUNNERS
 def _parse_defectives(raw: str, n: int) -> List[int]:
     if not raw.strip():
         return []
-    items = [int(tok) for tok in raw.split(",")]
+    items = []
+    for tok in raw.split(","):
+        try:
+            items.append(int(tok))
+        except ValueError:
+            raise ValueError(f"bad defective index {tok!r}") from None
     for item in items:
         if not 0 <= item < n:
             raise ValueError(f"defective index {item} outside 0..{n - 1}")

@@ -102,14 +102,12 @@ def drive_zc(session: Session, items: Sequence[int]) -> ZcPlan:
     return ZcPlan(n1=n1, nR1=nR1, alpha1=alpha1, n2=n2, nR2=nR2, alpha2=alpha2)
 
 
-def run_zc(oracle: PoolOracle, items: Optional[Sequence[int]] = None) -> RunResult:
-    order: List[int] = list(range(oracle.n)) if items is None else list(items)
+def run_zc(oracle: PoolOracle) -> RunResult:
     session = Session(oracle)
-    return session.result("zc", drive_zc(session, order))
+    return session.result("zc", drive_zc(session, range(oracle.n)))
 
 
-def run_individual(oracle: PoolOracle, items: Optional[Sequence[int]] = None) -> RunResult:
-    order: List[int] = list(range(oracle.n)) if items is None else list(items)
+def run_individual(oracle: PoolOracle) -> RunResult:
     session = Session(oracle)
-    _scan_tail(session, order)
+    _scan_tail(session, range(oracle.n))
     return session.result("individual")

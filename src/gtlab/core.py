@@ -145,16 +145,14 @@ class RunResult:
 
 
 class Session:
-    """Per-run query funnel.
+    """Per-run query funnel: the one record of a run's state.
 
-    With record=True it builds the full transcript; with record=False it only
-    keeps the test count and the good/defective bitmasks (splitting.dig runs
-    that way; the exhaustive sweeps use the kernels counters instead).
+    It keeps the test count, the good/defective bitmasks and the full
+    transcript. The exhaustive sweeps use the kernels counters instead.
     """
 
-    def __init__(self, oracle: PoolOracle, record: bool = True) -> None:
+    def __init__(self, oracle: PoolOracle) -> None:
         self.oracle = oracle
-        self.record = record
         self.tests = 0
         self.good_mask = 0
         self.defective_mask = 0
@@ -171,16 +169,14 @@ class Session:
         items = tuple(pool)
         hit = self.oracle.contaminated(items)
         self.tests += 1
-        if self.record:
-            outcome = CONTAMINATED if hit else PURE
-            self.records.append(
-                TestRecord(self.tests, items, outcome, kind, rank, parent, outcome)
-            )
+        outcome = CONTAMINATED if hit else PURE
+        self.records.append(
+            TestRecord(self.tests, items, outcome, kind, rank, parent, outcome)
+        )
         return hit
 
     def mark_status(self, seq: int, status: str) -> None:
-        if self.record:
-            self.records[seq - 1].status = status
+        self.records[seq - 1].status = status
 
     def identify(
         self, item: int, label: str, attributed_to: Optional[int], via_test: bool
@@ -192,10 +188,9 @@ class Session:
             self.good_mask |= bit
         else:
             self.defective_mask |= bit
-        if self.record:
-            self.identifications.append(
-                _identification((item, label, attributed_to, via_test))
-            )
+        self.identifications.append(
+            _identification((item, label, attributed_to, via_test))
+        )
 
     def identify_all(
         self, items: Iterable[int], label: str, attributed_to: Optional[int]
@@ -218,10 +213,9 @@ class Session:
             self.good_mask |= batch
         else:
             self.defective_mask |= batch
-        if self.record:
-            self.identifications.extend(
-                [_identification((item, label, attributed_to, True)) for item in items]
-            )
+        self.identifications.extend(
+            [_identification((item, label, attributed_to, True)) for item in items]
+        )
 
     def unresolved(self, items: Iterable[int]) -> List[int]:
         done = self.good_mask | self.defective_mask

@@ -51,6 +51,9 @@ MAX_GRID_N = 20
 # order, it leaves at most one shard running after the other workers finish.
 _ANALYSIS_SHARD = 1 << 10
 
+# Most masks an exhaustive worst_case walks before it refuses.
+_EXHAUSTIVE_CAP = 10**7
+
 
 @dataclass(frozen=True)
 class WorstCaseCell:
@@ -88,11 +91,11 @@ def worst_case(
     mode: str = "exhaustive",
     samples: int = 1000,
     seed: int = 0,
-    cap: int = 10**7,
 ) -> WorstCaseCell:
     """Maximizes tests over defective sets of size d. Exhaustive mode walks
     every set in ascending mask order; sampled mode is a lower estimate over
-    samples >= 1 seeded draws.
+    samples >= 1 seeded draws. Exhaustive mode refuses more than
+    _EXHAUSTIVE_CAP masks.
     Every run is finalized; a correctness failure aborts with the mask.
     """
     if algorithm not in RUNNERS:
@@ -101,9 +104,10 @@ def worst_case(
         raise ValueError("need 0 <= d <= n")
     if mode == "exhaustive":
         count = math.comb(n, d)
-        if count > cap:
+        if count > _EXHAUSTIVE_CAP:
             raise ValueError(
-                f"exhaustive search over C({n},{d})={count} masks exceeds cap {cap}"
+                f"exhaustive search over C({n},{d})={count} masks exceeds cap "
+                f"{_EXHAUSTIVE_CAP}"
             )
         masks: Iterable[int] = _masks_of_weight(n, d)
         exact = True
@@ -451,6 +455,7 @@ def _sweep_task(
     algorithm: str, n: int, checks: Sequence[str]
 ) -> Tuple[List[dict], List[dict]]:
     cells = []
+    violations = []
     per_d = kernels.sweep(algorithm, n)
     for d, (worst, argmax) in enumerate(per_d):
         rows = _cell_bound_rows(algorithm, n, d, worst, checks)
@@ -464,19 +469,17 @@ def _sweep_task(
                 "bound_values": [list(row) for row in rows],
             }
         )
-    violations = []
-    for cell in cells:
-        for name, value, ok in cell["bound_values"]:
+        for name, value, ok in rows:
             if not ok and name != "competitive-sparse-proxy":
                 violations.append(
                     {
                         "algorithm": algorithm,
                         "n": n,
-                        "d": cell["d"],
+                        "d": d,
                         "check": name,
-                        "worst_tests": cell["worst_tests"],
+                        "worst_tests": worst,
                         "bound_value": value,
-                        "argmax_mask": cell["argmax_mask"],
+                        "argmax_mask": argmax,
                     }
                 )
     return cells, violations

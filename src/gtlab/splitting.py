@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import List, NamedTuple, Optional, Sequence, Tuple
+from typing import NamedTuple, Optional, Sequence, Tuple
 
 from gtlab.core import (
     CONTAMINATED,
@@ -36,8 +36,9 @@ def pool_size(i: int) -> int:
 
 @dataclass
 class SplitOutcome:
-    defective_found: Optional[int]
-    goods_identified: List[int]
+    """What dig found: the defective and the tests spent finding it."""
+
+    defective_found: int
     tests_spent: int
 
 
@@ -45,66 +46,54 @@ def binary_split(
     session: Session,
     items: Sequence[int],
     parent: Optional[int],
-) -> SplitOutcome:
+) -> None:
     """Narrows a contaminated ordered set down to one defective item.
 
     Repeatedly tests the first half (rounded up) of the current window: a
     contaminated half becomes the window, a pure half is identified good and
     dropped. The final single item is the defective. Items outside the final
     window that were never in a pure half stay unidentified. Spends at most
-    ceil(log2 |items|) tests. The caller guarantees the input is contaminated;
-    a pure input silently yields a wrong defective, which finalize catches.
+    ceil(log2 |items|) tests. Everything it learns goes into the session.
+    The caller guarantees the input is contaminated; a pure input silently
+    yields a wrong defective, which finalize catches.
     """
 
     work = list(items)
     if not work:
         raise ValueError("empty input")
-    goods: List[int] = []
-    spent = 0
     narrowed_by_query = False
     while len(work) > 1:
         half = work[: (len(work) + 1) // 2]
-        hit = session.query(half, INCURRED, parent=parent)
-        spent += 1
-        if hit:
+        if session.query(half, INCURRED, parent=parent):
             work = half
             narrowed_by_query = len(half) == 1
         else:
-            goods.extend(half)
             session.identify_all(half, GOOD, parent)
             work = work[len(half):]
             narrowed_by_query = False
-    found = work[0]
-    session.identify(found, DEFECTIVE, parent, narrowed_by_query)
-    return SplitOutcome(found, goods, spent)
+    session.identify(work[0], DEFECTIVE, parent, narrowed_by_query)
 
 
 def dig(oracle: PoolOracle, items: Sequence[int]) -> SplitOutcome:
-    """Standalone binary narrowing against a bare oracle (counts only)."""
-    session = Session(oracle, record=False)
-    return binary_split(session, items, parent=None)
+    """Standalone binary narrowing against a bare oracle. binary_split finds
+    the first defective of the contaminated ordered items; its one
+    identified defective and its test count are read from the session."""
+    session = Session(oracle)
+    binary_split(session, items, parent=None)
+    return SplitOutcome(session.defective_mask.bit_length() - 1, session.tests)
 
 
 def _scan_individuals(
     session: Session, items: Sequence[int], parent: Optional[int]
-) -> SplitOutcome:
+) -> None:
     # Size 2..3: test one by one until the first defective; if every earlier
     # item tested pure the last one is inferred defective without a test.
-    goods: List[int] = []
-    spent = 0
-    last = len(items) - 1
-    for pos, item in enumerate(items):
-        if pos == last:
-            session.identify(item, DEFECTIVE, parent, False)
-            return SplitOutcome(item, goods, spent)
-        hit = session.query([item], INCURRED, parent=parent)
-        spent += 1
-        if hit:
+    for item in items[:-1]:
+        if session.query([item], INCURRED, parent=parent):
             session.identify(item, DEFECTIVE, parent, True)
-            return SplitOutcome(item, goods, spent)
-        goods.append(item)
+            return
         session.identify(item, GOOD, parent, True)
-    raise AssertionError("unreachable")
+    session.identify(items[-1], DEFECTIVE, parent, False)
 
 
 def quarter_run_sizes(k: int) -> Tuple[int, int, int, int]:
@@ -118,7 +107,7 @@ def quarter_split(
     items: Sequence[int],
     k: int,
     parent: Optional[int],
-) -> SplitOutcome:
+) -> None:
     """Extracts one defective from a contaminated set of size at most pool_size(k).
 
     Size 1 needs no test. Sizes 2..3 scan individually with the last item
@@ -128,7 +117,7 @@ def quarter_split(
     the last nonempty run is inferred contaminated without a test when all
     earlier runs tested pure. The contaminated run is then binary-narrowed.
     Items in runs after the contaminated one, and items the narrowing skipped,
-    stay unidentified.
+    stay unidentified. Everything it learns goes into the session.
     """
 
     X = list(items)
@@ -140,31 +129,22 @@ def quarter_split(
         raise ValueError("input of size %d exceeds pool_size(%d)=%d" % (m, k, limit))
     if m == 1:
         session.identify(X[0], DEFECTIVE, parent, True)
-        return SplitOutcome(X[0], [], 0)
+        return
     if m <= 3:
-        return _scan_individuals(session, X, parent)
+        _scan_individuals(session, X, parent)
+        return
     if k <= 2:
         raise ValueError("size %d needs k >= 3, got k=%d" % (m, k))
 
-    goods: List[int] = []
-    spent = 0
     start = 0
     for size in quarter_run_sizes(k):
         subset = X[start : start + size]
         start += size
-        if start >= m:
-            # The last nonempty run: every earlier run tested pure, so this
-            # one must hold the defective; no group test needed.
-            hit = True
-        else:
-            hit = session.query(subset, INCURRED, parent=parent)
-            spent += 1
-        if hit:
-            inner = binary_split(session, subset, parent)
-            return SplitOutcome(
-                inner.defective_found, goods + inner.goods_identified, spent + inner.tests_spent
-            )
-        goods.extend(subset)
+        # The last nonempty run holds the defective once every earlier run
+        # tested pure, so it is narrowed without a group test.
+        if start >= m or session.query(subset, INCURRED, parent=parent):
+            binary_split(session, subset, parent)
+            return
         session.identify_all(subset, GOOD, parent)
     raise AssertionError("unreachable")
 

@@ -11,7 +11,7 @@ whole-remaining-set test.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import Sequence
 
 from gtlab.core import (
     ADDITIONAL,
@@ -161,15 +161,13 @@ def drive_zu(session: Session, items: Sequence[int]) -> None:
         remaining = session.unresolved(pool) + remaining[len(pool):]
 
 
-def run_zd(oracle: PoolOracle, items: Optional[Sequence[int]] = None) -> RunResult:
-    order: List[int] = list(range(oracle.n)) if items is None else list(items)
+def run_zd(oracle: PoolOracle) -> RunResult:
     session = Session(oracle)
-    drive_zd(session, order)
+    drive_zd(session, range(oracle.n))
     return session.result("zd")
 
 
-def run_zu(oracle: PoolOracle, items: Optional[Sequence[int]] = None) -> RunResult:
-    order: List[int] = list(range(oracle.n)) if items is None else list(items)
+def run_zu(oracle: PoolOracle) -> RunResult:
     session = Session(oracle)
-    drive_zu(session, order)
+    drive_zu(session, range(oracle.n))
     return session.result("zu")

@@ -53,6 +53,12 @@ def test_run_flag_conflicts_exit_2(capsys):
     assert code == 2
 
 
+def test_run_names_a_bad_defective_token(capsys):
+    code = main(["run", "--alg", "zd", "--n", "4", "--defectives", "1,,2"])
+    assert code == 2
+    assert capsys.readouterr().err == "error: bad defective index ''\n"
+
+
 def test_worstcase_json(capsys):
     code, out = _capture(
         capsys, ["worstcase", "--alg", "zu", "--n", "9", "--d", "2"]

@@ -133,34 +133,19 @@ def test_double_identification_is_an_error():
         session.identify(1, DEFECTIVE, None, True)
 
 
-def test_unrecorded_session_tracks_masks_only():
-    session = Session(PoolOracle(Instance(4, frozenset({2}))), record=False)
-    session.query([0, 1], DRIVER)
-    session.identify_all([0, 1], GOOD, 1)
-    session.identify(2, DEFECTIVE, None, True)
-    assert session.good_mask == 0b0011
-    assert session.defective_mask == 0b0100
-    assert session.tests == 1
-    assert session.transcript().records == []
-    assert session.classified() == {}
-    assert session.unresolved(range(4)) == [3]
-
-
-@pytest.mark.parametrize("record", [True, False])
-def test_identify_all_names_an_item_repeated_within_the_batch(record):
-    session = Session(PoolOracle(Instance(5, frozenset({3}))), record=record)
+def test_identify_all_names_an_item_repeated_within_the_batch():
+    session = Session(PoolOracle(Instance(5, frozenset({3}))))
     with pytest.raises(AssertionError, match="^item 1 identified twice$"):
         session.identify_all([0, 1, 2, 1, 4], GOOD, 1)
     # The items before the repeat stay identified, as one by one.
     assert session.good_mask == 0b00111
     assert session.defective_mask == 0
     expected = [Identification(i, GOOD, 1, True) for i in (0, 1, 2)]
-    assert session.identifications == (expected if record else [])
+    assert session.identifications == expected
 
 
-@pytest.mark.parametrize("record", [True, False])
-def test_identify_all_names_an_item_an_earlier_call_identified(record):
-    session = Session(PoolOracle(Instance(5, frozenset({2}))), record=record)
+def test_identify_all_names_an_item_an_earlier_call_identified():
+    session = Session(PoolOracle(Instance(5, frozenset({2}))))
     session.identify(2, DEFECTIVE, None, True)
     with pytest.raises(AssertionError, match="^item 2 identified twice$"):
         session.identify_all([0, 1, 2, 3], GOOD, 4)
@@ -169,7 +154,7 @@ def test_identify_all_names_an_item_an_earlier_call_identified(record):
     expected = [Identification(2, DEFECTIVE, None, True)] + [
         Identification(i, GOOD, 4, True) for i in (0, 1)
     ]
-    assert session.identifications == (expected if record else [])
+    assert session.identifications == expected
 
 
 def test_identify_all_matches_identify_item_by_item():

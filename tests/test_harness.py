@@ -305,7 +305,7 @@ def test_worst_case_sampled_needs_a_sample(samples):
 
 def test_worst_case_refuses_oversized_enumeration():
     with pytest.raises(ValueError, match="cap"):
-        worst_case("zd", 40, 20, cap=10**6)
+        worst_case("zd", 40, 20)
 
 
 def test_worst_case_rejects_unknown_inputs():

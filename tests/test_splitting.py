@@ -41,17 +41,16 @@ def _session(n, defectives):
 
 def test_binary_split_narrows_to_single_defective():
     session = _session(8, {5})
-    out = binary_split(session, list(range(8)), parent=None)
-    assert out.defective_found == 5
-    assert out.tests_spent == 3
+    assert binary_split(session, list(range(8)), parent=None) is None
     assert session.defective_mask == 1 << 5
+    assert session.tests == 3
 
 
 def test_binary_split_singleton_spends_nothing():
     session = _session(4, {2})
-    out = binary_split(session, [2], parent=None)
-    assert out.defective_found == 2
-    assert out.tests_spent == 0
+    binary_split(session, [2], parent=None)
+    assert session.defective_mask == 1 << 2
+    assert session.tests == 0
 
 
 def test_binary_split_via_test_flag():
@@ -89,19 +88,30 @@ def test_dig_meets_log_budget_everywhere():
         assert attained == budget
 
 
+def test_dig_finds_the_leftmost_defective_of_every_set():
+    # Every nonempty defective set over m <= 10 items: the lowest index,
+    # within ceil(log2 m) tests.
+    for m in range(1, 11):
+        budget = (m - 1).bit_length()
+        for mask in range(1, 1 << m):
+            out = dig(PoolOracle(instance_from_mask(m, mask)), list(range(m)))
+            assert out.defective_found == (mask & -mask).bit_length() - 1, (m, mask)
+            assert out.tests_spent <= budget, (m, mask)
+
+
 def test_quarter_split_singleton():
     session = _session(3, {1})
-    out = quarter_split(session, [1], k=5, parent=None)
-    assert out.defective_found == 1
-    assert out.tests_spent == 0
+    assert quarter_split(session, [1], k=5, parent=None) is None
+    assert session.defective_mask == 1 << 1
+    assert session.tests == 0
 
 
 @pytest.mark.parametrize("defectives,expected_tests", [({0}, 1), ({1}, 2), ({2}, 2)])
 def test_quarter_split_scans_small_inputs(defectives, expected_tests):
     session = _session(3, defectives)
-    out = quarter_split(session, [0, 1, 2], k=2, parent=None)
-    assert out.defective_found == min(defectives)
-    assert out.tests_spent == expected_tests
+    quarter_split(session, [0, 1, 2], k=2, parent=None)
+    assert session.defective_mask == 1 << min(defectives)
+    assert session.tests == expected_tests
 
 
 def test_quarter_split_last_item_inferred_without_test():
@@ -116,32 +126,32 @@ def test_quarter_split_subset_sizes_at_rank_five():
     # Rank 5 pool of 24: subsets 8, 8, 4, 4. A defective in the third
     # subset costs two group tests plus a 4-item narrowing.
     session = _session(24, {17})
-    out = quarter_split(session, list(range(24)), k=5, parent=None)
-    assert out.defective_found == 17
+    quarter_split(session, list(range(24)), k=5, parent=None)
+    assert session.defective_mask == 1 << 17
     pools = [r.pool for r in session.transcript().records]
     assert pools[0] == tuple(range(8))
     assert pools[1] == tuple(range(8, 16))
     assert pools[2] == tuple(range(16, 20))
-    assert out.tests_spent == 3 + 2
+    assert session.tests == 3 + 2
 
 
 def test_quarter_split_last_subset_skips_group_test():
     # Defective in the fourth subset: three pure group tests, then straight
     # to narrowing without testing the fourth subset as a group.
     session = _session(24, {21})
-    out = quarter_split(session, list(range(24)), k=5, parent=None)
-    assert out.defective_found == 21
+    quarter_split(session, list(range(24)), k=5, parent=None)
+    assert session.defective_mask == 1 << 21
     pools = [r.pool for r in session.transcript().records]
     assert len(pools[0]) == 8 and len(pools[1]) == 8 and len(pools[2]) == 4
     assert len(pools[3]) <= 2
-    assert out.tests_spent == 3 + 2
+    assert session.tests == 3 + 2
 
 
 def test_quarter_split_truncated_input():
     # 13 items at rank 5: subsets 8, 5 and nothing further.
     session = _session(13, {9})
-    out = quarter_split(session, list(range(13)), k=5, parent=None)
-    assert out.defective_found == 9
+    quarter_split(session, list(range(13)), k=5, parent=None)
+    assert session.defective_mask == 1 << 9
     first = session.transcript().records[0]
     assert first.pool == tuple(range(8))
 
@@ -172,11 +182,10 @@ def test_quarter_split_budget_and_correctness(k, data):
         return
     pos = data.draw(st.integers(0, m - 1))
     session = _session(m, {pos})
-    out = quarter_split(session, list(range(m)), k=k, parent=None)
-    assert out.defective_found == pos
-    # k+1 pools always suffice: at most 3 group tests plus the narrowing.
-    assert out.tests_spent <= k + 1
+    quarter_split(session, list(range(m)), k=k, parent=None)
     assert session.defective_mask == 1 << pos
+    # k+1 pools always suffice: at most 3 group tests plus the narrowing.
+    assert session.tests <= k + 1
 
 
 @given(st.integers(1, 64), st.data())
@@ -184,10 +193,10 @@ def test_binary_split_identifies_goods_consistently(m, data):
     mask = data.draw(st.integers(1, (1 << m) - 1))
     inst = instance_from_mask(m, mask)
     session = Session(PoolOracle(inst))
-    out = binary_split(session, list(range(m)), parent=None)
-    assert out.defective_found in inst.defectives
-    for item in out.goods_identified:
-        assert item not in inst.defectives
+    binary_split(session, list(range(m)), parent=None)
+    assert session.defective_mask.bit_count() == 1
+    assert session.defective_mask & mask
+    assert not session.good_mask & mask
 
 
 def _extraction_cases():
@@ -216,15 +225,13 @@ def test_quarter_split_resolves_exactly_its_leftmost_defective_as_planned():
         for mask in masks:
             p = (mask & -mask).bit_length() - 1
             session = Session(PoolOracle(instance_from_mask(m, mask)))
-            out = quarter_split(session, list(range(m)), k, parent=None)
+            quarter_split(session, list(range(m)), k, parent=None)
             assert session.good_mask == (1 << p) - 1, (m, k, mask)
             assert session.defective_mask == 1 << p, (m, k, mask)
-            assert out.defective_found == p
             queries = tuple(
                 (r.pool, r.raw_outcome == CONTAMINATED) for r in session.records
             )
-            assert (out.tests_spent, queries) == plan[p], (m, k, mask)
-            assert session.tests == plan[p].tests
+            assert (session.tests, queries) == plan[p], (m, k, mask)
 
 
 def test_quarter_plan_rejects_what_quarter_split_rejects():
