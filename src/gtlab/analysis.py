@@ -14,7 +14,7 @@ import math
 from bisect import bisect_right
 from collections import defaultdict
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import accumulate
 from typing import Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
 
@@ -57,15 +57,13 @@ class TestView(NamedTuple):
     defectives: int
 
 
-@dataclass(frozen=True)
-class Phase:
+class Phase(NamedTuple):
     index: int
     tests: Tuple[int, ...]
     closed: bool
 
 
-@dataclass(frozen=True)
-class ZigZagTuple:
+class ZigZagTuple(NamedTuple):
     pure_test: int
     cont_test: int
     extra: Optional[int]
@@ -76,11 +74,18 @@ class ZigZagTuple:
     tuple_type: str
 
 
+# Each builds its tuple from one tuple of fields, without the Python-level
+# __new__ of the class call.
+_test_view = partial(tuple.__new__, TestView)
+_phase = partial(tuple.__new__, Phase)
+_zigzag_tuple = partial(tuple.__new__, ZigZagTuple)
+
+
 @dataclass(frozen=True)
 class Classification:
     """The test classes and tuples of one transcript, plus the parse they
-    were read from (per-test views and phases), which the budget checks
-    reuse instead of parsing the transcript again."""
+    were read from (per-test views, phases and the run's defective count),
+    which the budget checks reuse instead of parsing the transcript again."""
 
     c1: frozenset
     c2: frozenset
@@ -90,6 +95,7 @@ class Classification:
     tuples: Tuple[ZigZagTuple, ...]
     views: Dict[int, TestView] = field(compare=False, repr=False)
     phases: Tuple[Phase, ...] = field(compare=False, repr=False)
+    defectives: int = field(compare=False, repr=False)
 
 
 @dataclass
@@ -100,33 +106,49 @@ class AnalysisReport:
     failures: List[Tuple[str, Dict[str, object]]]
 
 
-def _views(transcript: Transcript) -> Dict[int, TestView]:
-    incurred: Dict[int, int] = defaultdict(int)
-    idents: Dict[int, int] = defaultdict(int)
-    defect: Dict[int, int] = defaultdict(int)
+def _views(
+    transcript: Transcript,
+) -> Tuple[Dict[int, TestView], Dict[int, List[TestRecord]], int]:
+    """One pass over the records and one over the identifications.
+
+    Returns the view of every top-level test by seq, the incurred records
+    of each parent in test order, and the run's defective identifications.
+    """
+    by_parent: Dict[int, List[TestRecord]] = {}
     tops = []
     for rec in transcript.records:
         if rec.kind == INCURRED:
-            incurred[rec.parent] += 1
+            kids = by_parent.get(rec.parent)
+            if kids is None:
+                by_parent[rec.parent] = [rec]
+            else:
+                kids.append(rec)
         else:
             tops.append(rec)
+    idents: Dict[Optional[int], int] = {}
+    defect: Dict[Optional[int], int] = {}
     for ident in transcript.identifications:
-        idents[ident.attributed_to] += 1
+        owner = ident.attributed_to
+        idents[owner] = idents.get(owner, 0) + 1
         if ident.label == DEFECTIVE:
-            defect[ident.attributed_to] += 1
-    return {
-        rec.seq: TestView(
-            rec.seq,
-            rec.kind,
-            rec.rank,
-            rec.status,
-            tuple(rec.pool),
-            1 + incurred[rec.seq],
-            idents[rec.seq],
-            defect[rec.seq],
+            defect[owner] = defect.get(owner, 0) + 1
+    views = {}
+    for rec in tops:
+        seq = rec.seq
+        kids = by_parent.get(seq)
+        views[seq] = _test_view(
+            (
+                seq,
+                rec.kind,
+                rec.rank,
+                rec.status,
+                tuple(rec.pool),
+                1 + len(kids) if kids else 1,
+                idents.get(seq, 0),
+                defect.get(seq, 0),
+            )
         )
-        for rec in tops
-    }
+    return views, by_parent, sum(defect.values())
 
 
 def _check_phase(tests: Sequence[TestRecord], closed: bool) -> None:
@@ -156,21 +178,35 @@ def _check_phase(tests: Sequence[TestRecord], closed: bool) -> None:
 
 
 def segment_phases(transcript: Transcript) -> List[Phase]:
-    tops = [r for r in transcript.records if r.kind != INCURRED]
-    groups: List[List[TestRecord]] = []
-    current: List[TestRecord] = []
-    for rec in tops:
-        current.append(rec)
-        if rec.kind == DRIVER and rec.status == CONTAMINATED:
-            groups.append(current)
-            current = []
-    phases = []
-    for idx, group in enumerate(groups):
-        _check_phase(group, closed=True)
-        phases.append(Phase(idx + 1, tuple(r.seq for r in group), True))
-    if current:
-        _check_phase(current, closed=False)
-        phases.append(Phase(len(phases) + 1, tuple(r.seq for r in current), False))
+    """The top-level tests cut after each contaminated driver, every phase
+    checked against the grammar in order (the open final phase last).
+
+    A phase of pure tests only, bar its closing driver, passes every check,
+    so only a phase with an additional or another test is checked in full.
+    """
+    phases: List[Phase] = []
+    group: List[TestRecord] = []
+    plain = True
+    for rec in transcript.records:
+        kind = rec.kind
+        if kind == INCURRED:
+            continue
+        group.append(rec)
+        status = rec.status
+        if kind == DRIVER and status == CONTAMINATED:
+            if not plain:
+                _check_phase(group, closed=True)
+            phases.append(
+                _phase((len(phases) + 1, tuple([r.seq for r in group]), True))
+            )
+            group = []
+            plain = True
+        elif kind == ADDITIONAL or status != PURE:
+            plain = False
+    if group:
+        if not plain:
+            _check_phase(group, closed=False)
+        phases.append(_phase((len(phases) + 1, tuple([r.seq for r in group]), False)))
     return phases
 
 
@@ -202,7 +238,7 @@ def _extracted_offset(
 
 def _tuple_type(ender: TestView, recs: Sequence[TestRecord]) -> str:
     rank = ender.rank or 0
-    pool = list(ender.pool)
+    pool = ender.pool
     if len(pool) == 1:
         if recs:
             raise StructureError("single-item driver with incurred tests")
@@ -211,8 +247,9 @@ def _tuple_type(ender: TestView, recs: Sequence[TestRecord]) -> str:
         if (
             len(pool) != 2
             or len(recs) != 2
-            or [list(r.pool) for r in recs] != [[pool[0]], [pool[1]]]
-            or not all(_hit(r) for r in recs)
+            or tuple(recs[0].pool) != pool[:1]
+            or tuple(recs[1].pool) != pool[1:]
+            or not (_hit(recs[0]) and _hit(recs[1]))
         ):
             raise StructureError("rank-1 contaminated driver is not a resolved pair")
         return "r1-pair"
@@ -244,12 +281,8 @@ def _type_floor(tuple_type: str, rank: int) -> Tuple[int, int]:
 
 
 def classify(transcript: Transcript) -> Classification:
-    views = _views(transcript)
+    views, recs_by_parent, d_run = _views(transcript)
     phases = tuple(segment_phases(transcript))
-    recs_by_parent: Dict[int, List[TestRecord]] = defaultdict(list)
-    for rec in transcript.records:
-        if rec.kind == INCURRED:
-            recs_by_parent[rec.parent].append(rec)
     trailing = phases[-1] if phases and not phases[-1].closed else None
     c1: Set[int] = set(trailing.tests) if trailing else set()
     # Pure drivers with a full pool, by rank, in test order: the only tests
@@ -276,7 +309,11 @@ def classify(transcript: Transcript) -> Classification:
         if not phase.closed:
             continue
         ender = views[phase.tests[-1]]
-        extra = next((s for s in phase.tests if s in additional), None)
+        extra = (
+            next((s for s in phase.tests if s in additional), None)
+            if additional
+            else None
+        )
         if ender.rank == 0:
             if extra is not None:
                 raise StructureError("additional test in a rank-0 phase")
@@ -296,17 +333,17 @@ def classify(transcript: Transcript) -> Classification:
         if defectives < 1:
             raise StructureError("tuple without a defective identification")
         tuples.append(
-            ZigZagTuple(
-                pure_test=partner,
-                cont_test=ender.seq,
-                extra=extra,
-                rank=rank,
-                incurred=views[partner].incurred
-                + ender.incurred
-                + (0 if extra is None else 1),
-                identified=views[partner].identified + ender.identified,
-                defectives=defectives,
-                tuple_type=ttype,
+            _zigzag_tuple(
+                (
+                    partner,
+                    ender.seq,
+                    extra,
+                    rank,
+                    views[partner].incurred + ender.incurred + (extra is not None),
+                    views[partner].identified + ender.identified,
+                    defectives,
+                    ttype,
+                )
             )
         )
         c3.update((partner, ender.seq))
@@ -322,6 +359,7 @@ def classify(transcript: Transcript) -> Classification:
         tuples=tuple(tuples),
         views=views,
         phases=phases,
+        defectives=d_run,
     )
 
 
@@ -362,7 +400,7 @@ def verify_observations(
             failures.append(
                 ("c4-rank-gap", {"c4_max": top_c4, "contaminated_max": top_cont})
             )
-    d_run = sum(1 for i in transcript.identifications if i.label == DEFECTIVE)
+    d_run = cls.defectives
     n_phases = len(cls.phases)
     if n_phases > d_run + 1:
         failures.append(("phase-count", {"phases": n_phases, "defectives": d_run}))
@@ -376,7 +414,9 @@ def check_class_bounds(
     views = cls.views
     failures: List[Tuple[str, Dict[str, object]]] = []
 
-    lhs = sum(views[s].incurred for s in cls.c1)
+    lhs = 0
+    for seq in cls.c1:
+        lhs += views[seq].incurred
     if lhs > 7:
         failures.append(("final-phase-budget", {"lhs": lhs, "rhs": 7}))
 
@@ -426,9 +466,12 @@ def check_class_bounds(
 
     paired = cls.c2 | cls.c3
     if paired:
-        d_pair = sum(views[s].defectives for s in paired)
-        n_pair = sum(views[s].identified for s in paired)
-        lhs = sum(views[s].incurred for s in paired)
+        d_pair = n_pair = lhs = 0
+        for seq in paired:
+            view = views[seq]
+            d_pair += view.defectives
+            n_pair += view.identified
+            lhs += view.incurred
         if d_pair < 1:
             failures.append(("paired-classes-bound", {"lhs": lhs, "rhs": None}))
         else:
@@ -436,7 +479,7 @@ def check_class_bounds(
             if lhs > rhs + _SLACK:
                 failures.append(("paired-classes-bound", {"lhs": lhs, "rhs": rhs}))
 
-    d_run = sum(1 for i in transcript.identifications if i.label == DEFECTIVE)
+    d_run = cls.defectives
     n_run = len(transcript.identifications)
     if d_run >= 3:
         lhs = sum(views[s].incurred for s in (cls.c2 | cls.c3 | cls.c4))
@@ -444,7 +487,9 @@ def check_class_bounds(
         if lhs > rhs + _SLACK:
             failures.append(("all-classes-bound", {"lhs": lhs, "rhs": rhs}))
 
-    total = sum(v.incurred for v in views.values())
+    total = 0
+    for view in views.values():
+        total += view.incurred
     if total != len(transcript.records):
         failures.append(
             ("test-recomposition", {"lhs": total, "rhs": len(transcript.records)})

@@ -66,6 +66,19 @@ def instance_from_mask(n: int, mask: int) -> Instance:
     return Instance(n, frozenset(items))
 
 
+def pool_items(pool: Iterable[int], n: int) -> Tuple[int, ...]:
+    """The pool as a tuple; an empty pool, or one naming an item outside
+    [0, n), is rejected, the first offender in pool order named."""
+    items = tuple(pool)
+    if not items:
+        raise ValueError("empty pool")
+    if min(items) < 0 or max(items) >= n:
+        for item in items:
+            if not 0 <= item < n:
+                raise ValueError("pool index %r outside [0, %d)" % (item, n))
+    return items
+
+
 class PoolOracle:
     """Answers pool queries against one instance and counts every query."""
 
@@ -76,14 +89,7 @@ class PoolOracle:
         self.query_count = 0
 
     def contaminated(self, pool: Iterable[int]) -> bool:
-        items = tuple(pool)
-        if not items:
-            raise ValueError("empty pool")
-        n = self.n
-        if min(items) < 0 or max(items) >= n:
-            for item in items:
-                if not 0 <= item < n:
-                    raise ValueError("pool index %r outside [0, %d)" % (item, n))
+        items = pool_items(pool, self.n)
         self.query_count += 1
         return not self.defectives.isdisjoint(items)
 
@@ -220,6 +226,22 @@ class Session:
     def unresolved(self, items: Iterable[int]) -> List[int]:
         done = self.good_mask | self.defective_mask
         return [x for x in items if not (done >> x) & 1]
+
+    def snapshot(self) -> Tuple[int, int, int, int]:
+        """The state restore() returns to: the test count, both masks and
+        the identification count."""
+        return self.tests, self.good_mask, self.defective_mask, len(self.identifications)
+
+    def restore(self, snapshot: Tuple[int, int, int, int]) -> None:
+        """Drops every record and identification made since snapshot().
+
+        Records kept must be unchanged since then, which holds when the
+        snapshot is taken between driver steps: mark_status only touches the
+        current step's driver.
+        """
+        self.tests, self.good_mask, self.defective_mask, idents = snapshot
+        del self.records[self.tests :]
+        del self.identifications[idents:]
 
     def transcript(self) -> Transcript:
         return Transcript(self.records, self.identifications)

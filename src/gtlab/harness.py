@@ -10,7 +10,7 @@ import os
 import random
 from collections import defaultdict
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
@@ -18,7 +18,8 @@ from gtlab import bounds, kernels
 from gtlab.analysis import StructureError, analyze, counterexample_json
 from gtlab.competitive import run_individual, run_zc
 from gtlab.core import Instance, PoolOracle, RunResult, finalize, instance_from_mask
-from gtlab.zigzag import run_zd, run_zu
+from gtlab.tree import walk
+from gtlab.zigzag import ZU_START, run_zd, run_zu, zu_step
 
 ALGORITHMS = kernels.ALGORITHMS
 
@@ -63,7 +64,6 @@ class WorstCaseCell:
     worst_tests: int
     argmax_mask: int
     exact: bool
-    bound_values: List[Tuple[str, float, bool]] = field(default_factory=list)
 
     @property
     def argmax_defectives(self) -> List[int]:
@@ -71,14 +71,19 @@ class WorstCaseCell:
 
 
 def _run_checked(algorithm: str, instance: Instance) -> RunResult:
-    result = RUNNERS[algorithm](PoolOracle(instance))
+    return _finalized(RUNNERS[algorithm](PoolOracle(instance)), instance)
+
+
+def _finalized(result: RunResult, instance: Instance) -> RunResult:
+    """result, once finalize passes it against instance; otherwise an
+    AssertionError carrying the ground-truth counterexample dump."""
     verdict = finalize(result, instance)
     if not verdict.ok:
         dump = counterexample_json(
             result, instance, "finalize", {"problems": verdict.problems}
         )
         raise AssertionError(
-            f"{algorithm} failed correctness at n={instance.n}: "
+            f"{result.algorithm} failed correctness at n={instance.n}: "
             f"{json.dumps(dump, sort_keys=True)}"
         )
     return result
@@ -415,40 +420,49 @@ def _cell_bound_rows(
 
 
 def _analyze_upward_runs(n: int, lo: int, hi: int) -> List[dict]:
-    """Analysis violations of the zu runs on masks lo..hi-1, in mask order."""
-    violations: List[dict] = []
-    for mask in range(lo, hi):
+    """Analysis violations of the zu runs on masks lo..hi-1, in mask order.
+
+    The runs come from one walk of zu's decision tree (tree.walk), not one
+    run per mask. Each leaf is finalized against the mask of the items it
+    identified as defective, so its transcript is the run drive_zu makes on
+    that mask; the leaves must be exactly the masks lo..hi-1, each once.
+    """
+    by_mask: Dict[int, List[dict]] = {}
+    for session in walk(zu_step, ZU_START, n, lo, hi):
+        mask = session.defective_mask
         instance = instance_from_mask(n, mask)
-        result = _run_checked("zu", instance)
-        d = mask.bit_count()
-        try:
-            report = analyze(result)
-        except StructureError as exc:
-            violations.append(
-                {
-                    "algorithm": "zu",
-                    "n": n,
-                    "d": d,
-                    "check": "structure",
-                    "counterexample": counterexample_json(
-                        result, instance, "structure", {"error": str(exc)}
-                    ),
-                }
-            )
-            continue
-        for name, values in report.failures:
-            violations.append(
-                {
-                    "algorithm": "zu",
-                    "n": n,
-                    "d": d,
-                    "check": name,
-                    "counterexample": counterexample_json(
-                        result, instance, name, values
-                    ),
-                }
-            )
-    return violations
+        result = _finalized(session.result("zu"), instance)
+        if mask in by_mask:
+            raise AssertionError(f"zu reached mask {mask:#x} twice at n={n}")
+        by_mask[mask] = _analysis_violations(result, instance)
+    masks = sorted(by_mask)
+    if masks != list(range(lo, hi)):
+        raise AssertionError(
+            f"zu walk over masks {lo:#x}..{hi - 1:#x} at n={n} reached "
+            f"{len(masks)} leaves, not each of those masks once"
+        )
+    return [v for mask in masks for v in by_mask[mask]]
+
+
+def _analysis_violations(result: RunResult, instance: Instance) -> List[dict]:
+    """The analysis violation rows of one finalized zu run, in check order."""
+    n, d = instance.n, instance.d
+    try:
+        report = analyze(result)
+    except StructureError as exc:
+        failures = [("structure", {"error": str(exc)})]
+    else:
+        failures = report.failures
+    return [
+        {
+            "algorithm": "zu",
+            "n": n,
+            "d": d,
+            "check": name,
+            "counterexample": counterexample_json(result, instance, name, values),
+        }
+        for name, values in failures
+    ]
 
 
 def _sweep_task(

@@ -11,7 +11,7 @@ whole-remaining-set test.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import List, Sequence, Tuple
 
 from gtlab.core import (
     ADDITIONAL,
@@ -93,8 +93,53 @@ def resolve_triple(session: Session, items: Sequence[int], driver_seq: int) -> N
         session.identify(item, DEFECTIVE if hit else GOOD, driver_seq, True)
 
 
+# zu's state before its first step: rank k, pure_streak, mixed_pair_flag.
+ZU_START = (0, 0, False)
+
+
+def zu_step(
+    session: Session, remaining: List[int], state: Tuple[int, int, bool]
+) -> Tuple[List[int], Tuple[int, int, bool]]:
+    """One step of the upward strategy: the additional test when it is due,
+    one driver test, and the driver's resolution when it is contaminated.
+
+    state is (k, pure_streak, mixed_pair_flag); remaining is never changed.
+    Returns the items still unresolved, in order, and the next state.
+    """
+    k, pure_streak, mixed_pair_flag = state
+    if pure_streak == 6 and len(remaining) > pool_size(k):
+        hit = session.query(remaining, ADDITIONAL)
+        if not hit:
+            session.identify_all(remaining, GOOD, session.tests)
+            return [], state
+    pool = remaining[: pool_size(k)]
+    hit = session.query(pool, DRIVER, rank=k)
+    seq = session.tests
+    if not hit:
+        session.identify_all(pool, GOOD, seq)
+        return remaining[len(pool):], (k + 1, pure_streak + 1, mixed_pair_flag)
+    if len(pool) == 1:
+        session.identify(pool[0], DEFECTIVE, seq, True)
+        state = (max(k - 1, 0), 0, False)
+    elif k == 1:
+        if resolve_pair(session, pool, seq) == "mixed":
+            session.mark_status(seq, PURE)
+            state = (2, pure_streak + 1, True)
+        else:
+            state = (0, 0, False)
+    elif mixed_pair_flag and k == 2:
+        resolve_triple(session, pool, seq)
+        state = (1, 0, False)
+    else:
+        quarter_split(session, pool, k, seq)
+        state = (k - 1, 0, False)
+    # Only the tested pool can have been resolved.
+    return session.unresolved(pool) + remaining[len(pool):], state
+
+
 def drive_zu(session: Session, items: Sequence[int]) -> None:
-    """Upward strategy: identifies every item in the given ordered set.
+    """Upward strategy: identifies every item in the given ordered set, one
+    zu_step at a time.
 
     State: k is the current rank, pure_streak counts pure-status driver tests
     since the last contaminated-status one, and mixed_pair_flag remembers a
@@ -112,53 +157,9 @@ def drive_zu(session: Session, items: Sequence[int]) -> None:
     known tuple-bound red the README describes.
     """
     remaining = list(items)
-    k = 0
-    pure_streak = 0
-    mixed_pair_flag = False
+    state = ZU_START
     while remaining:
-        if pure_streak == 6 and len(remaining) > pool_size(k):
-            hit = session.query(remaining, ADDITIONAL)
-            seq = session.tests
-            if not hit:
-                session.identify_all(remaining, GOOD, seq)
-                return
-        pool = remaining[: pool_size(k)]
-        hit = session.query(pool, DRIVER, rank=k)
-        seq = session.tests
-        if not hit:
-            session.identify_all(pool, GOOD, seq)
-            remaining = remaining[len(pool):]
-            k += 1
-            pure_streak += 1
-            continue
-        if len(pool) == 1:
-            session.identify(pool[0], DEFECTIVE, seq, True)
-            k = max(k - 1, 0)
-            pure_streak = 0
-            mixed_pair_flag = False
-        elif k == 1:
-            outcome = resolve_pair(session, pool, seq)
-            if outcome == "mixed":
-                session.mark_status(seq, PURE)
-                k = 2
-                pure_streak += 1
-                mixed_pair_flag = True
-            else:
-                k = 0
-                pure_streak = 0
-                mixed_pair_flag = False
-        elif mixed_pair_flag and k == 2:
-            resolve_triple(session, pool, seq)
-            k = 1
-            pure_streak = 0
-            mixed_pair_flag = False
-        else:
-            quarter_split(session, pool, k, seq)
-            k -= 1
-            pure_streak = 0
-            mixed_pair_flag = False
-        # Only the tested pool can have been resolved.
-        remaining = session.unresolved(pool) + remaining[len(pool):]
+        remaining, state = zu_step(session, remaining, state)
 
 
 def run_zd(oracle: PoolOracle) -> RunResult:

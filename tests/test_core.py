@@ -171,6 +171,24 @@ def test_identify_all_matches_identify_item_by_item():
     assert batch.unresolved(range(6)) == [1, 3]
 
 
+def test_session_restore_drops_what_came_after_the_snapshot():
+    session = Session(PoolOracle(Instance(6, frozenset({4}))))
+    session.query([0, 1], DRIVER, rank=1)
+    session.identify_all([0, 1], GOOD, 1)
+    snap = session.snapshot()
+    kept = (list(session.records), list(session.identifications))
+    session.query([2, 3, 4], DRIVER, rank=2)
+    session.query([4], INCURRED, parent=2)
+    session.identify(4, DEFECTIVE, 2, True)
+    session.identify(2, GOOD, 2, True)
+    session.restore(snap)
+    assert (session.records, session.identifications) == kept
+    assert (session.tests, session.good_mask, session.defective_mask) == (1, 0b11, 0)
+    # The session goes on from the snapshot as if nothing had followed it.
+    session.query([2], DRIVER, rank=0)
+    assert [r.seq for r in session.records] == [1, 2]
+
+
 def _honest_run(instance: Instance) -> RunResult:
     session = Session(PoolOracle(instance))
     for item in range(instance.n):

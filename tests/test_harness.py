@@ -108,6 +108,31 @@ def test_minimax_table_is_pinned():
         assert minimax_m(n, d) == MINIMAX_TABLE[n][d], (n, d)
 
 
+def test_lower_bounds_never_exceed_the_exact_minimax():
+    # competitive_check scales a lower bound on M(n, d); one above M would
+    # silently loosen it.
+    limits = MinimaxLimits()
+    cells = [
+        (n, d)
+        for n in range(1, limits.max_n + 1)
+        for d in range(n + 1)
+        if math.comb(n, d) <= limits.max_candidates
+    ]
+    assert len(cells) == 44
+    for n, d in cells:
+        exact = minimax_m(n, d)
+        for report in (
+            bounds.info_lower_bound(n, d),
+            bounds.stirling_lower_bound(n, d),
+            bounds.entropy_lower_bound(n, d),
+            bounds.dense_exact(n, d),
+        ):
+            if report.applicable:
+                assert report.value <= exact, (report.bound_name, n, d, report.value)
+        if d < n:
+            assert bounds.best_lower_bound(n, d) <= exact, (n, d)
+
+
 def _relabel(family, perm):
     # Item i of the family becomes item perm[i].
     return tuple(
