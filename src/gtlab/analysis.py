@@ -181,8 +181,9 @@ def segment_phases(transcript: Transcript) -> List[Phase]:
     """The top-level tests cut after each contaminated driver, every phase
     checked against the grammar in order (the open final phase last).
 
-    A phase of pure tests only, bar its closing driver, passes every check,
-    so only a phase with an additional or another test is checked in full.
+    A phase with no additional test, whose tests bar its closing driver are
+    all pure, passes every check, so only the other phases are checked in
+    full.
     """
     phases: List[Phase] = []
     group: List[TestRecord] = []
