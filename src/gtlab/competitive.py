@@ -12,7 +12,7 @@ when contaminated; only pure ones clear their items.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 from gtlab.core import (
     DEFECTIVE,
@@ -21,8 +21,9 @@ from gtlab.core import (
     PoolOracle,
     RunResult,
     Session,
+    drive,
 )
-from gtlab.zigzag import drive_zd, drive_zu
+from gtlab.zigzag import ZD_START, ZU_START, zd_step, zu_step
 
 
 @dataclass(frozen=True)
@@ -38,68 +39,93 @@ class ZcPlan:
     alpha2: Optional[int] = None
 
 
-def _scan_tail(session: Session, tail: Sequence[int]) -> None:
-    for item in tail:
-        hit = session.query([item], DRIVER)
-        session.identify(item, DEFECTIVE if hit else GOOD, session.tests, True)
+def individual_step(
+    session: Session, remaining: List[int], state: object
+) -> Tuple[List[int], object]:
+    """One step of individual testing: the first remaining item, tested on
+    its own and identified by the answer. state is passed through."""
+    item = remaining[0]
+    hit = session.query([item], DRIVER)
+    session.identify(item, DEFECTIVE if hit else GOOD, session.tests, True)
+    return remaining[1:], state
 
 
-def _round(session: Session, groups: Sequence[Sequence[int]]) -> List[int]:
-    """Tests each group; returns indices of the contaminated ones. Pure
-    groups are cleared, contaminated ones stay entirely unresolved."""
+def _tail_and_round(
+    session: Session, order: List[int]
+) -> Tuple[int, int, List[List[int]]]:
+    """Tests the items past the last multiple of four one by one, then, when
+    a quarter holds any item, each of the four equal quarters of the rest.
+    Pure quarters are cleared, contaminated ones stay entirely unresolved.
+    Returns the quarter size, the tail length and the contaminated quarters
+    in order."""
+    size = len(order) // 4
+    drive(individual_step, None, session, order[4 * size:])
     contaminated = []
-    for idx, group in enumerate(groups):
-        hit = session.query(list(group), DRIVER)
-        if hit:
-            contaminated.append(idx)
-        else:
-            session.identify_all(group, GOOD, session.tests)
-    return contaminated
+    if size:
+        for i in range(0, 4 * size, size):
+            group = order[i: i + size]
+            if session.query(group, DRIVER):
+                contaminated.append(group)
+            else:
+                session.identify_all(group, GOOD, session.tests)
+    return size, len(order) - 4 * size, contaminated
+
+
+# zc's state: (plan, sub). plan is the ZcPlan so far, that of an empty input
+# before the first step; sub is None until a round hands the run off, then
+# the (step, state) of the zd or zu run on what the rounds left.
+ZC_START = (ZcPlan(n1=0, nR1=0), None)
+
+
+def zc_step(
+    session: Session, remaining: List[int], state: Tuple[ZcPlan, object]
+) -> Tuple[List[int], Tuple[ZcPlan, object]]:
+    """One step of the quarter-round strategy: the tail scan and the first
+    round; then, after exactly two contaminated quarters, the tail scan and
+    the second round over the two merged quarters; then one step of the zd
+    or zu run on the contaminated groups of the last round.
+
+    Returns the items still unresolved, in order, and the next state.
+    """
+    plan, sub = state
+    if sub is not None:
+        step, sub_state = sub
+        remaining, sub_state = step(session, remaining, sub_state)
+        return remaining, (plan, (step, sub_state))
+    size, tail, bad = _tail_and_round(session, remaining)
+    alpha = len(bad)
+    target = [item for group in bad for item in group]
+    if plan.alpha1 is None:
+        if not size:
+            return [], (ZcPlan(n1=size, nR1=tail), None)
+        plan = ZcPlan(n1=size, nR1=tail, alpha1=alpha)
+        if alpha == 2:
+            return target, (plan, None)
+        if alpha == 1:
+            assert (4 - alpha) * size >= 3 * len(target)
+            return target, (plan, (zd_step, ZD_START))
+        return target, (plan, (zu_step, ZU_START))
+    n1, nR1, alpha1 = plan.n1, plan.nR1, plan.alpha1
+    if not size:
+        return [], (ZcPlan(n1, nR1, alpha1, n2=size, nR2=tail), None)
+    plan = ZcPlan(n1, nR1, alpha1, n2=size, nR2=tail, alpha2=alpha)
+    # The first merged quarter holds a defective and lies inside the slices.
+    assert alpha > 0
+    if alpha <= 2:
+        assert (4 - alpha1) * n1 + (4 - alpha) * size >= 3 * len(target)
+        return target, (plan, (zd_step, ZD_START))
+    return target, (plan, (zu_step, ZU_START))
 
 
 def drive_zc(session: Session, items: Sequence[int]) -> ZcPlan:
-    order = list(items)
-    n = len(order)
-    n1 = n // 4
-    nR1 = n - 4 * n1
-    _scan_tail(session, order[4 * n1:])
-    if n1 == 0:
-        return ZcPlan(n1=n1, nR1=nR1)
-    quarters = [order[i * n1: (i + 1) * n1] for i in range(4)]
-    round_goods = 0
-    bad = _round(session, quarters)
-    alpha1 = len(bad)
-    round_goods += (4 - alpha1) * n1
-    if alpha1 == 0:
-        return ZcPlan(n1=n1, nR1=nR1, alpha1=alpha1)
-    if alpha1 == 1:
-        target = quarters[bad[0]]
-        assert round_goods >= 3 * len(target)
-        drive_zd(session, target)
-        return ZcPlan(n1=n1, nR1=nR1, alpha1=alpha1)
-    if alpha1 >= 3:
-        merged = [item for idx in bad for item in quarters[idx]]
-        drive_zu(session, merged)
-        return ZcPlan(n1=n1, nR1=nR1, alpha1=alpha1)
-    merged = quarters[bad[0]] + quarters[bad[1]]
-    n2 = len(merged) // 4
-    nR2 = len(merged) - 4 * n2
-    _scan_tail(session, merged[4 * n2:])
-    if n2 == 0:
-        return ZcPlan(n1=n1, nR1=nR1, alpha1=alpha1, n2=n2, nR2=nR2)
-    slices = [merged[i * n2: (i + 1) * n2] for i in range(4)]
-    bad2 = _round(session, slices)
-    alpha2 = len(bad2)
-    round_goods += (4 - alpha2) * n2
-    # The first merged quarter holds a defective and lies inside the slices.
-    assert alpha2 > 0
-    target = [item for idx in bad2 for item in slices[idx]]
-    if alpha2 <= 2:
-        assert round_goods >= 3 * len(target)
-        drive_zd(session, target)
-    else:
-        drive_zu(session, target)
-    return ZcPlan(n1=n1, nR1=nR1, alpha1=alpha1, n2=n2, nR2=nR2, alpha2=alpha2)
+    """Quarter-round strategy: identifies every item in the given ordered
+    set, one zc_step at a time; returns the run's plan."""
+    return zc_plan(drive(zc_step, ZC_START, session, items))
+
+
+def zc_plan(state: Tuple[ZcPlan, object]) -> ZcPlan:
+    """The plan of a finished quarter-round run, from its final state."""
+    return state[0]
 
 
 def run_zc(oracle: PoolOracle) -> RunResult:
@@ -109,5 +135,5 @@ def run_zc(oracle: PoolOracle) -> RunResult:
 
 def run_individual(oracle: PoolOracle) -> RunResult:
     session = Session(oracle)
-    _scan_tail(session, range(oracle.n))
+    drive(individual_step, None, session, range(oracle.n))
     return session.result("individual")

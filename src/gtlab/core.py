@@ -13,7 +13,16 @@ from dataclasses import dataclass, field
 from functools import partial
 from itertools import filterfalse
 from operator import itemgetter
-from typing import Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Tuple
+from typing import (
+    Callable,
+    Dict,
+    FrozenSet,
+    Iterable,
+    List,
+    NamedTuple,
+    Optional,
+    Tuple,
+)
 
 PURE = "pure"
 CONTAMINATED = "contaminated"
@@ -254,6 +263,21 @@ class Session:
         return RunResult(
             algorithm, self.tests, self.transcript(), self.classified(), plan
         )
+
+
+# One step of a strategy: step(session, remaining, state) -> (remaining,
+# state) makes the step's queries and identifications and returns the items
+# still unresolved, in order, and the next state.
+Step = Callable[[Session, List[int], object], Tuple[List[int], object]]
+
+
+def drive(step: Step, state: object, session: Session, items: Iterable[int]) -> object:
+    """Runs step from state over the ordered items until none remains
+    unresolved; returns the final state."""
+    remaining = list(items)
+    while remaining:
+        remaining, state = step(session, remaining, state)
+    return state
 
 
 @dataclass

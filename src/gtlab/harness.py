@@ -8,6 +8,7 @@ import json
 import math
 import os
 import random
+from bisect import bisect_left
 from collections import defaultdict
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -16,10 +17,17 @@ from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from gtlab import bounds, kernels
 from gtlab.analysis import StructureError, analyze, counterexample_json
-from gtlab.competitive import run_individual, run_zc
+from gtlab.competitive import (
+    ZC_START,
+    individual_step,
+    run_individual,
+    run_zc,
+    zc_plan,
+    zc_step,
+)
 from gtlab.core import Instance, PoolOracle, RunResult, finalize, instance_from_mask
 from gtlab.tree import walk
-from gtlab.zigzag import ZU_START, run_zd, run_zu, zu_step
+from gtlab.zigzag import ZD_START, ZU_START, run_zd, run_zu, zd_step, zu_step
 
 ALGORITHMS = kernels.ALGORITHMS
 
@@ -28,6 +36,16 @@ RUNNERS = {
     "zd": run_zd,
     "zu": run_zu,
     "zc": run_zc,
+}
+
+# Each algorithm as tree.walk takes it: its step, its start state, and the
+# function that reads a finished run's plan from its final state (None when
+# the run records no plan).
+STEPS = {
+    "individual": (individual_step, None, None),
+    "zd": (zd_step, ZD_START, None),
+    "zu": (zu_step, ZU_START, None),
+    "zc": (zc_step, ZC_START, zc_plan),
 }
 
 SCHEMA_VERSION = 1
@@ -97,11 +115,14 @@ def worst_case(
     samples: int = 1000,
     seed: int = 0,
 ) -> WorstCaseCell:
-    """Maximizes tests over defective sets of size d. Exhaustive mode walks
-    every set in ascending mask order; sampled mode is a lower estimate over
-    samples >= 1 seeded draws. Exhaustive mode refuses more than
-    _EXHAUSTIVE_CAP masks.
-    Every run is finalized; a correctness failure aborts with the mask.
+    """Maximizes tests over defective sets of size d, returning the most
+    tests and the smallest mask that spends them.
+
+    Exhaustive mode walks the algorithm's decision tree over every set
+    (_walked_worst_case) and refuses more than _EXHAUSTIVE_CAP masks;
+    sampled mode is a lower estimate over samples >= 1 seeded draws, one
+    recorded run each. Every run is finalized; a correctness failure aborts
+    with the mask.
     """
     if algorithm not in RUNNERS:
         raise ValueError(f"unknown algorithm {algorithm!r}")
@@ -114,26 +135,57 @@ def worst_case(
                 f"exhaustive search over C({n},{d})={count} masks exceeds cap "
                 f"{_EXHAUSTIVE_CAP}"
             )
-        masks: Iterable[int] = _masks_of_weight(n, d)
-        exact = True
-    elif mode == "sampled":
-        if samples < 1:
-            raise ValueError(f"need samples >= 1, got {samples}")
-        rng = random.Random(seed)
-        masks = (
-            sum(1 << i for i in rng.sample(range(n), d)) for _ in range(samples)
-        )
-        exact = False
-    else:
+        return _walked_worst_case(algorithm, n, d)
+    if mode != "sampled":
         raise ValueError(f"unknown mode {mode!r}")
+    if samples < 1:
+        raise ValueError(f"need samples >= 1, got {samples}")
+    rng = random.Random(seed)
     worst = -1
     argmax = 0
-    for mask in masks:
+    for _ in range(samples):
+        mask = sum(1 << i for i in rng.sample(range(n), d))
         result = _run_checked(algorithm, instance_from_mask(n, mask))
         if result.tests_used > worst:
             worst = result.tests_used
             argmax = mask
-    return WorstCaseCell(algorithm, n, d, worst, argmax, exact)
+    return WorstCaseCell(algorithm, n, d, worst, argmax, False)
+
+
+def _walked_worst_case(algorithm: str, n: int, d: int) -> WorstCaseCell:
+    """Exhaustive worst_case from one walk of the algorithm's decision tree
+    over the masks of weight d. Each leaf is finalized against the mask of
+    the items it identified as defective, so its test count is the one the
+    recorded run on that mask spends; the leaves must be exactly those
+    masks, each once."""
+    step, start, plan_of = STEPS[algorithm]
+    masks = list(_masks_of_weight(n, d))
+    reached = bytearray(len(masks))
+    worst = -1
+    argmax = 0
+    for session, state in walk(step, start, n, masks):
+        mask = session.defective_mask
+        plan = plan_of(state) if plan_of else None
+        _finalized(session.result(algorithm, plan), instance_from_mask(n, mask))
+        i = bisect_left(masks, mask)
+        if i == len(masks) or masks[i] != mask:
+            raise AssertionError(
+                f"{algorithm} walk at n={n}, d={d} reached mask {mask:#x} of "
+                f"weight {mask.bit_count()}"
+            )
+        if reached[i]:
+            raise AssertionError(f"{algorithm} reached mask {mask:#x} twice at n={n}")
+        reached[i] = 1
+        tests = session.tests
+        if tests > worst or (tests == worst and mask < argmax):
+            worst = tests
+            argmax = mask
+    if not all(reached):
+        raise AssertionError(
+            f"{algorithm} walk at n={n}, d={d} reached {sum(reached)} leaves, "
+            f"not each of the {len(masks)} masks once"
+        )
+    return WorstCaseCell(algorithm, n, d, worst, argmax, True)
 
 
 def _masks_of_weight(n: int, d: int) -> Iterator[int]:
@@ -428,7 +480,7 @@ def _analyze_upward_runs(n: int, lo: int, hi: int) -> List[dict]:
     that mask; the leaves must be exactly the masks lo..hi-1, each once.
     """
     by_mask: Dict[int, List[dict]] = {}
-    for session in walk(zu_step, ZU_START, n, lo, hi):
+    for session, _ in walk(zu_step, ZU_START, n, range(lo, hi)):
         mask = session.defective_mask
         instance = instance_from_mask(n, mask)
         result = _finalized(session.result("zu"), instance)

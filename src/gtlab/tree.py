@@ -1,68 +1,46 @@
-"""Depth-first walks of a strategy's decision tree over a range of masks.
+"""Depth-first walks of a strategy's decision tree over a list of masks.
 
 A strategy written as a step function, step(session, remaining, state) ->
 (remaining, state), makes the same queries on every defective set until an
 answer differs. So instead of one recorded run per mask, walk() runs each
-step once per node of the decision tree: a BranchingOracle answers every
-query with an answer that some mask of the range still allows, and each
-other allowed answer is explored later from a snapshot of the step's start.
-A leaf is a finished run. It is the run on the mask of the items it
-identified as defective, provided every answer matches that mask, which the
-caller checks with finalize. Each mask of the range takes exactly one path,
-so the caller also checks that the leaves are the range's masks, each once.
+step once per node of the decision tree: a ListOracle keeps the masks that
+agree with every answer so far, answers each query pure when one of them
+misses the pool, and the masks that meet it are explored later from a
+snapshot of the step's start. A leaf is a finished run. It is the run on
+the mask of the items it identified as defective, provided every answer
+matches that mask, which the caller checks with finalize. Each mask of the
+list takes exactly one path, so the caller also checks that the leaves are
+the list's masks, each once.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterator, List, Sequence, Tuple
+from typing import Iterator, List, Sequence, Tuple
 
-from gtlab.core import Session, pool_items
-
-Step = Callable[[Session, List[int], object], Tuple[List[int], object]]
+from gtlab.core import Session, Step, pool_items
 
 
-def aligned_blocks(lo: int, hi: int) -> Iterator[Tuple[int, int]]:
-    """Cuts the masks lo..hi-1 into blocks (base, bits), in order: the masks
-    base..base + 2^bits - 1, which agree on every bit at or above bits."""
-    while lo < hi:
-        bits = (lo & -lo).bit_length() - 1 if lo else hi.bit_length()
-        while lo + (1 << bits) > hi:
-            bits -= 1
-        yield lo, bits
-        lo += 1 << bits
+class ListOracle:
+    """Answers queries for a list of masks at once.
 
-
-class BranchingOracle:
-    """Answers queries for a whole block of masks at once.
-
-    The items at and above bit `bits` are fixed by base; the lower items are
-    free. A block mask is consistent with the answers so far when it misses
-    every pure pool and meets every contaminated one. The answers of the
-    current step first replay `script`; after it, a pool is answered pure
-    whenever a consistent mask misses it, and the position is recorded in
-    `forks` when another consistent mask meets it.
+    masks holds the masks that agree with every answer so far. The answers
+    of the current step first replay `script`; after it, a pool is answered
+    pure whenever one of the masks misses it, and the masks that meet it
+    are recorded with the answer's position in `forks` when there are any.
+    Otherwise the pool is answered contaminated.
     """
 
-    def __init__(self, n: int, base: int, bits: int) -> None:
-        free = (1 << bits) - 1
+    def __init__(self, n: int) -> None:
         self.n = n
-        self.fixed_defective = base & ~free
-        self.fixed_good = ((1 << n) - 1) & ~free & ~base
-        self.pure_union = 0
-        # Contaminated pools with no fixed-defective item: only they can
-        # stop a pure answer.
-        self.hits: List[int] = []
+        self.masks: Sequence[int] = []
         self.script: Sequence[bool] = ()
         self.answers: List[bool] = []
-        self.forks: List[int] = []
+        self.forks: List[Tuple[int, List[int]]] = []
 
-    def snapshot(self) -> Tuple[int, int]:
-        return self.pure_union, len(self.hits)
-
-    def restore(self, snapshot: Tuple[int, int], script: Sequence[bool]) -> None:
-        """Returns to snapshot() and starts a step that replays script."""
-        self.pure_union, hits = snapshot
-        del self.hits[hits:]
+    def start(self, masks: Sequence[int], script: Sequence[bool]) -> None:
+        """Starts a step that replays script, then answers for masks, which
+        must already agree with every answer of the script."""
+        self.masks = masks
         self.script = script
         self.answers = []
         self.forks = []
@@ -75,52 +53,43 @@ class BranchingOracle:
         if pos < len(self.script):
             hit = self.script[pos]
         else:
-            # Pure needs a consistent mask missing q: with q joined to the
-            # pure pools and fixed-good items, no fixed defective may be in
-            # q and every contaminated pool must keep an item outside them.
-            # Contaminated needs q to hold an item outside them now.
-            forbidden = self.pure_union | self.fixed_good
-            out = ~(forbidden | q)
-            if not q & self.fixed_defective and all(c & out for c in self.hits):
-                if q & ~forbidden:
-                    self.forks.append(pos)
-                hit = False
-            else:
-                hit = True
+            masks = self.masks
+            miss = [m for m in masks if not m & q]
+            hit = not miss
+            if miss and len(miss) < len(masks):
+                self.forks.append((pos, [m for m in masks if m & q]))
+                self.masks = miss
         self.answers.append(hit)
-        if not hit:
-            self.pure_union |= q
-        elif not q & self.fixed_defective:
-            self.hits.append(q)
         return hit
 
 
-def walk(step: Step, start: object, n: int, lo: int, hi: int) -> Iterator[Session]:
-    """Yields the session of every leaf of step's decision tree over the
-    masks lo..hi-1 (block by block, in no particular order within a block),
-    each run driving range(n) from state start.
+def walk(
+    step: Step, start: object, n: int, masks: Sequence[int]
+) -> Iterator[Tuple[Session, object]]:
+    """Yields the session and the final state of every leaf of step's
+    decision tree over masks, in no particular order, each run driving
+    range(n) from state start. An empty list has no leaves.
 
     The session is rewound once the caller resumes the walk, so a leaf's
     records, identifications and any RunResult built from them are valid
     only until then.
     """
-    for base, bits in aligned_blocks(lo, hi):
-        oracle = BranchingOracle(n, base, bits)
-        session = Session(oracle)
-        stack = [(list(range(n)), start, session.snapshot(), oracle.snapshot(), ())]
-        while stack:
-            remaining, state, snap, osnap, script = stack.pop()
-            session.restore(snap)
-            oracle.restore(osnap, script)
-            while remaining:
-                after, next_state = step(session, remaining, state)
-                answers = oracle.answers
-                for pos in oracle.forks:
-                    stack.append(
-                        (remaining, state, snap, osnap, answers[:pos] + [True])
-                    )
-                remaining, state = after, next_state
-                if remaining:
-                    snap, osnap = session.snapshot(), oracle.snapshot()
-                    oracle.restore(osnap, ())
-            yield session
+    if not masks:
+        return
+    oracle = ListOracle(n)
+    session = Session(oracle)
+    stack = [(list(range(n)), start, session.snapshot(), (), masks)]
+    while stack:
+        remaining, state, snap, script, consistent = stack.pop()
+        session.restore(snap)
+        oracle.start(consistent, script)
+        while remaining:
+            after, next_state = step(session, remaining, state)
+            answers = oracle.answers
+            for pos, meet in oracle.forks:
+                stack.append((remaining, state, snap, answers[:pos] + [True], meet))
+            remaining, state = after, next_state
+            if remaining:
+                snap = session.snapshot()
+                oracle.start(oracle.masks, ())
+        yield session, state

@@ -11,7 +11,7 @@ whole-remaining-set test.
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from gtlab.core import (
     ADDITIONAL,
@@ -23,6 +23,7 @@ from gtlab.core import (
     PoolOracle,
     RunResult,
     Session,
+    drive,
 )
 from gtlab.splitting import pool_size, quarter_split
 
@@ -37,26 +38,36 @@ def initial_rank(n: int) -> int:
     return k
 
 
+# zd's state before its first step: no rank yet. The first step sets the
+# rank from the number of items it is given.
+ZD_START = None
+
+
+def zd_step(
+    session: Session, remaining: List[int], k: Optional[int]
+) -> Tuple[List[int], int]:
+    """One step of the downward strategy: one driver test at rank k, and
+    the four-way extraction when it is contaminated.
+
+    Returns the items still unresolved, in order, and the next rank.
+    """
+    if k is None:
+        k = initial_rank(len(remaining))
+    pool = remaining[: pool_size(k)]
+    hit = session.query(pool, DRIVER, rank=k)
+    seq = session.tests
+    if not hit:
+        session.identify_all(pool, GOOD, seq)
+        return remaining[len(pool):], k + 1
+    quarter_split(session, pool, k, seq)
+    # Only the tested pool can have been resolved.
+    return session.unresolved(pool) + remaining[len(pool):], max(k - 1, 0)
+
+
 def drive_zd(session: Session, items: Sequence[int]) -> None:
-    """Downward strategy: identifies every item in the given ordered set."""
-    remaining = list(items)
-    if not remaining:
-        return
-    k = initial_rank(len(remaining))
-    while remaining:
-        pool = remaining[: pool_size(k)]
-        hit = session.query(pool, DRIVER, rank=k)
-        seq = session.tests
-        if not hit:
-            session.identify_all(pool, GOOD, seq)
-            remaining = remaining[len(pool):]
-            k += 1
-        else:
-            quarter_split(session, pool, k, seq)
-            if k > 0:
-                k -= 1
-            # Only the tested pool can have been resolved.
-            remaining = session.unresolved(pool) + remaining[len(pool):]
+    """Downward strategy: identifies every item in the given ordered set,
+    one zd_step at a time."""
+    drive(zd_step, ZD_START, session, items)
 
 
 def resolve_pair(session: Session, pair: Sequence[int], driver_seq: int) -> str:
@@ -156,10 +167,7 @@ def drive_zu(session: Session, items: Sequence[int]) -> None:
     on 2 defectives over 3 items, over the tuple-bound budget. This is the
     known tuple-bound red the README describes.
     """
-    remaining = list(items)
-    state = ZU_START
-    while remaining:
-        remaining, state = zu_step(session, remaining, state)
+    drive(zu_step, ZU_START, session, items)
 
 
 def run_zd(oracle: PoolOracle) -> RunResult:

@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import json
 import math
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -305,12 +306,14 @@ def test_worst_case_exhaustive_is_deterministic():
 
 
 def test_worst_case_agrees_with_kernel_sweep():
+    # The decision-tree walk against the independent bitmask counter.
     for algorithm in kernels.ALGORITHMS:
-        per_d = kernels.sweep(algorithm, 8)
-        for d, (worst, argmax) in enumerate(per_d):
-            cell = worst_case(algorithm, 8, d)
-            assert cell.worst_tests == worst, (algorithm, d)
-            assert cell.argmax_mask == argmax, (algorithm, d)
+        for n in range(12):
+            per_d = kernels.sweep(algorithm, n)
+            for d, (worst, argmax) in enumerate(per_d):
+                cell = worst_case(algorithm, n, d)
+                assert cell.worst_tests == worst, (algorithm, n, d)
+                assert cell.argmax_mask == argmax, (algorithm, n, d)
 
 
 def test_worst_case_sampled_is_a_lower_estimate():
@@ -531,8 +534,11 @@ def test_finalize_failure_dumps_the_ground_truth_instance(monkeypatch):
         return run
 
     monkeypatch.setitem(harness.RUNNERS, "zd", labels_one_item)
+    # Sampled mode records one run per drawn set, through RUNNERS; the dump
+    # names the first draw, not the one item the run labelled.
     with pytest.raises(AssertionError) as info:
-        worst_case("zd", 5, 2)
+        worst_case("zd", 5, 2, mode="sampled", samples=10, seed=3)
     dump = json.loads(str(info.value).split(": ", 1)[1])
     assert dump["failed_check"] == "finalize"
-    assert dump["instance"] == {"n": 5, "defectives": [0, 1]}
+    first = sorted(random.Random(3).sample(range(5), 2))
+    assert dump["instance"] == {"n": 5, "defectives": first}

@@ -3,7 +3,7 @@ from hypothesis import given, settings, strategies as st
 
 from gtlab import kernels
 from gtlab.core import DEFECTIVE, GOOD, PoolOracle, instance_from_mask
-from gtlab.harness import RUNNERS
+from gtlab.harness import RUNNERS, STEPS
 
 
 def test_backend_is_declared():
@@ -13,6 +13,7 @@ def test_backend_is_declared():
 
 def test_runners_and_counters_name_the_same_algorithms():
     assert tuple(RUNNERS) == kernels.ALGORITHMS
+    assert tuple(STEPS) == kernels.ALGORITHMS
 
 
 def test_pure_count_matches_recorded_runs():

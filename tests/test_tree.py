@@ -1,63 +1,87 @@
 import json
+import random
 
 import pytest
 
 from gtlab import harness, zigzag
 from gtlab.analysis import transcript_json
-from gtlab.core import DEFECTIVE, INCURRED, PoolOracle, Session, instance_from_mask
-from gtlab.tree import BranchingOracle, aligned_blocks, walk
-from gtlab.zigzag import ZU_START, run_zu, zu_step
+from gtlab.competitive import ZcPlan
+from gtlab.core import DEFECTIVE, INCURRED, PoolOracle, instance_from_mask
+from gtlab.tree import ListOracle, walk
 
 
-def _leaf_masks(n, lo, hi):
-    return sorted(session.defective_mask for session in walk(zu_step, ZU_START, n, lo, hi))
+def _leaf_masks(n, masks, algorithm="zu"):
+    step, start, _ = harness.STEPS[algorithm]
+    return sorted(session.defective_mask for session, _ in walk(step, start, n, masks))
+
+
+def _walked(algorithm, n, masks):
+    """(tests, transcript, plan) of every leaf of a walk over masks, by the
+    mask of the items it identified as defective; a mask reached twice fails."""
+    step, start, plan_of = harness.STEPS[algorithm]
+    leaves = {}
+    for session, state in walk(step, start, n, masks):
+        result = session.result(algorithm, plan_of(state) if plan_of else None)
+        mask = session.defective_mask
+        assert mask not in leaves, (algorithm, n, mask)
+        leaves[mask] = (result.tests_used, transcript_json(result.transcript), result.plan)
+    return leaves
 
 
 def test_walk_leaves_are_the_recorded_runs():
-    # Every mask for n <= 12, walked in the grid's shards: each leaf's test
-    # count and transcript equal the recorded run on that mask.
-    for n in range(1, 13):
-        leaves = {}
-        for lo in range(0, 1 << n, harness._ANALYSIS_SHARD):
-            hi = min(lo + harness._ANALYSIS_SHARD, 1 << n)
-            for session in walk(zu_step, ZU_START, n, lo, hi):
-                result = session.result("zu")
-                mask = session.defective_mask
-                assert mask not in leaves, (n, mask)
-                leaves[mask] = (result.tests_used, transcript_json(result.transcript))
-        assert sorted(leaves) == list(range(1 << n)), n
-        for mask, leaf in leaves.items():
-            run = run_zu(PoolOracle(instance_from_mask(n, mask)))
-            assert leaf == (run.tests_used, transcript_json(run.transcript)), (n, mask)
+    # For every strategy, every leaf's test count, transcript and plan equal
+    # the recorded run on its mask: walked over all masks for n <= 10, and
+    # over the masks of each weight d for n <= 12.
+    for algorithm, runner in harness.RUNNERS.items():
+        for n in range(13):
+            recorded = {}
+            for mask in range(1 << n):
+                run = runner(PoolOracle(instance_from_mask(n, mask)))
+                recorded[mask] = (run.tests_used, transcript_json(run.transcript), run.plan)
+            if n <= 10:
+                assert _walked(algorithm, n, range(1 << n)) == recorded, (algorithm, n)
+            for d in range(n + 1):
+                family = list(harness._masks_of_weight(n, d))
+                by_weight = _walked(algorithm, n, family)
+                assert by_weight == {m: recorded[m] for m in family}, (algorithm, n, d)
+    assert _walked("zc", 0, [0])[0][2] == ZcPlan(0, 0)
 
 
 @pytest.mark.parametrize("lo, hi", [(0, 1), (1, 300), (300, 1 << 10), (513, 514)])
 def test_walk_over_a_range_reaches_exactly_its_masks(lo, hi):
-    assert _leaf_masks(10, lo, hi) == list(range(lo, hi))
+    assert _leaf_masks(10, range(lo, hi)) == list(range(lo, hi))
 
 
 def test_walk_over_37_mask_shards_reaches_exactly_their_masks():
     n = 10
     for lo in range(0, 1 << n, 37):
         hi = min(lo + 37, 1 << n)
-        assert _leaf_masks(n, lo, hi) == list(range(lo, hi)), lo
+        assert _leaf_masks(n, range(lo, hi)) == list(range(lo, hi)), lo
 
 
 def test_walk_over_an_empty_range_has_no_leaves():
-    assert _leaf_masks(6, 5, 5) == []
+    assert _leaf_masks(6, range(5, 5)) == []
 
 
-def test_aligned_blocks_tile_the_range_in_order():
-    for lo, hi in [(0, 1), (1, 300), (37, 74), (0, 1 << 12), (300, 1 << 10)]:
-        covered = []
-        for base, bits in aligned_blocks(lo, hi):
-            assert base % (1 << bits) == 0
-            covered.extend(range(base, base + (1 << bits)))
-        assert covered == list(range(lo, hi))
+@pytest.mark.parametrize("algorithm", list(harness.STEPS))
+def test_walk_over_a_list_reaches_exactly_its_masks(algorithm):
+    n = 11
+    rng = random.Random(algorithm)
+    subset = sorted(rng.sample(range(1 << n), 300))
+    lists = [
+        list(harness._masks_of_weight(n, 3)),
+        [0b10010000101],
+        [],
+        subset,
+        subset[::-1],
+    ]
+    for masks in lists:
+        assert _leaf_masks(n, masks, algorithm) == sorted(masks), masks[:3]
 
 
-def test_branching_oracle_rejects_bad_pools_like_the_pool_oracle():
-    oracle = BranchingOracle(4, 0, 4)
+def test_list_oracle_rejects_bad_pools_like_the_pool_oracle():
+    oracle = ListOracle(4)
+    oracle.start(range(16), ())
     with pytest.raises(ValueError, match="^empty pool$"):
         oracle.contaminated([])
     with pytest.raises(ValueError, match=r"^pool index 4 outside \[0, 4\)$"):
@@ -65,26 +89,44 @@ def test_branching_oracle_rejects_bad_pools_like_the_pool_oracle():
     assert oracle.answers == []
 
 
-def test_branching_oracle_answers_what_the_fixed_items_force():
+def test_list_oracle_answers_what_the_masks_force():
     # Masks 0b1000..0b1011 of 4 items: item 3 defective, item 2 good.
-    oracle = BranchingOracle(4, 0b1000, 2)
+    oracle = ListOracle(4)
+    oracle.start(range(0b1000, 0b1100), ())
     assert oracle.contaminated([3]) is True
     assert oracle.contaminated([2]) is False
-    # Items 0 and 1 are free: pure first, with contaminated left to explore.
+    assert oracle.forks == []
+    # Items 0 and 1 are free: pure first, with the masks meeting them left
+    # to explore.
     assert oracle.contaminated([0, 1]) is False
-    assert oracle.forks == [2]
+    assert oracle.forks == [(2, [0b1001, 0b1010, 0b1011])]
+    assert oracle.masks == [0b1000]
     assert oracle.answers == [True, False, False]
 
 
-def test_branching_oracle_keeps_every_contaminated_pool_satisfiable():
-    oracle = BranchingOracle(3, 0, 3)
-    oracle.restore(oracle.snapshot(), [True])
-    assert oracle.contaminated([0, 1]) is True
-    # Pure on item 0 leaves item 1 to meet the contaminated pool.
+def test_list_oracle_forks_only_when_both_answers_are_allowed():
+    oracle = ListOracle(3)
+    oracle.start([0b011, 0b101], ())
+    # Every mask meets item 0: contaminated, no fork.
+    assert oracle.contaminated([0]) is True
+    # Item 1 splits the masks: pure for 0b101, 0b011 left to explore.
+    assert oracle.contaminated([1]) is False
+    # Only 0b101 is left, and it meets item 2.
+    assert oracle.contaminated([2]) is True
+    assert oracle.forks == [(1, [0b011])]
+    assert oracle.masks == [0b101]
+
+
+def test_list_oracle_replays_its_script_before_answering():
+    oracle = ListOracle(3)
+    oracle.start([0b011], [False, True])
+    # The script is replayed whatever the masks say, and forks nothing.
     assert oracle.contaminated([0]) is False
-    # Item 1 must now be defective.
-    assert oracle.contaminated([1, 2]) is True
-    assert oracle.forks == [1]
+    assert oracle.contaminated([2]) is True
+    assert oracle.contaminated([1]) is True
+    assert oracle.contaminated([2]) is False
+    assert oracle.forks == []
+    assert oracle.answers == [False, True, True, False]
 
 
 def _broken_quarter_split(session, items, k, parent):
@@ -100,49 +142,70 @@ def _dump(exc_info):
     return json.loads(message.split(": ", 1)[1])
 
 
-def test_a_broken_zu_fails_finalize_on_the_walk_as_on_recorded_runs(monkeypatch):
-    monkeypatch.setattr(zigzag, "quarter_split", _broken_quarter_split)
-    n = 8
-    with pytest.raises(AssertionError, match=r"^zu failed correctness at n=8: ") as walked:
-        harness._analyze_upward_runs(n, 0, 1 << n)
-    dump = _dump(walked)
-    assert dump["failed_check"] == "finalize"
+def _assert_names_the_leaf(dump, n):
     # The dump names the ground truth the leaf was finalized against: the
     # items the run labelled defective, one of which a record says is pure.
+    assert dump["failed_check"] == "finalize"
     labelled = sorted(
         i["item"] for i in dump["transcript"]["identifications"] if i["label"] == DEFECTIVE
     )
     assert dump["instance"] == {"n": n, "defectives": labelled}
     (problem,) = dump["values"]["problems"]
     assert problem.endswith("outcome does not match ground truth")
+
+
+def test_a_broken_zu_fails_finalize_on_the_walk_as_on_recorded_runs(monkeypatch):
+    monkeypatch.setattr(zigzag, "quarter_split", _broken_quarter_split)
+    n = 8
+    with pytest.raises(AssertionError, match=r"^zu failed correctness at n=8: ") as walked:
+        harness._analyze_upward_runs(n, 0, 1 << n)
+    _assert_names_the_leaf(_dump(walked), n)
+    # Exhaustive worst cases walk the tree too; on zc's quarter-round runs
+    # at n = 8 the extraction only goes wrong with one defective.
+    for algorithm, d in [("zu", 2), ("zd", 2), ("zc", 1)]:
+        match = rf"^{algorithm} failed correctness at n=8: "
+        with pytest.raises(AssertionError, match=match) as exhaustive:
+            harness.worst_case(algorithm, n, d)
+        _assert_names_the_leaf(_dump(exhaustive), n)
     with pytest.raises(AssertionError, match=r"^zu failed correctness at n=8: ") as recorded:
-        harness.worst_case("zu", n, 2)
+        harness.worst_case("zu", n, 2, mode="sampled", samples=50)
     assert _dump(recorded)["failed_check"] == "finalize"
 
 
-def _recorded_session(n, mask):
-    session = Session(PoolOracle(instance_from_mask(n, mask)))
-    zigzag.drive_zu(session, range(n))
-    return session
+def _tampered(tamper):
+    def tampered_walk(*args):
+        # A leaf is valid until the walk resumes, so the first one can be
+        # yielded twice before asking for the next.
+        leaves = walk(*args)
+        first = next(leaves)
+        if tamper == "repeated":
+            yield first
+            yield first
+        yield from leaves
+
+    return tampered_walk
 
 
 @pytest.mark.parametrize(
     "tamper, message",
-    [
-        (lambda leaves: leaves[1:], "not each of those masks once"),
-        (lambda leaves: leaves[:1] + leaves, "twice"),
-    ],
+    [("missing", "not each of those masks once"), ("repeated", "twice")],
     ids=["missing", "repeated"],
 )
 def test_analysis_rejects_a_walk_that_misses_or_repeats_a_mask(monkeypatch, tamper, message):
-    def tampered_walk(*args):
-        # Each leaf is rewound once the walk resumes, so it is replayed from
-        # a recorded run on the same mask.
-        leaves = [session.defective_mask for session in walk(*args)]
-        for mask in tamper(leaves):
-            yield _recorded_session(6, mask)
-
-    monkeypatch.setattr(harness, "walk", tampered_walk)
+    monkeypatch.setattr(harness, "walk", _tampered(tamper))
     with pytest.raises(AssertionError, match=message):
         harness._analyze_upward_runs(6, 0, 1 << 6)
 
+
+@pytest.mark.parametrize(
+    "tamper, message",
+    [("missing", "not each of the 56 masks once"), ("repeated", "twice")],
+    ids=["missing", "repeated"],
+)
+@pytest.mark.parametrize("algorithm", list(harness.STEPS))
+def test_worst_case_rejects_a_walk_that_misses_or_repeats_a_mask(
+    monkeypatch, algorithm, tamper, message
+):
+    monkeypatch.setattr(harness, "walk", _tampered(tamper))
+    with pytest.raises(AssertionError, match=message):
+        harness.worst_case(algorithm, 8, 3)
