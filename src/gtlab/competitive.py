@@ -39,14 +39,18 @@ class ZcPlan:
     alpha2: Optional[int] = None
 
 
+def _test_alone(session: Session, item: int) -> None:
+    """Tests item on its own and identifies it by the answer."""
+    hit = session.query([item], DRIVER)
+    session.identify(item, DEFECTIVE if hit else GOOD, session.tests, True)
+
+
 def individual_step(
     session: Session, remaining: List[int], state: object
 ) -> Tuple[List[int], object]:
     """One step of individual testing: the first remaining item, tested on
-    its own and identified by the answer. state is passed through."""
-    item = remaining[0]
-    hit = session.query([item], DRIVER)
-    session.identify(item, DEFECTIVE if hit else GOOD, session.tests, True)
+    its own. state is passed through."""
+    _test_alone(session, remaining[0])
     return remaining[1:], state
 
 
@@ -135,5 +139,8 @@ def run_zc(oracle: PoolOracle) -> RunResult:
 
 def run_individual(oracle: PoolOracle) -> RunResult:
     session = Session(oracle)
-    drive(individual_step, None, session, range(oracle.n))
+    # A loop, not drive(individual_step, ...): each step copies the rest of
+    # the list, which would make a run quadratic in n.
+    for item in range(oracle.n):
+        _test_alone(session, item)
     return session.result("individual")

@@ -11,6 +11,7 @@ import random
 from bisect import bisect_left
 from collections import defaultdict
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import partial
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
@@ -122,7 +123,8 @@ def worst_case(
     (_walked_worst_case) and refuses more than _EXHAUSTIVE_CAP masks;
     sampled mode is a lower estimate over samples >= 1 seeded draws, one
     recorded run each. Every run is finalized; a correctness failure aborts
-    with the mask.
+    with the dump of the recorded run on the first failing mask, which in
+    exhaustive mode is the first in ascending order.
     """
     if algorithm not in RUNNERS:
         raise ValueError(f"unknown algorithm {algorithm!r}")
@@ -135,7 +137,9 @@ def worst_case(
                 f"exhaustive search over C({n},{d})={count} masks exceeds cap "
                 f"{_EXHAUSTIVE_CAP}"
             )
-        return _walked_worst_case(algorithm, n, d)
+        masks = list(_masks_of_weight(n, d))
+        with _recorded_on_failure(algorithm, n, masks):
+            return _walked_worst_case(algorithm, n, d, masks)
     if mode != "sampled":
         raise ValueError(f"unknown mode {mode!r}")
     if samples < 1:
@@ -152,14 +156,30 @@ def worst_case(
     return WorstCaseCell(algorithm, n, d, worst, argmax, False)
 
 
-def _walked_worst_case(algorithm: str, n: int, d: int) -> WorstCaseCell:
+@contextmanager
+def _recorded_on_failure(algorithm: str, n: int, masks: Sequence[int]) -> Iterator[None]:
+    """Turns a failed walk over the ascending masks into the failure of the
+    recorded run on the first mask that fails, as one run per mask would
+    raise it. A failed leaf only knows the set it labelled defective, which
+    need not be one of the masks; the recorded run names the ground truth.
+    When every recorded run passes, the walk's own error stands."""
+    try:
+        yield
+    except Exception:
+        for mask in masks:
+            _run_checked(algorithm, instance_from_mask(n, mask))
+        raise
+
+
+def _walked_worst_case(
+    algorithm: str, n: int, d: int, masks: List[int]
+) -> WorstCaseCell:
     """Exhaustive worst_case from one walk of the algorithm's decision tree
-    over the masks of weight d. Each leaf is finalized against the mask of
-    the items it identified as defective, so its test count is the one the
-    recorded run on that mask spends; the leaves must be exactly those
-    masks, each once."""
+    over masks, the ascending masks of weight d. Each leaf is finalized
+    against the mask of the items it identified as defective, so its test
+    count is the one the recorded run on that mask spends; the leaves must
+    be exactly those masks, each once."""
     step, start, plan_of = STEPS[algorithm]
-    masks = list(_masks_of_weight(n, d))
     reached = bytearray(len(masks))
     worst = -1
     argmax = 0
@@ -477,8 +497,14 @@ def _analyze_upward_runs(n: int, lo: int, hi: int) -> List[dict]:
     The runs come from one walk of zu's decision tree (tree.walk), not one
     run per mask. Each leaf is finalized against the mask of the items it
     identified as defective, so its transcript is the run drive_zu makes on
-    that mask; the leaves must be exactly the masks lo..hi-1, each once.
+    that mask; the leaves must be exactly the masks lo..hi-1, each once. A
+    failure raises as the recorded run on the first failing mask does.
     """
+    with _recorded_on_failure("zu", n, range(lo, hi)):
+        return _walked_analysis(n, lo, hi)
+
+
+def _walked_analysis(n: int, lo: int, hi: int) -> List[dict]:
     by_mask: Dict[int, List[dict]] = {}
     for session, _ in walk(zu_step, ZU_START, n, range(lo, hi)):
         mask = session.defective_mask

@@ -6,7 +6,7 @@ import pytest
 from gtlab import harness, zigzag
 from gtlab.analysis import transcript_json
 from gtlab.competitive import ZcPlan
-from gtlab.core import DEFECTIVE, INCURRED, PoolOracle, instance_from_mask
+from gtlab.core import DEFECTIVE, GOOD, INCURRED, PoolOracle, finalize, instance_from_mask
 from gtlab.tree import ListOracle, walk
 
 
@@ -130,11 +130,11 @@ def test_list_oracle_replays_its_script_before_answering():
 
 
 def _broken_quarter_split(session, items, k, parent):
-    # Tests only the pool's last item and calls it defective whatever the
+    # Tests only the pool's last item and labels it the opposite of the
     # answer.
     last = items[-1]
-    session.query([last], INCURRED, parent=parent)
-    session.identify(last, DEFECTIVE, parent, True)
+    hit = session.query([last], INCURRED, parent=parent)
+    session.identify(last, GOOD if hit else DEFECTIVE, parent, True)
 
 
 def _dump(exc_info):
@@ -142,16 +142,21 @@ def _dump(exc_info):
     return json.loads(message.split(": ", 1)[1])
 
 
-def _assert_names_the_leaf(dump, n):
-    # The dump names the ground truth the leaf was finalized against: the
-    # items the run labelled defective, one of which a record says is pure.
+def _assert_names_the_first_failing_mask(dump, algorithm, n, masks):
+    # The dump is the recorded run's on the first of the ascending masks on
+    # which that run fails finalize: one of the masks, the ground truth.
     assert dump["failed_check"] == "finalize"
-    labelled = sorted(
-        i["item"] for i in dump["transcript"]["identifications"] if i["label"] == DEFECTIVE
-    )
-    assert dump["instance"] == {"n": n, "defectives": labelled}
-    (problem,) = dump["values"]["problems"]
-    assert problem.endswith("outcome does not match ground truth")
+    assert dump["instance"]["n"] == n
+    failing = sum(1 << i for i in dump["instance"]["defectives"])
+    assert failing in masks
+    for mask in masks:
+        instance = instance_from_mask(n, mask)
+        run = harness.RUNNERS[algorithm](PoolOracle(instance))
+        if mask == failing:
+            assert not finalize(run, instance).ok
+            assert dump["transcript"] == transcript_json(run.transcript)
+            return
+        assert finalize(run, instance).ok, (algorithm, n, mask)
 
 
 def test_a_broken_zu_fails_finalize_on_the_walk_as_on_recorded_runs(monkeypatch):
@@ -159,14 +164,14 @@ def test_a_broken_zu_fails_finalize_on_the_walk_as_on_recorded_runs(monkeypatch)
     n = 8
     with pytest.raises(AssertionError, match=r"^zu failed correctness at n=8: ") as walked:
         harness._analyze_upward_runs(n, 0, 1 << n)
-    _assert_names_the_leaf(_dump(walked), n)
-    # Exhaustive worst cases walk the tree too; on zc's quarter-round runs
-    # at n = 8 the extraction only goes wrong with one defective.
-    for algorithm, d in [("zu", 2), ("zd", 2), ("zc", 1)]:
+    _assert_names_the_first_failing_mask(_dump(walked), "zu", n, range(1 << n))
+    # Exhaustive worst cases walk the tree too.
+    for algorithm in ["zu", "zd", "zc"]:
         match = rf"^{algorithm} failed correctness at n=8: "
         with pytest.raises(AssertionError, match=match) as exhaustive:
-            harness.worst_case(algorithm, n, d)
-        _assert_names_the_leaf(_dump(exhaustive), n)
+            harness.worst_case(algorithm, n, 2)
+        family = list(harness._masks_of_weight(n, 2))
+        _assert_names_the_first_failing_mask(_dump(exhaustive), algorithm, n, family)
     with pytest.raises(AssertionError, match=r"^zu failed correctness at n=8: ") as recorded:
         harness.worst_case("zu", n, 2, mode="sampled", samples=50)
     assert _dump(recorded)["failed_check"] == "finalize"
