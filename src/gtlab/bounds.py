@@ -198,6 +198,8 @@ def competitive_check(n: int, d: int, tests: int) -> CompetitiveVerdict:
 def merge_bound_check(n1: int, d1: int, n2: int, d2: int) -> bool:
     if n1 <= 0 or n2 <= 0 or d1 < 0 or d2 < 0:
         raise ValueError("need positive sizes and nonnegative counts")
+    if d1 > n1 or d2 > n2:
+        raise ValueError(f"need d <= n on each side, got d1={d1}, n1={n1}, d2={d2}, n2={n2}")
 
     def side(n: int, d: int) -> float:
         return 0.0 if d == 0 else d * math.log2(n / d)

@@ -119,8 +119,9 @@ def worst_case(
     """Maximizes tests over defective sets of size d, returning the most
     tests and the smallest mask that spends them.
 
-    Exhaustive mode walks the algorithm's decision tree over every set
-    (_walked_worst_case) and refuses more than _EXHAUSTIVE_CAP masks;
+    Exhaustive mode walks the algorithm's decision tree over every set,
+    in ascending blocks of kernels.BLOCK masks made as they are walked
+    (_walked_worst_case), and refuses more than _EXHAUSTIVE_CAP masks;
     sampled mode is a lower estimate over samples >= 1 seeded draws, one
     recorded run each. Every run is finalized; a correctness failure aborts
     with the dump of the recorded run on the first failing mask, which in
@@ -137,9 +138,18 @@ def worst_case(
                 f"exhaustive search over C({n},{d})={count} masks exceeds cap "
                 f"{_EXHAUSTIVE_CAP}"
             )
-        masks = list(_masks_of_weight(n, d))
-        with _recorded_on_failure(algorithm, n, masks):
-            return _walked_worst_case(algorithm, n, d, masks)
+        family = _masks_of_weight(n, d)
+        worst = -1
+        argmax = 0
+        # Blocks ascend and a block's argmax is its first, so a tie keeps
+        # the earlier block's mask.
+        while block := list(itertools.islice(family, kernels.BLOCK)):
+            with _recorded_on_failure(algorithm, n, block):
+                tests, mask = _walked_worst_case(algorithm, n, d, block)
+            if tests > worst:
+                worst = tests
+                argmax = mask
+        return WorstCaseCell(algorithm, n, d, worst, argmax, True)
     if mode != "sampled":
         raise ValueError(f"unknown mode {mode!r}")
     if samples < 1:
@@ -173,12 +183,13 @@ def _recorded_on_failure(algorithm: str, n: int, masks: Sequence[int]) -> Iterat
 
 def _walked_worst_case(
     algorithm: str, n: int, d: int, masks: List[int]
-) -> WorstCaseCell:
-    """Exhaustive worst_case from one walk of the algorithm's decision tree
-    over masks, the ascending masks of weight d. Each leaf is finalized
-    against the mask of the items it identified as defective, so its test
-    count is the one the recorded run on that mask spends; the leaves must
-    be exactly those masks, each once."""
+) -> Tuple[int, int]:
+    """The most tests over masks, ascending masks of weight d, and the
+    smallest mask that spends them, from one walk of the algorithm's
+    decision tree over masks. Each leaf is finalized against the mask of
+    the items it identified as defective, so its test count is the one the
+    recorded run on that mask spends; the leaves must be exactly those
+    masks, each once."""
     step, start, plan_of = STEPS[algorithm]
     reached = bytearray(len(masks))
     worst = -1
@@ -205,7 +216,7 @@ def _walked_worst_case(
             f"{algorithm} walk at n={n}, d={d} reached {sum(reached)} leaves, "
             f"not each of the {len(masks)} masks once"
         )
-    return WorstCaseCell(algorithm, n, d, worst, argmax, True)
+    return worst, argmax
 
 
 def _masks_of_weight(n: int, d: int) -> Iterator[int]:

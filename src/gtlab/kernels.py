@@ -6,21 +6,33 @@ against ground truth. No transcript is built; recorded runs go through
 core.Session and PoolOracle as usual.
 
 The counter replays the strategy rules of zigzag and competitive on Python
-ints: the defective set, the remaining set and every pool are bitmasks, a
-query is one ``pool & defect``, and whole-pool steps (pure pools, pair and
-triple resolution, individual scans) are single mask operations. The
-four-way extraction is not replayed: its test count is read from
-splitting.quarter_plan at the offset of the pool's lowest defective. That
-is exact because every ordered item sequence on the counting path is an
-ascending subsequence of range(n): the whole range, the remaining suffix of
-a zd or zu run, zc's quarters and its merged halves. So "the first s items"
-of a sequence is always the lowest s set bits of its mask, and an item's
-offset in a pool is the number of pool bits below it.
+ints: the remaining set and every pool are bitmasks, and whole-pool steps
+(pure pools, pair and triple resolution, individual scans) are single mask
+operations. The four-way extraction is not replayed: its test count is read
+from splitting.quarter_plan at the offset of the pool's lowest defective.
+That is exact because every ordered item sequence on the counting path is
+an ascending subsequence of range(n): the whole range, the remaining suffix
+of a zd or zu run, zc's quarters and its merged halves. So "the first s
+items" of a sequence is always the lowest s set bits of its mask, and an
+item's offset in a pool is the number of pool bits below it.
+
+Each counter walks the strategy's decision tree over a list of defective
+masks at once, the way tree.ListOracle does for recorded runs: at a pool,
+the masks that miss it take the pure branch and the masks that meet it
+fork by what the strategy learns next (the lowest defective of a four-way
+extraction, the items of a pair or triple, the clean or dirty remainder of
+zu's additional test, zc's tail items and contaminated quarters). A leaf is
+a finished run, yielded as (masks, tests, good_mask, defective_mask); it is
+right when its masks are exactly [defective_mask]. Steps shared by the masks
+of a branch are taken once, so sweep() walks range(2^n) in blocks of BLOCK
+masks, and count_run() is the same walk over one mask.
 """
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from collections import defaultdict
+from itertools import groupby
+from typing import Dict, Iterator, List, Sequence, Tuple
 
 # Re-exported: perfbench's tracer patches kernels.PoolOracle.
 from gtlab.core import PoolOracle  # noqa: F401
@@ -36,7 +48,15 @@ MAX_SWEEP_N = 24
 # themselves take masks of any width (tests pin zd, zu and zc up to n = 200).
 MAX_COUNT_N = 62
 
+# Masks a sweep walks at a time: sweep walks range(2^n), and
+# harness.worst_case its weight-d family, in consecutive blocks this size.
+BLOCK = 1 << 16
+
 Count = Tuple[int, int, int]
+Masks = Sequence[int]
+# One leaf of a walk: the masks that reach it, and the run's (tests,
+# good_mask, defective_mask) on them.
+Leaf = Tuple[Masks, int, int, int]
 
 
 def _prefix(items: int, s: int) -> int:
@@ -50,111 +70,118 @@ def _prefix(items: int, s: int) -> int:
         limit <<= short
 
 
-def _individual(items: int, defect: int) -> Count:
-    """Tests every item on its own."""
-    bad = items & defect
-    return items.bit_count(), items ^ bad, bad
-
-
-def _quarter(pool: int, k: int, defect: int) -> Count:
-    """splitting.quarter_split on a contaminated pool of at most pool_size(k).
+def _extractions(pool: int, k: int, masks: Masks) -> Iterator[Leaf]:
+    """splitting.quarter_split on a contaminated pool of at most pool_size(k),
+    for masks that all meet it.
 
     The extraction finds the pool's lowest defective and resolves exactly
-    the items before it (good) and the defective itself, spending what
-    quarter_plan lists for that offset.
+    the items before it (good) and the defective itself (low), spending
+    what quarter_plan lists for that offset. Yields (masks, tests, good,
+    low) for each lowest defective the masks have in the pool.
     """
-    low = pool & defect
-    low &= -low
-    good = pool & (low - 1)
-    return quarter_plan(pool.bit_count(), k)[good.bit_count()].tests, good, low
+    plan = quarter_plan(pool.bit_count(), k)
+    lows: Dict[int, List[int]] = defaultdict(list)
+    for mask in masks:
+        hit = mask & pool
+        lows[hit & -hit].append(mask)
+    for low, part in lows.items():
+        good = pool & (low - 1)
+        yield part, plan[good.bit_count()].tests, good, low
 
 
-def _zd(items: int, defect: int) -> Count:
+def _individual(items: int, masks: Masks) -> Iterator[Leaf]:
+    """Tests every item on its own: one leaf per set of items held.
+
+    The masks are sorted by the items they hold and cut into groups one at
+    a time, so a block of singleton groups is never held at once.
+    """
+    tests = items.bit_count()
+    held = items.__and__
+    for bad, group in groupby(sorted(masks, key=held), held):
+        yield list(group), tests, items ^ bad, bad
+
+
+def _zd(items: int, masks: Masks) -> Iterator[Leaf]:
     """zigzag.drive_zd over the ascending sequence of items."""
-    tests = good = bad = 0
     if not items:
-        return 0, 0, 0
-    k = initial_rank(items.bit_count())
-    while items:
-        pool = _prefix(items, pool_size(k))
-        tests += 1
-        if pool & defect:
-            spent, g, b = _quarter(pool, k, defect)
-            tests += spent
-            good |= g
-            bad |= b
-            items &= ~(g | b)
-            if k > 0:
-                k -= 1
-        else:
-            good |= pool
-            items ^= pool
-            k += 1
-    return tests, good, bad
-
-
-def _zu(items: int, defect: int) -> Count:
-    """zigzag.drive_zu over the ascending sequence of items."""
-    tests = good = bad = 0
-    k = streak = 0
-    mixed_pair = False
-    while items:
-        size = pool_size(k)
-        if streak == 6 and items.bit_count() > size:
+        yield masks, 0, 0, 0
+        return
+    stack = [(items, initial_rank(items.bit_count()), 0, 0, 0, masks)]
+    while stack:
+        items, k, tests, good, bad, masks = stack.pop()
+        while items:
+            pool = _prefix(items, pool_size(k))
             tests += 1
-            if not items & defect:
-                return tests, good | items, bad
-        pool = _prefix(items, size)
-        tests += 1
-        hit = pool & defect
-        if not hit:
-            good |= pool
-            items ^= pool
-            k += 1
-            streak += 1
-            continue
-        if not pool & (pool - 1):
-            bad |= pool
-            items ^= pool
-            k = max(k - 1, 0)
-            streak = 0
-            mixed_pair = False
-        elif k == 1 or (mixed_pair and k == 2):
-            # Pair or triple resolution: every item tested on its own.
-            tests += pool.bit_count()
-            good |= pool ^ hit
-            bad |= hit
-            items ^= pool
-            if k == 1 and hit != pool:
-                k = 2
+            hit = [m for m in masks if m & pool]
+            if not hit:
+                good |= pool
+                items ^= pool
+                k += 1
+                continue
+            if len(hit) < len(masks):
+                miss = [m for m in masks if not m & pool]
+                stack.append((items ^ pool, k + 1, tests, good | pool, bad, miss))
+            after = k - 1 if k else 0
+            for part, spent, g, b in _extractions(pool, k, hit):
+                stack.append((items & ~(g | b), after, tests + spent, good | g, bad | b, part))
+            break
+        else:
+            yield masks, tests, good, bad
+
+
+def _zu(items: int, masks: Masks) -> Iterator[Leaf]:
+    """zigzag.drive_zu over the ascending sequence of items."""
+    stack = [(items, 0, 0, False, 0, 0, 0, masks)]
+    while stack:
+        items, k, streak, mixed_pair, tests, good, bad, masks = stack.pop()
+        while items:
+            size = pool_size(k)
+            if streak == 6 and items.bit_count() > size:
+                tests += 1
+                dirty = [m for m in masks if m & items]
+                if len(dirty) < len(masks):
+                    yield [m for m in masks if not m & items], tests, good | items, bad
+                if not dirty:
+                    break
+                masks = dirty
+            pool = _prefix(items, size)
+            tests += 1
+            hit = [m for m in masks if m & pool]
+            if not hit:
+                good |= pool
+                items ^= pool
+                k += 1
                 streak += 1
-                mixed_pair = True
-            else:
-                k -= 1
+                continue
+            if len(hit) < len(masks):
+                miss = [m for m in masks if not m & pool]
+                stack.append(
+                    (items ^ pool, k + 1, streak + 1, mixed_pair, tests, good | pool, bad, miss)
+                )
+            masks = hit
+            if not pool & (pool - 1):
+                bad |= pool
+                items ^= pool
+                k = max(k - 1, 0)
                 streak = 0
                 mixed_pair = False
+                continue
+            if k == 1 or (mixed_pair and k == 2):
+                # Pair or triple resolution: every item tested on its own.
+                for part, spent, g, b in _individual(pool, hit):
+                    if k == 1 and b != pool:
+                        state = (2, streak + 1, True)
+                    else:
+                        state = (k - 1, 0, False)
+                    stack.append((items ^ pool, *state, tests + spent, good | g, bad | b, part))
+            else:
+                for part, spent, g, b in _extractions(pool, k, hit):
+                    stack.append(
+                        (items & ~(g | b), k - 1, 0, False, tests + spent, good | g, bad | b, part)
+                    )
+            break
         else:
-            spent, g, b = _quarter(pool, k, defect)
-            tests += spent
-            good |= g
-            bad |= b
-            items &= ~(g | b)
-            k -= 1
-            streak = 0
-            mixed_pair = False
-    return tests, good, bad
-
-
-def _round(groups: List[int], defect: int) -> Tuple[int, List[int]]:
-    """One zc round: the union of the pure groups and the contaminated ones."""
-    good = 0
-    hit = []
-    for group in groups:
-        if group & defect:
-            hit.append(group)
-        else:
-            good |= group
-    return good, hit
+            yield masks, tests, good, bad
 
 
 def _split4(items: int, size: int) -> List[int]:
@@ -166,39 +193,55 @@ def _split4(items: int, size: int) -> List[int]:
     return groups
 
 
-def _zc(items: int, defect: int) -> Count:
+def _round(masks: Masks, pools: List[int]) -> List[Tuple[int, Masks]]:
+    """masks split by one round of disjoint pools: (union of the pools met,
+    the masks that meet exactly those) for each nonempty part."""
+    parts = [(0, masks)]
+    for pool in pools:
+        split = []
+        for union, part in parts:
+            hit = [m for m in part if m & pool]
+            if len(hit) < len(part):
+                split.append((union, [m for m in part if not m & pool]))
+            if hit:
+                split.append((union | pool, hit))
+        parts = split
+    return parts
+
+
+def _tail_and_round(
+    items: int, size: int, masks: Masks
+) -> Iterator[Tuple[Masks, int, int, int, int]]:
+    """competitive's tail scan and round over items: the items past the
+    first 4*size tested one by one, then, when size > 0, four pools of size
+    items each. Yields (masks, tests, good, bad, hit) per outcome, hit being
+    the union of the contaminated pools."""
+    head = _prefix(items, 4 * size)
+    quarters = _split4(head, size) if size else []
+    for part, tests, good, bad in _individual(items ^ head, masks):
+        for hit, group in _round(part, quarters):
+            yield group, tests + len(quarters), good | head ^ hit, bad, hit
+
+
+def _zc(items: int, masks: Masks) -> Iterator[Leaf]:
     """competitive.drive_zc over the ascending sequence of items."""
     n1 = items.bit_count() // 4
-    head = _prefix(items, 4 * n1)
-    tests, good, bad = _individual(items ^ head, defect)
-    if not n1:
-        return tests, good, bad
-    round_good, hit = _round(_split4(head, n1), defect)
-    tests += 4
-    good |= round_good
-    if not hit:
-        return tests, good, bad
-    # The groups are disjoint, so sum(hit) is their union.
-    if len(hit) == 1:
-        sub = _zd(hit[0], defect)
-    elif len(hit) >= 3:
-        sub = _zu(sum(hit), defect)
-    else:
-        merged = hit[0] | hit[1]
-        n2 = n1 // 2
-        head = _prefix(merged, 4 * n2)
-        spent, g, b = _individual(merged ^ head, defect)
-        tests += spent
-        good |= g
-        bad |= b
-        if not n2:
-            return tests, good, bad
-        round_good, hit = _round(_split4(head, n2), defect)
-        tests += 4
-        good |= round_good
-        target = sum(hit)
-        sub = _zd(target, defect) if len(hit) <= 2 else _zu(target, defect)
-    return tests + sub[0], good | sub[1], bad | sub[2]
+    for part, tests, good, bad, hit in _tail_and_round(items, n1, masks):
+        # hit is the union of the contaminated quarters, n1 items each. One
+        # goes to zd and three or more to zu; exactly two get a second round
+        # over them, merged, after which zd takes at most two quarters.
+        if n1 and hit.bit_count() == 2 * n1:
+            n2 = n1 // 2
+            subs = [
+                (p, tests + t, good | g, bad | b, h, 2 * n2)
+                for p, t, g, b, h in _tail_and_round(hit, n2, part)
+            ]
+        else:
+            subs = [(part, tests, good, bad, hit, n1)]
+        for part, tests, good, bad, hit, zd_limit in subs:
+            sub = _zd(hit, part) if hit.bit_count() <= zd_limit else _zu(hit, part)
+            for leaf, spent, g, b in sub:
+                yield leaf, tests + spent, good | g, bad | b
 
 
 # One pure counter per strategy, in ALGORITHMS order.
@@ -223,28 +266,43 @@ def count_run(algorithm: str, n: int, defective_mask: int) -> Count:
         raise ValueError(f"count_run handles 0 <= n <= {MAX_COUNT_N}")
     if defective_mask < 0 or defective_mask >> n:
         raise ValueError(f"defective mask {defective_mask:#x} outside {n} items")
-    return _PURE_COUNTERS[algorithm]((1 << n) - 1, defective_mask)
+    [(_, tests, good, bad)] = _PURE_COUNTERS[algorithm]((1 << n) - 1, [defective_mask])
+    return tests, good, bad
 
 
 def sweep(algorithm: str, n: int) -> List[Tuple[int, int]]:
     """Runs every defective mask of n items; returns per-d (worst_tests,
-    first mask attaining it). Raises AssertionError on any misclassification.
+    first mask attaining it). Raises AssertionError on any misclassification
+    and on a walk that misses a mask or reaches one twice.
     """
     _check_algorithm(algorithm)
     if not 0 <= n <= MAX_SWEEP_N:
         raise ValueError(f"sweep handles 0 <= n <= {MAX_SWEEP_N}")
-    count = _PURE_COUNTERS[algorithm]
+    walk = _PURE_COUNTERS[algorithm]
     full = (1 << n) - 1
     worst = [-1] * (n + 1)
     argmax = [0] * (n + 1)
-    for mask in range(full + 1):
-        tests, good, bad = count(full, mask)
-        if bad != mask or good != full ^ mask:
+    for lo in range(0, full + 1, BLOCK):
+        hi = min(lo + BLOCK, full + 1)
+        reached = bytearray(hi - lo)
+        for masks, tests, good, bad in walk(full, range(lo, hi)):
+            if len(masks) != 1 or masks[0] != bad or good != full ^ bad:
+                raise AssertionError(
+                    f"{algorithm} misclassified mask {masks[0]:#x} at n={n}"
+                    if len(masks) == 1
+                    else f"{algorithm} misclassified {len(masks)} masks as {bad:#x} at n={n}"
+                )
+            if not lo <= bad < hi:
+                raise AssertionError(f"{algorithm} reached mask {bad:#x} outside its block at n={n}")
+            if reached[bad - lo]:
+                raise AssertionError(f"{algorithm} reached mask {bad:#x} twice at n={n}")
+            reached[bad - lo] = 1
+            d = bad.bit_count()
+            if tests > worst[d] or (tests == worst[d] and bad < argmax[d]):
+                worst[d] = tests
+                argmax[d] = bad
+        if 0 in reached:
             raise AssertionError(
-                f"{algorithm} misclassified mask {mask:#x} at n={n}"
+                f"{algorithm} never reached mask {lo + reached.index(0):#x} at n={n}"
             )
-        d = mask.bit_count()
-        if tests > worst[d]:
-            worst[d] = tests
-            argmax[d] = mask
     return list(zip(worst, argmax))

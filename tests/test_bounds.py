@@ -168,6 +168,14 @@ def test_merge_bound_pinned_and_random():
         bounds.merge_bound_check(0, 0, 8, 2)
 
 
+@pytest.mark.parametrize("n1, d1, n2, d2", [(2, 5, 8, 2), (8, 2, 2, 5), (1, 2, 1, 0)])
+def test_merge_bound_rejects_more_defectives_than_items(n1, d1, n2, d2):
+    with pytest.raises(ValueError, match="need d <= n on each side"):
+        bounds.merge_bound_check(n1, d1, n2, d2)
+    # d = n is still a valid side.
+    assert bounds.merge_bound_check(n1, min(d1, n1), n2, min(d2, n2))
+
+
 @settings(max_examples=300, deadline=None)
 @given(
     st.integers(1, 10**6),

@@ -52,21 +52,92 @@ def test_pure_counter_matches_recorded_runs_past_count_run_range(algorithm, n, d
     # n, both beyond count_run's range, so the counter itself is pinned here.
     defectives = data.draw(st.sets(st.integers(0, n - 1), max_size=3))
     mask = sum(1 << i for i in defectives)
-    counted = kernels._PURE_COUNTERS[algorithm]((1 << n) - 1, mask)
+    [(masks, *counted)] = kernels._PURE_COUNTERS[algorithm]((1 << n) - 1, [mask])
     result = RUNNERS[algorithm](PoolOracle(instance_from_mask(n, mask)))
-    assert counted == (result.tests_used, ((1 << n) - 1) ^ mask, mask)
+    assert masks == [mask]
+    assert counted == [result.tests_used, ((1 << n) - 1) ^ mask, mask]
+
+
+def _tampered(monkeypatch, algorithm, tamper):
+    """Replaces algorithm's counter with one whose leaves pass through
+    tamper(leaf), which yields what the sweep then sees in its place."""
+    honest = kernels._PURE_COUNTERS[algorithm]
+
+    def counter(items, masks):
+        for leaf in honest(items, masks):
+            yield from tamper(leaf)
+
+    monkeypatch.setitem(kernels._PURE_COUNTERS, algorithm, counter)
 
 
 def test_sweep_ground_truth_check_fires(monkeypatch):
-    honest = kernels._PURE_COUNTERS["zd"]
+    def drops_a_defective(leaf):
+        masks, tests, good, bad = leaf
+        yield masks, tests, good, bad & (bad - 1)
 
-    def drops_a_defective(items, defect):
-        tests, good, bad = honest(items, defect)
-        return tests, good, bad & (bad - 1)
-
-    monkeypatch.setitem(kernels._PURE_COUNTERS, "zd", drops_a_defective)
+    _tampered(monkeypatch, "zd", drops_a_defective)
     with pytest.raises(AssertionError, match="misclassified"):
         kernels.sweep("zd", 5)
+
+
+def test_sweep_rejects_a_leaf_of_two_masks(monkeypatch):
+    pending = []
+
+    def merges_two_leaves(leaf):
+        pending.append(leaf)
+        if len(pending) == 2:
+            (a, tests, good, bad), (b, _, _, _) = pending
+            yield [*a, *b], tests, good, bad
+
+    _tampered(monkeypatch, "zu", merges_two_leaves)
+    with pytest.raises(AssertionError, match="misclassified 2 masks"):
+        kernels.sweep("zu", 4)
+
+
+@pytest.mark.parametrize("algorithm", kernels.ALGORITHMS)
+def test_sweep_rejects_a_counter_that_drops_a_mask(monkeypatch, algorithm):
+    def drops_mask_5(leaf):
+        if leaf[0] != [5]:
+            yield leaf
+
+    _tampered(monkeypatch, algorithm, drops_mask_5)
+    with pytest.raises(AssertionError, match=f"{algorithm} never reached mask 0x5 at n=6"):
+        kernels.sweep(algorithm, 6)
+
+
+@pytest.mark.parametrize("algorithm", kernels.ALGORITHMS)
+def test_sweep_rejects_a_counter_that_reaches_a_mask_twice(monkeypatch, algorithm):
+    def repeats_mask_5(leaf):
+        yield leaf
+        if leaf[0] == [5]:
+            yield leaf
+
+    _tampered(monkeypatch, algorithm, repeats_mask_5)
+    with pytest.raises(AssertionError, match=f"{algorithm} reached mask 0x5 twice at n=6"):
+        kernels.sweep(algorithm, 6)
+
+
+def test_sweep_is_the_same_in_small_blocks(monkeypatch):
+    default = {
+        (algorithm, n): kernels.sweep(algorithm, n)
+        for algorithm in kernels.ALGORITHMS
+        for n in range(11)
+    }
+    monkeypatch.setattr(kernels, "BLOCK", 1 << 3)
+    for (algorithm, n), per_d in default.items():
+        assert kernels.sweep(algorithm, n) == per_d, (algorithm, n)
+
+
+def test_sweep_catches_a_mask_dropped_in_a_later_block(monkeypatch):
+    monkeypatch.setattr(kernels, "BLOCK", 1 << 3)
+
+    def drops_mask_0x2c(leaf):
+        if leaf[0] != [0x2C]:
+            yield leaf
+
+    _tampered(monkeypatch, "zc", drops_mask_0x2c)
+    with pytest.raises(AssertionError, match="zc never reached mask 0x2c at n=7"):
+        kernels.sweep("zc", 7)
 
 
 def test_count_run_rejects_masks_outside_n():

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from gtlab import harness, zigzag
+from gtlab import harness, kernels, zigzag
 from gtlab.analysis import transcript_json
 from gtlab.competitive import ZcPlan
 from gtlab.core import DEFECTIVE, GOOD, INCURRED, PoolOracle, finalize, instance_from_mask
@@ -175,6 +175,28 @@ def test_a_broken_zu_fails_finalize_on_the_walk_as_on_recorded_runs(monkeypatch)
     with pytest.raises(AssertionError, match=r"^zu failed correctness at n=8: ") as recorded:
         harness.worst_case("zu", n, 2, mode="sampled", samples=50)
     assert _dump(recorded)["failed_check"] == "finalize"
+
+
+def test_exhaustive_worst_case_is_the_same_in_small_blocks(monkeypatch):
+    cells = [(algorithm, n, d) for algorithm in harness.STEPS for n in (7, 10) for d in (0, 1, 3)]
+    default = [harness.worst_case(*cell) for cell in cells]
+    monkeypatch.setattr(kernels, "BLOCK", 1 << 2)
+    assert [harness.worst_case(*cell) for cell in cells] == default
+
+
+@pytest.mark.parametrize("algorithm, n, d", [("zu", 8, 2), ("zc", 10, 3)])
+def test_a_failure_in_a_later_block_names_the_first_failing_mask(monkeypatch, algorithm, n, d):
+    monkeypatch.setattr(zigzag, "quarter_split", _broken_quarter_split)
+    monkeypatch.setattr(kernels, "BLOCK", 1 << 2)
+    with pytest.raises(AssertionError, match=rf"^{algorithm} failed correctness at n={n}: ") as exc:
+        harness.worst_case(algorithm, n, d)
+    dump = _dump(exc)
+    family = list(harness._masks_of_weight(n, d))
+    _assert_names_the_first_failing_mask(dump, algorithm, n, family)
+    # The first failing mask is past the first block: the blocks before it
+    # passed, and their masks' recorded runs pass too.
+    failing = sum(1 << i for i in dump["instance"]["defectives"])
+    assert family.index(failing) >= kernels.BLOCK
 
 
 def _tampered(tamper):
