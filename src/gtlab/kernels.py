@@ -123,7 +123,9 @@ def _zd(items: int, masks: Masks) -> Iterator[Leaf]:
                 stack.append((items ^ pool, k + 1, tests, good | pool, bad, miss))
             after = k - 1 if k else 0
             for part, spent, g, b in _extractions(pool, k, hit):
-                stack.append((items & ~(g | b), after, tests + spent, good | g, bad | b, part))
+                stack.append(
+                    (items & ~(g | b), after, tests + spent, good | g, bad | b, part)
+                )
             break
         else:
             yield masks, tests, good, bad
@@ -156,7 +158,8 @@ def _zu(items: int, masks: Masks) -> Iterator[Leaf]:
             if len(hit) < len(masks):
                 miss = [m for m in masks if not m & pool]
                 stack.append(
-                    (items ^ pool, k + 1, streak + 1, mixed_pair, tests, good | pool, bad, miss)
+                    (items ^ pool, k + 1, streak + 1, mixed_pair,
+                     tests, good | pool, bad, miss)
                 )
             masks = hit
             if not pool & (pool - 1):
@@ -173,11 +176,14 @@ def _zu(items: int, masks: Masks) -> Iterator[Leaf]:
                         state = (2, streak + 1, True)
                     else:
                         state = (k - 1, 0, False)
-                    stack.append((items ^ pool, *state, tests + spent, good | g, bad | b, part))
+                    stack.append(
+                        (items ^ pool, *state, tests + spent, good | g, bad | b, part)
+                    )
             else:
                 for part, spent, g, b in _extractions(pool, k, hit):
                     stack.append(
-                        (items & ~(g | b), k - 1, 0, False, tests + spent, good | g, bad | b, part)
+                        (items & ~(g | b), k - 1, 0, False,
+                         tests + spent, good | g, bad | b, part)
                     )
             break
         else:
@@ -287,13 +293,12 @@ def sweep(algorithm: str, n: int) -> List[Tuple[int, int]]:
         reached = bytearray(hi - lo)
         for masks, tests, good, bad in walk(full, range(lo, hi)):
             if len(masks) != 1 or masks[0] != bad or good != full ^ bad:
-                raise AssertionError(
-                    f"{algorithm} misclassified mask {masks[0]:#x} at n={n}"
-                    if len(masks) == 1
-                    else f"{algorithm} misclassified {len(masks)} masks as {bad:#x} at n={n}"
-                )
+                what = f"mask {masks[0]:#x}" if len(masks) == 1 else f"{len(masks)} masks"
+                raise AssertionError(f"{algorithm} misclassified {what} at n={n}")
             if not lo <= bad < hi:
-                raise AssertionError(f"{algorithm} reached mask {bad:#x} outside its block at n={n}")
+                raise AssertionError(
+                    f"{algorithm} reached mask {bad:#x} outside its block at n={n}"
+                )
             if reached[bad - lo]:
                 raise AssertionError(f"{algorithm} reached mask {bad:#x} twice at n={n}")
             reached[bad - lo] = 1

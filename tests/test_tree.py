@@ -178,17 +178,20 @@ def test_a_broken_zu_fails_finalize_on_the_walk_as_on_recorded_runs(monkeypatch)
 
 
 def test_exhaustive_worst_case_is_the_same_in_small_blocks(monkeypatch):
-    cells = [(algorithm, n, d) for algorithm in harness.STEPS for n in (7, 10) for d in (0, 1, 3)]
+    cells = [(alg, n, d) for alg in harness.STEPS for n in (7, 10) for d in (0, 1, 3)]
     default = [harness.worst_case(*cell) for cell in cells]
     monkeypatch.setattr(kernels, "BLOCK", 1 << 2)
     assert [harness.worst_case(*cell) for cell in cells] == default
 
 
 @pytest.mark.parametrize("algorithm, n, d", [("zu", 8, 2), ("zc", 10, 3)])
-def test_a_failure_in_a_later_block_names_the_first_failing_mask(monkeypatch, algorithm, n, d):
+def test_a_failure_in_a_later_block_names_the_first_failing_mask(
+    monkeypatch, algorithm, n, d
+):
     monkeypatch.setattr(zigzag, "quarter_split", _broken_quarter_split)
     monkeypatch.setattr(kernels, "BLOCK", 1 << 2)
-    with pytest.raises(AssertionError, match=rf"^{algorithm} failed correctness at n={n}: ") as exc:
+    match = rf"^{algorithm} failed correctness at n={n}: "
+    with pytest.raises(AssertionError, match=match) as exc:
         harness.worst_case(algorithm, n, d)
     dump = _dump(exc)
     family = list(harness._masks_of_weight(n, d))
