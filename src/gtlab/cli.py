@@ -6,6 +6,7 @@ a CSV copy of the verify grid. Exit codes: 0 clean, 1 violation, 2 usage.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import random
@@ -57,10 +58,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         "problems": verdict.problems,
     }
     if result.plan is not None:
-        payload["plan"] = {
-            key: getattr(result.plan, key)
-            for key in ("n1", "nR1", "alpha1", "n2", "nR2", "alpha2")
-        }
+        payload["plan"] = dataclasses.asdict(result.plan)
     if args.emit_transcript:
         payload["transcript"] = transcript_json(result.transcript)
     print(json.dumps(payload, indent=2, sort_keys=True))

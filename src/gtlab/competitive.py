@@ -12,7 +12,7 @@ when contaminated; only pure ones clear their items.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 from gtlab.core import (
     DEFECTIVE,
@@ -39,19 +39,16 @@ class ZcPlan:
     alpha2: Optional[int] = None
 
 
-def _test_alone(session: Session, item: int) -> None:
-    """Tests item on its own and identifies it by the answer."""
-    hit = session.query([item], DRIVER)
-    session.identify(item, DEFECTIVE if hit else GOOD, session.tests, True)
-
-
 def individual_step(
     session: Session, remaining: List[int], state: object
 ) -> Tuple[List[int], object]:
-    """One step of individual testing: the first remaining item, tested on
-    its own. state is passed through."""
-    _test_alone(session, remaining[0])
-    return remaining[1:], state
+    """Individual testing in one step: every remaining item, in order,
+    tested on its own and identified by the answer. state is passed
+    through."""
+    for item in remaining:
+        hit = session.query([item], DRIVER)
+        session.identify(item, DEFECTIVE if hit else GOOD, session.tests, True)
+    return [], state
 
 
 def _tail_and_round(
@@ -63,7 +60,7 @@ def _tail_and_round(
     Returns the quarter size, the tail length and the contaminated quarters
     in order."""
     size = len(order) // 4
-    drive(individual_step, None, session, order[4 * size:])
+    individual_step(session, order[4 * size:], None)
     contaminated = []
     if size:
         for i in range(0, 4 * size, size):
@@ -121,26 +118,13 @@ def zc_step(
     return target, (plan, (zu_step, ZU_START))
 
 
-def drive_zc(session: Session, items: Sequence[int]) -> ZcPlan:
-    """Quarter-round strategy: identifies every item in the given ordered
-    set, one zc_step at a time; returns the run's plan."""
-    return zc_plan(drive(zc_step, ZC_START, session, items))
-
-
-def zc_plan(state: Tuple[ZcPlan, object]) -> ZcPlan:
-    """The plan of a finished quarter-round run, from its final state."""
-    return state[0]
-
-
 def run_zc(oracle: PoolOracle) -> RunResult:
     session = Session(oracle)
-    return session.result("zc", drive_zc(session, range(oracle.n)))
+    plan, _ = drive(zc_step, ZC_START, session, range(oracle.n))
+    return session.result("zc", plan)
 
 
 def run_individual(oracle: PoolOracle) -> RunResult:
     session = Session(oracle)
-    # A loop, not drive(individual_step, ...): each step copies the rest of
-    # the list, which would make a run quadratic in n.
-    for item in range(oracle.n):
-        _test_alone(session, item)
+    drive(individual_step, None, session, range(oracle.n))
     return session.result("individual")

@@ -18,36 +18,14 @@ from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from gtlab import bounds, kernels
 from gtlab.analysis import StructureError, analyze, counterexample_json
-from gtlab.competitive import (
-    ZC_START,
-    individual_step,
-    run_individual,
-    run_zc,
-    zc_plan,
-    zc_step,
-)
 from gtlab.core import Instance, PoolOracle, RunResult, finalize, instance_from_mask
 from gtlab.tree import walk
-from gtlab.zigzag import ZD_START, ZU_START, run_zd, run_zu, zd_step, zu_step
 
 ALGORITHMS = kernels.ALGORITHMS
 
-RUNNERS = {
-    "individual": run_individual,
-    "zd": run_zd,
-    "zu": run_zu,
-    "zc": run_zc,
-}
-
-# Each algorithm as tree.walk takes it: its step, its start state, and the
-# function that reads a finished run's plan from its final state (None when
-# the run records no plan).
-STEPS = {
-    "individual": (individual_step, None, None),
-    "zd": (zd_step, ZD_START, None),
-    "zu": (zu_step, ZU_START, None),
-    "zc": (zc_step, ZC_START, zc_plan),
-}
+# The recorded runner of each algorithm. Recorded runs look it up here, so
+# perfbench's tracer can time them by patching one key.
+RUNNERS = {name: s.run for name, s in kernels.STRATEGIES.items()}
 
 SCHEMA_VERSION = 1
 
@@ -121,14 +99,13 @@ def worst_case(
 
     Exhaustive mode walks the algorithm's decision tree over every set,
     in ascending blocks of kernels.BLOCK masks made as they are walked
-    (_walked_worst_case), and refuses more than _EXHAUSTIVE_CAP masks;
+    (_walked_runs), and refuses more than _EXHAUSTIVE_CAP masks;
     sampled mode is a lower estimate over samples >= 1 seeded draws, one
     recorded run each. Every run is finalized; a correctness failure aborts
     with the dump of the recorded run on the first failing mask, which in
     exhaustive mode is the first in ascending order.
     """
-    if algorithm not in RUNNERS:
-        raise ValueError(f"unknown algorithm {algorithm!r}")
+    kernels._check_algorithm(algorithm)
     if not 0 <= d <= n:
         raise ValueError("need 0 <= d <= n")
     if mode == "exhaustive":
@@ -141,14 +118,13 @@ def worst_case(
         family = _masks_of_weight(n, d)
         worst = -1
         argmax = 0
-        # Blocks ascend and a block's argmax is its first, so a tie keeps
-        # the earlier block's mask.
         while block := list(itertools.islice(family, kernels.BLOCK)):
             with _recorded_on_failure(algorithm, n, block):
-                tests, mask = _walked_worst_case(algorithm, n, d, block)
-            if tests > worst:
-                worst = tests
-                argmax = mask
+                for i, result, _ in _walked_runs(algorithm, n, block):
+                    tests, mask = result.tests_used, block[i]
+                    if tests > worst or (tests == worst and mask < argmax):
+                        worst = tests
+                        argmax = mask
         return WorstCaseCell(algorithm, n, d, worst, argmax, True)
     if mode != "sampled":
         raise ValueError(f"unknown mode {mode!r}")
@@ -181,42 +157,40 @@ def _recorded_on_failure(algorithm: str, n: int, masks: Sequence[int]) -> Iterat
         raise
 
 
-def _walked_worst_case(
-    algorithm: str, n: int, d: int, masks: List[int]
-) -> Tuple[int, int]:
-    """The most tests over masks, ascending masks of weight d, and the
-    smallest mask that spends them, from one walk of the algorithm's
-    decision tree over masks. Each leaf is finalized against the mask of
-    the items it identified as defective, so its test count is the one the
-    recorded run on that mask spends; the leaves must be exactly those
-    masks, each once."""
-    step, start, plan_of = STEPS[algorithm]
+def _walked_runs(
+    algorithm: str, n: int, masks: Sequence[int]
+) -> Iterator[Tuple[int, RunResult, Instance]]:
+    """Yields (index in masks, finalized run, instance) for every leaf of
+    one walk of the algorithm's decision tree over masks, which ascend, in
+    no particular order.
+
+    Each leaf is finalized against the mask of the items it identified as
+    defective, so its run is the one the recorded run on that mask makes.
+    The walk fails on a leaf outside masks, on a mask reached twice and on
+    a mask never reached. A run is valid only until the walk resumes.
+    """
+    strategy = kernels.STRATEGIES[algorithm]
     reached = bytearray(len(masks))
-    worst = -1
-    argmax = 0
-    for session, state in walk(step, start, n, masks):
+    for session, state in walk(strategy.step, strategy.start, n, masks):
         mask = session.defective_mask
-        plan = plan_of(state) if plan_of else None
-        _finalized(session.result(algorithm, plan), instance_from_mask(n, mask))
+        instance = instance_from_mask(n, mask)
+        plan = strategy.plan_of(state) if strategy.plan_of else None
+        result = _finalized(session.result(algorithm, plan), instance)
         i = bisect_left(masks, mask)
         if i == len(masks) or masks[i] != mask:
             raise AssertionError(
-                f"{algorithm} walk at n={n}, d={d} reached mask {mask:#x} of "
-                f"weight {mask.bit_count()}"
+                f"{algorithm} walk at n={n} reached mask {mask:#x}, "
+                f"not one of its {len(masks)} masks"
             )
         if reached[i]:
             raise AssertionError(f"{algorithm} reached mask {mask:#x} twice at n={n}")
         reached[i] = 1
-        tests = session.tests
-        if tests > worst or (tests == worst and mask < argmax):
-            worst = tests
-            argmax = mask
+        yield i, result, instance
     if not all(reached):
         raise AssertionError(
-            f"{algorithm} walk at n={n}, d={d} reached {sum(reached)} leaves, "
+            f"{algorithm} walk at n={n} reached {sum(reached)} leaves, "
             f"not each of the {len(masks)} masks once"
         )
-    return worst, argmax
 
 
 def _masks_of_weight(n: int, d: int) -> Iterator[int]:
@@ -505,32 +479,17 @@ def _cell_bound_rows(
 def _analyze_upward_runs(n: int, lo: int, hi: int) -> List[dict]:
     """Analysis violations of the zu runs on masks lo..hi-1, in mask order.
 
-    The runs come from one walk of zu's decision tree (tree.walk), not one
-    run per mask. Each leaf is finalized against the mask of the items it
-    identified as defective, so its transcript is the run drive_zu makes on
-    that mask; the leaves must be exactly the masks lo..hi-1, each once. A
-    failure raises as the recorded run on the first failing mask does.
+    The runs come from one walk of zu's decision tree (_walked_runs), not
+    one run per mask: each leaf's transcript is the one core.drive makes
+    looping zigzag.zu_step on that mask. A failure raises as the recorded
+    run on the first failing mask does.
     """
-    with _recorded_on_failure("zu", n, range(lo, hi)):
-        return _walked_analysis(n, lo, hi)
-
-
-def _walked_analysis(n: int, lo: int, hi: int) -> List[dict]:
-    by_mask: Dict[int, List[dict]] = {}
-    for session, _ in walk(zu_step, ZU_START, n, range(lo, hi)):
-        mask = session.defective_mask
-        instance = instance_from_mask(n, mask)
-        result = _finalized(session.result("zu"), instance)
-        if mask in by_mask:
-            raise AssertionError(f"zu reached mask {mask:#x} twice at n={n}")
-        by_mask[mask] = _analysis_violations(result, instance)
-    masks = sorted(by_mask)
-    if masks != list(range(lo, hi)):
-        raise AssertionError(
-            f"zu walk over masks {lo:#x}..{hi - 1:#x} at n={n} reached "
-            f"{len(masks)} leaves, not each of those masks once"
-        )
-    return [v for mask in masks for v in by_mask[mask]]
+    masks = range(lo, hi)
+    rows: List[List[dict]] = [[] for _ in masks]
+    with _recorded_on_failure("zu", n, masks):
+        for i, result, instance in _walked_runs("zu", n, masks):
+            rows[i] = _analysis_violations(result, instance)
+    return [v for row in rows for v in row]
 
 
 def _analysis_violations(result: RunResult, instance: Instance) -> List[dict]:
@@ -646,8 +605,7 @@ def verify_grid(
     if not algorithms:
         raise ValueError(f"need at least one algorithm; known: {', '.join(ALGORITHMS)}")
     for algorithm in algorithms:
-        if algorithm not in RUNNERS:
-            raise ValueError(f"unknown algorithm {algorithm!r}")
+        kernels._check_algorithm(algorithm)
     _reject_repeats("algorithm", algorithms)
     checks = tuple(checks if checks is not None else DEFAULT_CHECKS)
     if not checks:

@@ -1,4 +1,7 @@
-"""The bitmask counter behind the exhaustive sweeps.
+"""The strategy table, and the bitmask counter behind the exhaustive sweeps.
+
+STRATEGIES names every algorithm once, with its recorded runner, its step
+function and its counter; harness, the CLI and the sweeps all read it.
 
 count_run answers (tests, good_mask, defective_mask) for one run of a
 strategy on one defective mask, and sweep() validates every such answer
@@ -32,12 +35,14 @@ from __future__ import annotations
 
 from collections import defaultdict
 from itertools import groupby
-from typing import Dict, Iterator, List, Sequence, Tuple
+from operator import itemgetter
+from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
-# Re-exported: perfbench's tracer patches kernels.PoolOracle.
-from gtlab.core import PoolOracle  # noqa: F401
+from gtlab.competitive import ZC_START, individual_step, run_individual, run_zc, zc_step
+# PoolOracle is re-exported: perfbench's tracer patches kernels.PoolOracle.
+from gtlab.core import PoolOracle, RunResult, Step
 from gtlab.splitting import pool_size, quarter_plan
-from gtlab.zigzag import initial_rank
+from gtlab.zigzag import ZD_START, ZU_START, initial_rank, run_zd, run_zu, zd_step, zu_step
 
 # Read by perfbench's run stamp; the bitmask counter is the only one.
 BACKEND = "pure"
@@ -102,7 +107,8 @@ def _individual(items: int, masks: Masks) -> Iterator[Leaf]:
 
 
 def _zd(items: int, masks: Masks) -> Iterator[Leaf]:
-    """zigzag.drive_zd over the ascending sequence of items."""
+    """zigzag.zd_step, looped by core.drive, over the ascending sequence
+    of items."""
     if not items:
         yield masks, 0, 0, 0
         return
@@ -132,7 +138,8 @@ def _zd(items: int, masks: Masks) -> Iterator[Leaf]:
 
 
 def _zu(items: int, masks: Masks) -> Iterator[Leaf]:
-    """zigzag.drive_zu over the ascending sequence of items."""
+    """zigzag.zu_step, looped by core.drive, over the ascending sequence
+    of items."""
     stack = [(items, 0, 0, False, 0, 0, 0, masks)]
     while stack:
         items, k, streak, mixed_pair, tests, good, bad, masks = stack.pop()
@@ -230,7 +237,8 @@ def _tail_and_round(
 
 
 def _zc(items: int, masks: Masks) -> Iterator[Leaf]:
-    """competitive.drive_zc over the ascending sequence of items."""
+    """competitive.zc_step, looped by core.drive, over the ascending
+    sequence of items."""
     n1 = items.bit_count() // 4
     for part, tests, good, bad, hit in _tail_and_round(items, n1, masks):
         # hit is the union of the contaminated quarters, n1 items each. One
@@ -250,19 +258,32 @@ def _zc(items: int, masks: Masks) -> Iterator[Leaf]:
                 yield leaf, tests + spent, good | g, bad | b
 
 
-# One pure counter per strategy, in ALGORITHMS order.
-_PURE_COUNTERS = {
-    "individual": _individual,
-    "zd": _zd,
-    "zu": _zu,
-    "zc": _zc,
+class Strategy(NamedTuple):
+    """One algorithm, written once: its recorded runner; its step and start
+    state, which core.drive loops and tree.walk walks; its bitmask counter;
+    and the function that reads a finished run's plan from its final state
+    (None when the run records no plan)."""
+
+    run: Callable[[PoolOracle], RunResult]
+    step: Step
+    start: object
+    count: Callable[[int, Masks], Iterator[Leaf]]
+    plan_of: Optional[Callable[[object], object]] = None
+
+
+# Every algorithm, in ALGORITHMS order. zc's final state is (plan, sub).
+STRATEGIES = {
+    "individual": Strategy(run_individual, individual_step, None, _individual),
+    "zd": Strategy(run_zd, zd_step, ZD_START, _zd),
+    "zu": Strategy(run_zu, zu_step, ZU_START, _zu),
+    "zc": Strategy(run_zc, zc_step, ZC_START, _zc, itemgetter(0)),
 }
 
-ALGORITHMS = tuple(_PURE_COUNTERS)
+ALGORITHMS = tuple(STRATEGIES)
 
 
 def _check_algorithm(algorithm: str) -> None:
-    if algorithm not in _PURE_COUNTERS:
+    if algorithm not in STRATEGIES:
         raise ValueError(f"unknown algorithm {algorithm!r}")
 
 
@@ -272,7 +293,7 @@ def count_run(algorithm: str, n: int, defective_mask: int) -> Count:
         raise ValueError(f"count_run handles 0 <= n <= {MAX_COUNT_N}")
     if defective_mask < 0 or defective_mask >> n:
         raise ValueError(f"defective mask {defective_mask:#x} outside {n} items")
-    [(_, tests, good, bad)] = _PURE_COUNTERS[algorithm]((1 << n) - 1, [defective_mask])
+    [(_, tests, good, bad)] = STRATEGIES[algorithm].count((1 << n) - 1, [defective_mask])
     return tests, good, bad
 
 
@@ -284,7 +305,7 @@ def sweep(algorithm: str, n: int) -> List[Tuple[int, int]]:
     _check_algorithm(algorithm)
     if not 0 <= n <= MAX_SWEEP_N:
         raise ValueError(f"sweep handles 0 <= n <= {MAX_SWEEP_N}")
-    walk = _PURE_COUNTERS[algorithm]
+    walk = STRATEGIES[algorithm].count
     full = (1 << n) - 1
     worst = [-1] * (n + 1)
     argmax = [0] * (n + 1)

@@ -64,12 +64,6 @@ def zd_step(
     return session.unresolved(pool) + remaining[len(pool):], max(k - 1, 0)
 
 
-def drive_zd(session: Session, items: Sequence[int]) -> None:
-    """Downward strategy: identifies every item in the given ordered set,
-    one zd_step at a time."""
-    drive(zd_step, ZD_START, session, items)
-
-
 def resolve_pair(session: Session, pair: Sequence[int], driver_seq: int) -> str:
     """Individually resolves a rank-1 pool that group-tested contaminated.
 
@@ -114,8 +108,24 @@ def zu_step(
     """One step of the upward strategy: the additional test when it is due,
     one driver test, and the driver's resolution when it is contaminated.
 
-    state is (k, pure_streak, mixed_pair_flag); remaining is never changed.
-    Returns the items still unresolved, in order, and the next state.
+    state is (k, pure_streak, mixed_pair_flag): k is the current rank,
+    pure_streak counts pure-status driver tests since the last
+    contaminated-status one, and mixed_pair_flag remembers a mixed pair
+    until the streak resets. After six straight pure results, if more items
+    remain than the next pool would cover, one additional test on the entire
+    remaining set either finishes the run (pure) or is simply recorded
+    (contaminated) before the normal pool test proceeds.
+
+    Any contaminated driver clears mixed_pair_flag, so a rank-2 pool that
+    tests contaminated after an intervening contaminated test (a rank-3 one
+    that steps k back to 2, say) is scanned by quarter_split, not resolved by
+    resolve_triple. When that scan hits its first item, the analysis pairs
+    the 2-test scan with the earlier 3-test mixed pair as one tuple: 5 tests
+    on 2 defectives over 3 items, over the tuple-bound budget. This is the
+    known tuple-bound red the README describes.
+
+    remaining is never changed. Returns the items still unresolved, in
+    order, and the next state.
     """
     k, pure_streak, mixed_pair_flag = state
     if pure_streak == 6 and len(remaining) > pool_size(k):
@@ -148,35 +158,13 @@ def zu_step(
     return session.unresolved(pool) + remaining[len(pool):], state
 
 
-def drive_zu(session: Session, items: Sequence[int]) -> None:
-    """Upward strategy: identifies every item in the given ordered set, one
-    zu_step at a time.
-
-    State: k is the current rank, pure_streak counts pure-status driver tests
-    since the last contaminated-status one, and mixed_pair_flag remembers a
-    mixed pair until the streak resets. After six straight pure results, if
-    more items remain than the next pool would cover, one test on the entire
-    remaining set either finishes the run (pure) or is simply recorded
-    (contaminated) before the normal pool test proceeds.
-
-    Any contaminated driver clears mixed_pair_flag, so a rank-2 pool that
-    tests contaminated after an intervening contaminated test (a rank-3 one
-    that steps k back to 2, say) is scanned by quarter_split, not resolved by
-    resolve_triple. When that scan hits its first item, the analysis pairs
-    the 2-test scan with the earlier 3-test mixed pair as one tuple: 5 tests
-    on 2 defectives over 3 items, over the tuple-bound budget. This is the
-    known tuple-bound red the README describes.
-    """
-    drive(zu_step, ZU_START, session, items)
-
-
 def run_zd(oracle: PoolOracle) -> RunResult:
     session = Session(oracle)
-    drive_zd(session, range(oracle.n))
+    drive(zd_step, ZD_START, session, range(oracle.n))
     return session.result("zd")
 
 
 def run_zu(oracle: PoolOracle) -> RunResult:
     session = Session(oracle)
-    drive_zu(session, range(oracle.n))
+    drive(zu_step, ZU_START, session, range(oracle.n))
     return session.result("zu")

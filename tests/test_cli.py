@@ -42,6 +42,16 @@ def test_run_random_defectives_are_seeded(capsys):
     assert "plan" in payload
 
 
+def test_run_pins_the_whole_plan_of_a_zc_run(capsys):
+    # Two contaminated quarters in the first round, so the run reaches the
+    # second round and every field of the plan is set.
+    code, out = _capture(capsys, ["run", "--alg", "zc", "--n", "20", "--defectives", "0,5"])
+    assert code == 0
+    assert json.loads(out)["plan"] == {
+        "n1": 5, "nR1": 0, "alpha1": 2, "n2": 2, "nR2": 2, "alpha2": 2,
+    }
+
+
 def test_run_flag_conflicts_exit_2(capsys):
     code, _ = _capture(
         capsys, ["run", "--alg", "zd", "--n", "4", "--defectives", "1", "--d-random", "1"]

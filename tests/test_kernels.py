@@ -3,17 +3,12 @@ from hypothesis import given, settings, strategies as st
 
 from gtlab import kernels
 from gtlab.core import DEFECTIVE, GOOD, PoolOracle, instance_from_mask
-from gtlab.harness import RUNNERS, STEPS
+from gtlab.harness import RUNNERS
 
 
 def test_backend_is_declared():
     assert kernels.BACKEND == "pure"
     assert kernels.ALGORITHMS == ("individual", "zd", "zu", "zc")
-
-
-def test_runners_and_counters_name_the_same_algorithms():
-    assert tuple(RUNNERS) == kernels.ALGORITHMS
-    assert tuple(STEPS) == kernels.ALGORITHMS
 
 
 def test_pure_count_matches_recorded_runs():
@@ -52,7 +47,7 @@ def test_pure_counter_matches_recorded_runs_past_count_run_range(algorithm, n, d
     # n, both beyond count_run's range, so the counter itself is pinned here.
     defectives = data.draw(st.sets(st.integers(0, n - 1), max_size=3))
     mask = sum(1 << i for i in defectives)
-    [(masks, *counted)] = kernels._PURE_COUNTERS[algorithm]((1 << n) - 1, [mask])
+    [(masks, *counted)] = kernels.STRATEGIES[algorithm].count((1 << n) - 1, [mask])
     result = RUNNERS[algorithm](PoolOracle(instance_from_mask(n, mask)))
     assert masks == [mask]
     assert counted == [result.tests_used, ((1 << n) - 1) ^ mask, mask]
@@ -61,13 +56,13 @@ def test_pure_counter_matches_recorded_runs_past_count_run_range(algorithm, n, d
 def _tampered(monkeypatch, algorithm, tamper):
     """Replaces algorithm's counter with one whose leaves pass through
     tamper(leaf), which yields what the sweep then sees in its place."""
-    honest = kernels._PURE_COUNTERS[algorithm]
+    honest = kernels.STRATEGIES[algorithm]
 
     def counter(items, masks):
-        for leaf in honest(items, masks):
+        for leaf in honest.count(items, masks):
             yield from tamper(leaf)
 
-    monkeypatch.setitem(kernels._PURE_COUNTERS, algorithm, counter)
+    monkeypatch.setitem(kernels.STRATEGIES, algorithm, honest._replace(count=counter))
 
 
 def test_sweep_ground_truth_check_fires(monkeypatch):

@@ -1,5 +1,6 @@
 import json
 import random
+from functools import partial
 
 import pytest
 
@@ -11,16 +12,18 @@ from gtlab.tree import ListOracle, walk
 
 
 def _leaf_masks(n, masks, algorithm="zu"):
-    step, start, _ = harness.STEPS[algorithm]
-    return sorted(session.defective_mask for session, _ in walk(step, start, n, masks))
+    strategy = kernels.STRATEGIES[algorithm]
+    leaves = walk(strategy.step, strategy.start, n, masks)
+    return sorted(session.defective_mask for session, _ in leaves)
 
 
 def _walked(algorithm, n, masks):
     """(tests, transcript, plan) of every leaf of a walk over masks, by the
     mask of the items it identified as defective; a mask reached twice fails."""
-    step, start, plan_of = harness.STEPS[algorithm]
+    strategy = kernels.STRATEGIES[algorithm]
+    plan_of = strategy.plan_of
     leaves = {}
-    for session, state in walk(step, start, n, masks):
+    for session, state in walk(strategy.step, strategy.start, n, masks):
         result = session.result(algorithm, plan_of(state) if plan_of else None)
         mask = session.defective_mask
         assert mask not in leaves, (algorithm, n, mask)
@@ -63,7 +66,7 @@ def test_walk_over_an_empty_range_has_no_leaves():
     assert _leaf_masks(6, range(5, 5)) == []
 
 
-@pytest.mark.parametrize("algorithm", list(harness.STEPS))
+@pytest.mark.parametrize("algorithm", kernels.ALGORITHMS)
 def test_walk_over_a_list_reaches_exactly_its_masks(algorithm):
     n = 11
     rng = random.Random(algorithm)
@@ -178,7 +181,7 @@ def test_a_broken_zu_fails_finalize_on_the_walk_as_on_recorded_runs(monkeypatch)
 
 
 def test_exhaustive_worst_case_is_the_same_in_small_blocks(monkeypatch):
-    cells = [(alg, n, d) for alg in harness.STEPS for n in (7, 10) for d in (0, 1, 3)]
+    cells = [(alg, n, d) for alg in kernels.ALGORITHMS for n in (7, 10) for d in (0, 1, 3)]
     default = [harness.worst_case(*cell) for cell in cells]
     monkeypatch.setattr(kernels, "BLOCK", 1 << 2)
     assert [harness.worst_case(*cell) for cell in cells] == default
@@ -216,26 +219,20 @@ def _tampered(tamper):
     return tampered_walk
 
 
+# Both consumers of harness._walked_runs, each with the size of its family.
+@pytest.mark.parametrize("tamper", ["missing", "repeated"])
 @pytest.mark.parametrize(
-    "tamper, message",
-    [("missing", "not each of those masks once"), ("repeated", "twice")],
-    ids=["missing", "repeated"],
+    "consume, count",
+    [
+        *(
+            pytest.param(partial(harness.worst_case, alg, 8, 3), 56, id=f"worst_case-{alg}")
+            for alg in kernels.ALGORITHMS
+        ),
+        pytest.param(partial(harness._analyze_upward_runs, 6, 0, 1 << 6), 64, id="analysis"),
+    ],
 )
-def test_analysis_rejects_a_walk_that_misses_or_repeats_a_mask(monkeypatch, tamper, message):
+def test_a_walk_that_misses_or_repeats_a_mask_is_rejected(monkeypatch, consume, count, tamper):
+    message = {"missing": f"not each of the {count} masks once", "repeated": "twice"}
     monkeypatch.setattr(harness, "walk", _tampered(tamper))
-    with pytest.raises(AssertionError, match=message):
-        harness._analyze_upward_runs(6, 0, 1 << 6)
-
-
-@pytest.mark.parametrize(
-    "tamper, message",
-    [("missing", "not each of the 56 masks once"), ("repeated", "twice")],
-    ids=["missing", "repeated"],
-)
-@pytest.mark.parametrize("algorithm", list(harness.STEPS))
-def test_worst_case_rejects_a_walk_that_misses_or_repeats_a_mask(
-    monkeypatch, algorithm, tamper, message
-):
-    monkeypatch.setattr(harness, "walk", _tampered(tamper))
-    with pytest.raises(AssertionError, match=message):
-        harness.worst_case(algorithm, 8, 3)
+    with pytest.raises(AssertionError, match=message[tamper]):
+        consume()
