@@ -10,7 +10,6 @@ reported in the verdict so callers can collect counterexamples.
 
 from __future__ import annotations
 
-import math
 from bisect import bisect_right
 from collections import defaultdict
 from dataclasses import dataclass, field
@@ -18,6 +17,7 @@ from functools import lru_cache, partial
 from itertools import accumulate
 from typing import Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
 
+from gtlab.bounds import budget
 from gtlab.core import (
     ADDITIONAL,
     CONTAMINATED,
@@ -33,8 +33,6 @@ from gtlab.core import (
 )
 from gtlab.splitting import pool_size, quarter_plan, quarter_run_sizes
 
-_RATE = 1.431
-_SHIFT = 1.1242
 _SLACK = 1e-9
 
 
@@ -364,10 +362,6 @@ def classify(transcript: Transcript) -> Classification:
     )
 
 
-def _budget(d: int, n: int) -> float:
-    return _RATE * d * (math.log2(n / d) + _SHIFT)
-
-
 def verify_observations(
     classification: Classification, transcript: Transcript
 ) -> List[Tuple[str, Dict[str, object]]]:
@@ -424,14 +418,14 @@ def check_class_bounds(
     for seq in sorted(cls.c2):
         view = views[seq]
         n_t = max(view.identified, 1)
-        rhs = _RATE * (math.log2(n_t) + _SHIFT)
+        rhs = budget(1, n_t)
         if not view.incurred < rhs:
             failures.append(
                 ("rank0-test-bound", {"test": seq, "lhs": view.incurred, "rhs": rhs})
             )
 
     for t in cls.tuples:
-        rhs = _budget(t.defectives, t.identified)
+        rhs = budget(t.defectives, t.identified)
         if t.incurred > rhs + _SLACK:
             failures.append(
                 (
@@ -476,7 +470,7 @@ def check_class_bounds(
         if d_pair < 1:
             failures.append(("paired-classes-bound", {"lhs": lhs, "rhs": None}))
         else:
-            rhs = _budget(d_pair, max(n_pair, d_pair))
+            rhs = budget(d_pair, max(n_pair, d_pair))
             if lhs > rhs + _SLACK:
                 failures.append(("paired-classes-bound", {"lhs": lhs, "rhs": rhs}))
 
@@ -484,7 +478,7 @@ def check_class_bounds(
     n_run = len(transcript.identifications)
     if d_run >= 3:
         lhs = sum(views[s].incurred for s in (cls.c2 | cls.c3 | cls.c4))
-        rhs = _budget(d_run, n_run) + 16
+        rhs = budget(d_run, n_run) + 16
         if lhs > rhs + _SLACK:
             failures.append(("all-classes-bound", {"lhs": lhs, "rhs": rhs}))
 

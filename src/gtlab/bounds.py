@@ -15,6 +15,10 @@ _LN2 = math.log(2)
 _LOG2_5 = math.log2(5)
 _LOG2_5_3 = math.log2(5 / 3)
 
+# The paper's competitive rate and the shift of its d*log2(n/d) budget.
+RATE = 1.431
+SHIFT = 1.1242
+
 LOWER = "lower"
 UPPER = "upper"
 
@@ -27,6 +31,12 @@ class BoundReport:
     value: float
     applicable: bool
     direction: str
+
+
+def budget(d: int, n: int) -> float:
+    """The paper's test budget for d defectives among n items,
+    RATE * d * (log2(n/d) + SHIFT)."""
+    return RATE * d * (math.log2(n / d) + SHIFT)
 
 
 def _na(n: int, d: Optional[int], name: str, direction: str) -> BoundReport:
@@ -112,7 +122,7 @@ def zu_upper_d(n: int, d: int) -> BoundReport:
     name = "zu-upper-d"
     if not 3 <= d <= n:
         return _na(n, d, name, UPPER)
-    value = 1.431 * d * (math.log2(n / d) + 1.1242) + 23
+    value = budget(d, n) + 23
     return BoundReport(n, d, name, value, True, UPPER)
 
 
@@ -129,7 +139,7 @@ def zc_upper_d(n: int, d: int, constant: int = 32) -> BoundReport:
     name = f"zc-upper-d{constant}"
     if not 1 <= d <= n:
         return _na(n, d, name, UPPER)
-    value = 1.431 * d * (math.log2(n / d) + 1.1242) + constant
+    value = budget(d, n) + constant
     return BoundReport(n, d, name, value, True, UPPER)
 
 
@@ -152,7 +162,7 @@ def zd_pretest_upper(n: int, d: int, psi: float = 0.0) -> BoundReport:
     name = "zd-pretest"
     if not 0 <= d <= n or n < 1:
         return _na(n, d, name, UPPER)
-    term = 0.0 if d == 0 else 1.431 * d * (math.log2(n / d) + 1)
+    term = 0.0 if d == 0 else RATE * d * (math.log2(n / d) + 1)
     return BoundReport(n, d, name, term + 4 + psi, True, UPPER)
 
 
@@ -185,13 +195,13 @@ def competitive_check(n: int, d: int, tests: int) -> CompetitiveVerdict:
         limit = 7.0
         return CompetitiveVerdict(True, "d0", limit, tests <= limit, True)
     if 8 * n <= 21 * d:
-        limit = 1.431 * (n - 1) + 15
+        limit = RATE * (n - 1) + 15
         return CompetitiveVerdict(True, "dense", limit, tests <= limit + 1e-9, True)
     entropy = entropy_lower_bound(n, d)
     if entropy.applicable:
-        limit = 1.431 * entropy.value + 39
+        limit = RATE * entropy.value + 39
         return CompetitiveVerdict(True, "sparse", limit, tests <= limit + 1e-9, True)
-    limit = 1.431 * info_lower_bound(n, d).value + 39
+    limit = RATE * info_lower_bound(n, d).value + 39
     return CompetitiveVerdict(True, "sparse-proxy", limit, tests <= limit + 1e-9, False)
 
 

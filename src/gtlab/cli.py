@@ -189,7 +189,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_vf.add_argument(
         "--workers",
         type=int,
-        help="worker processes (default GTLAB_WORKERS, else serial); the tasks "
+        help="worker processes (default serial); the tasks "
         "are the (algorithm, n) sweeps and the zu transcript analysis in "
         "mask-range shards, and the report does not depend on the count",
     )

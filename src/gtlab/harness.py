@@ -6,7 +6,6 @@ import csv
 import itertools
 import json
 import math
-import os
 import random
 from bisect import bisect_left
 from collections import defaultdict
@@ -229,16 +228,13 @@ class _MinimaxSolver:
     family. Both tests give the same answer on every isomorphic family, so
     no memo entry another family would read is lost.
 
-    The key drops items every candidate contains or none does, colours the
-    rest by iterated incidence refinement, and takes the least sorted tuple
-    of relabeled rows over every ordering of each colour group. A group is
-    fully symmetric when every permutation of its items maps the family
-    onto itself; then every ordering of it gives the same rows, so it keeps
-    its labeled ordering and only the other groups are permuted. Each group
-    ordering is turned into a per-row table once, so a relabeled row costs
-    one addition per group. Past 1000 orderings of the groups that are not
-    fully symmetric, the key keeps one labeled ordering of every group,
-    which costs duplicate search but never a wrong value.
+    The key drops the items every candidate contains or none does, sorts
+    the rest by colour (how many candidates hold the item, and the sorted
+    informative sizes of those candidates), breaking ties by label, and
+    takes the sorted tuple of rows relabeled in that order. Being a
+    relabeling, equal keys mean isomorphic families. Some isomorphic
+    families get different keys, which costs duplicate search but never a
+    wrong value.
     """
 
     def __init__(self, n: int):
@@ -308,76 +304,23 @@ class _MinimaxSolver:
             yield pool
 
     def _canonical_key(self, family: Tuple[int, ...]) -> tuple:
-        m = len(family)
-        active = []
-        col_rows: Dict[int, List[int]] = {}
+        active = _informative(family)
+        rows = [mask & active for mask in family]
+        sizes = [row.bit_count() for row in rows]
+        colours = []
         for j in range(self.n):
-            rows = [r for r in range(m) if family[r] >> j & 1]
-            if 0 < len(rows) < m:
-                active.append(j)
-                col_rows[j] = rows
-        row_cols = [
-            [j for j in active if family[r] >> j & 1] for r in range(m)
-        ]
-        row_color = [len(row_cols[r]) for r in range(m)]
-        col_color = {j: len(col_rows[j]) for j in active}
-        while True:
-            row_sig = [
-                (row_color[r], tuple(sorted(col_color[j] for j in row_cols[r])))
-                for r in range(m)
-            ]
-            col_sig = {
-                j: (col_color[j], tuple(sorted(row_color[r] for r in col_rows[j])))
-                for j in active
-            }
-            new_row = _dense(row_sig)
-            new_col_vals = _dense([col_sig[j] for j in active])
-            new_col = dict(zip(active, new_col_vals))
-            if len(set(new_row)) == len(set(row_color)) and len(
-                set(new_col.values())
-            ) == len(set(col_color.values())):
-                row_color, col_color = new_row, new_col
-                break
-            row_color, col_color = new_row, new_col
-        by_color: Dict[int, List[int]] = defaultdict(list)
-        for j in active:
-            by_color[col_color[j]].append(j)
-        groups = [by_color[c] for c in sorted(by_color)]
-        members = set(family)
-        free = [not _fully_symmetric(members, g) for g in groups]
-        if _perm_budget([g for g, f in zip(groups, free) if f]) <= 1000:
-            orders = [
-                itertools.permutations(g) if f else [tuple(g)]
-                for g, f in zip(groups, free)
-            ]
-        else:
-            # Too symmetric to canonicalize cheaply; a labeled key only costs
-            # duplicate work, never a wrong answer.
-            orders = [[tuple(g)] for g in groups]
-        # Columns are relabeled group by group, so group g owns the bit
-        # positions offset .. offset+len(g)-1. Each ordering of a group gives
-        # one table of every row's bits at those positions; a relabeled row
-        # is the sum of one table entry per group (zero when no item is
-        # informative).
-        tables = []
-        offset = 0
-        for g, group_orders in zip(groups, orders):
-            bits = [1 << p for p in range(offset, offset + len(g))]
-            per_order = []
-            for order in group_orders:
-                table = [0] * m
-                for bit, j in zip(bits, order):
-                    for r in col_rows[j]:
-                        table[r] += bit
-                per_order.append(table)
-            tables.append(per_order)
-            offset += len(g)
-        zeros = [0] * m
-        best = min(
-            tuple(sorted(map(sum, zip(zeros, *choice))))
-            for choice in itertools.product(*tables)
-        )
-        return (m,) + best
+            bit = 1 << j
+            if active & bit:
+                held = sorted([s for row, s in zip(rows, sizes) if row & bit])
+                colours.append((len(held), held, j))
+        colours.sort()
+        relabeled = [0] * len(rows)
+        for p, (_, _, j) in enumerate(colours):
+            bit, new = 1 << j, 1 << p
+            for r, row in enumerate(rows):
+                if row & bit:
+                    relabeled[r] |= new
+        return (len(family),) + tuple(sorted(relabeled))
 
 
 def _informative(family: Tuple[int, ...]) -> int:
@@ -387,32 +330,6 @@ def _informative(family: Tuple[int, ...]) -> int:
         shared &= mask
         seen |= mask
     return seen & ~shared
-
-
-def _fully_symmetric(members: set, group: Sequence[int]) -> bool:
-    """Whether every permutation of group's items maps the family, a set of
-    masks, onto itself. Swaps of adjacent items generate every permutation,
-    so it suffices that each maps every member to a member."""
-    for a, b in zip(group, group[1:]):
-        swap = 1 << a | 1 << b
-        for mask in members:
-            if (mask >> a ^ mask >> b) & 1 and mask ^ swap not in members:
-                return False
-    return True
-
-
-def _dense(sigs: list) -> list:
-    table = {sig: i for i, sig in enumerate(sorted(set(sigs)))}
-    return [table[sig] for sig in sigs]
-
-
-def _perm_budget(groups: List[List[int]]) -> int:
-    total = 1
-    for g in groups:
-        total *= math.factorial(len(g))
-        if total > 1000:
-            break
-    return total
 
 
 def minimax_m(n: int, d: int, limits: Optional[MinimaxLimits] = None) -> int:
@@ -593,11 +510,11 @@ def verify_grid(
     (CHECK_ALGORITHMS).
 
     The grid is one task list: each (algorithm, n) sweep, followed for zu
-    by its transcript analysis in mask-range shards. workers 0 or 1 run it
-    serially, more hand it to a process pool in list order, None reads
-    GTLAB_WORKERS, and a negative count is rejected. Sharding keeps the
-    largest n from leaving one worker busy alone; outputs are joined in list
-    order, so the report is the same for every worker count.
+    by its transcript analysis in mask-range shards. workers None, 0 or 1
+    run it serially, more hand it to a process pool in list order, and a
+    negative count is rejected. Sharding keeps the largest n from leaving
+    one worker busy alone; outputs are joined in list order, so the report
+    is the same for every worker count.
     """
     if not 1 <= n_max <= MAX_GRID_N:
         raise ValueError(f"need 1 <= n_max <= {MAX_GRID_N}")
@@ -624,14 +541,9 @@ def verify_grid(
             f"no check in {', '.join(checks)} applies to {', '.join(algorithms)}; "
             f"applicable pairs are {pairs}"
         )
-    if workers is None:
-        env = os.environ.get("GTLAB_WORKERS")
-        try:
-            workers = int(env) if env else 0
-        except ValueError:
-            raise ValueError(f"GTLAB_WORKERS must be an integer, got {env!r}") from None
+    workers = workers or 0
     if workers < 0:
-        raise ValueError(f"need workers >= 0 (--workers or GTLAB_WORKERS), got {workers}")
+        raise ValueError(f"need workers >= 0, got {workers}")
     tasks = _grid_tasks(algorithms, n_max, checks)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:

@@ -193,13 +193,6 @@ def test_verify_negative_workers_exits_2(capsys):
     assert "workers >= 0" in capsys.readouterr().err
 
 
-def test_verify_non_integer_env_workers_exits_2(capsys, monkeypatch):
-    monkeypatch.setenv("GTLAB_WORKERS", "2.5")
-    code = main(["verify", "--n-max", "3"])
-    assert code == 2
-    assert "GTLAB_WORKERS" in capsys.readouterr().err
-
-
 def test_verify_reports_are_stable(capsys):
     argv = ["verify", "--n-max", "5"]
     _, out_a = _capture(capsys, argv)
