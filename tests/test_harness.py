@@ -187,18 +187,12 @@ def _block_symmetric_families(draw, n):
     return tuple(sorted(family))
 
 
-@settings(max_examples=500, deadline=None)
-@given(st.integers(1, 5), st.data())
-def test_canonical_key_merges_only_isomorphic_families(n, data):
+def _check_key_soundness(families, n, data):
     # The key is a relabeling of the informative items, so equal keys must
     # mean the families are the same up to relabeling; isomorphic families
-    # may still get different keys. The families are drawn at random or
-    # closed under the permutations of one block. The second family is
-    # either drawn afresh or a relabeled copy of the first with at most one
-    # bit flipped, which keeps near misses common.
-    families = _families
-    if n >= 2 and data.draw(st.booleans()):
-        families = _block_symmetric_families
+    # may still get different keys. The second family is either drawn
+    # afresh or a relabeled copy of the first with at most one bit flipped,
+    # which keeps near misses common.
     a = data.draw(families(n))
     b = _relabel(a, data.draw(st.permutations(range(n))))
     if data.draw(st.booleans()):
@@ -211,6 +205,19 @@ def test_canonical_key_merges_only_isomorphic_families(n, data):
     solver = harness._MinimaxSolver(n)
     if solver._canonical_key(a) == solver._canonical_key(b):
         assert _isomorphic(a, b, n), (a, b)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 5), st.data())
+def test_canonical_key_merges_only_isomorphic_families(n, data):
+    _check_key_soundness(_families, n, data)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(2, 5), st.data())
+def test_canonical_key_merges_only_isomorphic_block_symmetric_families(n, data):
+    # Many items share a colour here, so ties broken by label matter most.
+    _check_key_soundness(_block_symmetric_families, n, data)
 
 
 def test_solvable_answers_trivial_families_without_a_key(monkeypatch):
