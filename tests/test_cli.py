@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -5,6 +6,9 @@ import pytest
 from gtlab import harness
 from gtlab.cli import main
 
+# SHA-256 over `gtlab bounds` exit code, stdout and stderr for every n <= 20,
+# d <= n + 1 and rho in {0.25, 0.5, 0.75}.
+BOUNDS_OUTPUT_SHA256 = "375ea9d6e48011aa71bf255069bb70a922fab4fd8a9a19e2e4c12b7e0d639eb6"
 
 def _capture(capsys, argv):
     code = main(argv)
@@ -220,6 +224,18 @@ def test_bounds_payload(capsys):
     assert by_name["entropy"]["value"] == pytest.approx(43.73859531148444)
     assert by_name["dense-exact"]["applicable"] is False
     assert by_name["dense-exact"]["value"] is None
+
+
+def test_bounds_output_is_pinned(capsys):
+    digest = hashlib.sha256()
+    for n in range(21):
+        for d in range(n + 2):
+            for rho in ("0.25", "0.5", "0.75"):
+                code = main(["bounds", "--n", str(n), "--d", str(d), "--rho", rho])
+                captured = capsys.readouterr()
+                row = [n, d, rho, code, captured.out, captured.err]
+                digest.update(json.dumps(row).encode())
+    assert digest.hexdigest() == BOUNDS_OUTPUT_SHA256
 
 
 def test_bounds_rejects_bad_input(capsys):

@@ -16,6 +16,10 @@ from gtlab.harness import MinimaxLimits, minimax_m, verify_grid, worst_case
 # count and the full transcript JSON of each (algorithm, n, mask).
 RECORDED_RUNS_SHA256 = "1a99141e1015a5e63a72e09ce97cc567f6f914f4a45f357f7fb1c3f403a13585"
 
+# SHA-256 of the JSON report of verify_grid(14) under the bounds, competitive
+# and count checks: every bound row and verdict of every cell for n <= 14.
+GRID_14_BOUNDS_SHA256 = "a8c66fb382a6134d9a29fdbc7763abeec9ec511cb5939977d0783af089c758b4"
+
 
 def test_recorded_transcripts_are_pinned():
     digest = hashlib.sha256()
@@ -320,6 +324,12 @@ def test_verify_grid_reports_are_byte_identical():
     a = harness.report_to_json(verify_grid(7))
     b = harness.report_to_json(verify_grid(7))
     assert a == b
+
+
+def test_verify_grid_bound_rows_are_pinned():
+    report = verify_grid(14, checks=["bounds", "competitive", "count"])
+    digest = hashlib.sha256(harness.report_to_json(report).encode()).hexdigest()
+    assert digest == GRID_14_BOUNDS_SHA256
 
 
 def test_verify_grid_workers_match_serial(tmp_path):
