@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import List, Optional
 
 _LN2 = math.log(2)
 _LOG2_5 = math.log2(5)
@@ -91,16 +91,21 @@ def dense_exact(n: int, d: int) -> BoundReport:
     return _na(n, d, name, LOWER)
 
 
-def best_lower_bound(n: int, d: int, rho: float = 0.5) -> float:
-    if not 0 <= d < n:
-        raise ValueError("need 0 <= d < n")
-    reports = [
+def lower_bounds(n: int, d: int, rho: float) -> List[BoundReport]:
+    """Every lower-bound report at (n, d): info, stirling, entropy and
+    dense-exact, in that order. Raises unless 0 <= d <= n."""
+    return [
         info_lower_bound(n, d),
         stirling_lower_bound(n, d, rho),
         entropy_lower_bound(n, d),
         dense_exact(n, d),
     ]
-    return max(r.value for r in reports if r.applicable)
+
+
+def best_lower_bound(n: int, d: int, rho: float = 0.5) -> float:
+    if not 0 <= d < n:
+        raise ValueError("need 0 <= d < n")
+    return max(r.value for r in lower_bounds(n, d, rho) if r.applicable)
 
 
 def zd_upper(n: int, d: int) -> BoundReport:
@@ -158,19 +163,19 @@ def hwang_upper(n: int, d: int) -> BoundReport:
     return BoundReport(n, d, name, value, True, UPPER)
 
 
-def zd_pretest_upper(n: int, d: int, psi: float = 0.0) -> BoundReport:
+def zd_pretest_upper(n: int, d: int) -> BoundReport:
     name = "zd-pretest"
     if not 0 <= d <= n or n < 1:
         return _na(n, d, name, UPPER)
     term = 0.0 if d == 0 else RATE * d * (math.log2(n / d) + 1)
-    return BoundReport(n, d, name, term + 4 + psi, True, UPPER)
+    return BoundReport(n, d, name, term + 4, True, UPPER)
 
 
-def zd_pretest_upper_n(n: int, psi: float = 0.0) -> BoundReport:
+def zd_pretest_upper_n(n: int) -> BoundReport:
     name = "zd-pretest-n"
     if n < 1:
         return _na(n, None, name, UPPER)
-    return BoundReport(n, None, name, 1.07325 * n + 4 + psi, True, UPPER)
+    return BoundReport(n, None, name, 1.07325 * n + 4, True, UPPER)
 
 
 @dataclass(frozen=True)
@@ -179,30 +184,26 @@ class CompetitiveVerdict:
     branch: str
     limit: float
     ok: bool
-    asserted: bool
 
 
 def competitive_check(n: int, d: int, tests: int) -> CompetitiveVerdict:
-    """Checks a run's test count against the regime-specific budget.
+    """Checks a run's test count against the budget of its regime.
 
-    The sparse branch normally compares against the entropy-based lower
-    bound; the info fallback is reported without being counted as a hard
-    failure since it is the weaker comparison.
+    The d0 branch allows 7 tests, the dense branch (8n <= 21d) RATE*(n-1)
+    + 15, and the sparse branch RATE times the entropy lower bound plus 39.
+    Sparse means 1 <= d and 21d < 8n, so 2d < 16n/21 < n and the entropy
+    bound always applies. d >= n is excluded.
     """
     if not 0 <= d < n:
-        return CompetitiveVerdict(False, "excluded", math.nan, True, False)
+        return CompetitiveVerdict(False, "excluded", math.nan, True)
     if d == 0:
         limit = 7.0
-        return CompetitiveVerdict(True, "d0", limit, tests <= limit, True)
+        return CompetitiveVerdict(True, "d0", limit, tests <= limit)
     if 8 * n <= 21 * d:
         limit = RATE * (n - 1) + 15
-        return CompetitiveVerdict(True, "dense", limit, tests <= limit + 1e-9, True)
-    entropy = entropy_lower_bound(n, d)
-    if entropy.applicable:
-        limit = RATE * entropy.value + 39
-        return CompetitiveVerdict(True, "sparse", limit, tests <= limit + 1e-9, True)
-    limit = RATE * info_lower_bound(n, d).value + 39
-    return CompetitiveVerdict(True, "sparse-proxy", limit, tests <= limit + 1e-9, False)
+        return CompetitiveVerdict(True, "dense", limit, tests <= limit + 1e-9)
+    limit = RATE * entropy_lower_bound(n, d).value + 39
+    return CompetitiveVerdict(True, "sparse", limit, tests <= limit + 1e-9)
 
 
 def merge_bound_check(n1: int, d1: int, n2: int, d2: int) -> bool:

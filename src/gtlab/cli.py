@@ -129,26 +129,22 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
     # Also rejects nan, which json.dumps would print as the invalid NaN.
     if not 0 < args.rho < 1:
         raise ValueError(f"need 0 < --rho < 1, got {args.rho}")
-    rows = [
-        _bound_row(bounds.info_lower_bound(n, d)),
-        _bound_row(bounds.stirling_lower_bound(n, d, args.rho)),
-        _bound_row(bounds.entropy_lower_bound(n, d)),
-        _bound_row(bounds.dense_exact(n, d)),
-        _bound_row(bounds.zd_upper(n, d)),
-        _bound_row(bounds.zd_pretest_upper(n, d)),
-        _bound_row(bounds.zu_upper_d(n, d)),
-        _bound_row(bounds.zu_upper_n(n)),
-        _bound_row(bounds.zc_upper_d(n, d)),
-        _bound_row(bounds.zc_upper_d(n, d, constant=23)),
-        _bound_row(bounds.zc_upper_n(n)),
-        _bound_row(bounds.hwang_upper(n, d)),
-        _bound_row(bounds.zd_pretest_upper_n(n)),
+    reports = bounds.lower_bounds(n, d, args.rho) + [
+        bounds.zd_upper(n, d),
+        bounds.zd_pretest_upper(n, d),
+        bounds.zu_upper_d(n, d),
+        bounds.zu_upper_n(n),
+        bounds.zc_upper_d(n, d),
+        bounds.zc_upper_d(n, d, constant=23),
+        bounds.zc_upper_n(n),
+        bounds.hwang_upper(n, d),
+        bounds.zd_pretest_upper_n(n),
     ]
     payload = {
         "n": n,
         "d": d,
         "rho": args.rho,
-        "bounds": rows,
+        "bounds": [_bound_row(report) for report in reports],
         "best_lower_bound": bounds.best_lower_bound(n, d, args.rho) if d < n else None,
     }
     print(json.dumps(payload, indent=2, sort_keys=True))

@@ -1,10 +1,11 @@
+import dataclasses
 import hashlib
 import json
 from collections import Counter
 
 import pytest
 
-from gtlab import analysis
+from gtlab import analysis, harness
 from gtlab.analysis import (
     StructureError,
     analyze,
@@ -271,6 +272,39 @@ def test_classify_rejects_a_tampered_quarter_extraction():
     for transcript in tampers:
         with pytest.raises(StructureError):
             classify(transcript)
+
+
+def _clean_zu_12():
+    # zu on 12 items with defectives 4, 8 and 11: 11 tests, no failure.
+    instance = instance_from_mask(12, 0b100100010000)
+    run = _zu(12, instance.defectives)
+    assert analyze(run).failures == []
+    return run, instance
+
+
+def test_analysis_violations_report_a_structure_error_as_one_row():
+    run, instance = _clean_zu_12()
+    tampered = _tampered(run, 2, kind=ADDITIONAL, rank=None)
+    rows = harness._analysis_violations(
+        dataclasses.replace(run, transcript=tampered), instance
+    )
+    assert len(rows) == 1
+    (row,) = rows
+    assert (row["algorithm"], row["n"], row["d"], row["check"]) == ("zu", 12, 3, "structure")
+    dump = row["counterexample"]
+    assert dump["failed_check"] == "structure"
+    assert dump["values"] == {"error": "additional test not at phase position 7"}
+    assert dump["instance"] == {"n": 12, "defectives": [4, 8, 11]}
+
+
+def test_analyze_reports_an_unattributed_test_as_a_recomposition_failure():
+    run, _ = _clean_zu_12()
+    seq = len(run.transcript.records) + 1
+    tampered = _tampered(
+        run, seq, pool=(0,), outcome=CONTAMINATED, kind=INCURRED, parent=999
+    )
+    report = analyze(dataclasses.replace(run, transcript=tampered))
+    assert report.failures == [("test-recomposition", {"lhs": 11, "rhs": 12})]
 
 
 def test_classify_requires_a_defective_per_tuple():

@@ -131,13 +131,12 @@ def test_hwang_pinned_value():
 
 def test_pretest_forms():
     assert bounds.zd_pretest_upper(100, 0).value == 4.0
-    assert bounds.zd_pretest_upper(100, 0, psi=2.5).value == 6.5
     assert bounds.zd_pretest_upper_n(100).value == pytest.approx(111.325, abs=1e-12)
 
 
 def test_competitive_check_branches():
     dense = bounds.competitive_check(8, 4, 25)
-    assert dense.branch == "dense" and dense.ok and dense.asserted
+    assert dense.branch == "dense" and dense.ok
     assert dense.limit == pytest.approx(1.431 * 7 + 15, abs=1e-9)
     assert not bounds.competitive_check(8, 4, 26).ok
 
@@ -146,20 +145,20 @@ def test_competitive_check_branches():
     assert not bounds.competitive_check(8, 0, 8).ok
 
     sparse = bounds.competitive_check(100, 10, 40)
-    assert sparse.branch == "sparse" and sparse.asserted
+    assert sparse.branch == "sparse"
 
     excluded = bounds.competitive_check(8, 8, 12)
     assert not excluded.applicable
 
 
 def test_competitive_proxy_branch_never_fires_in_range():
-    # Below the dense threshold d < 8n/21 < n/2, so the entropy form always
-    # applies and the info fallback stays defensive.
+    # The sparse regime is 1 <= d and 21d < 8n, so 2d < 16n/21 < n and the
+    # entropy lower bound always applies: d0, dense and sparse are the only
+    # branches below d = n.
     for n in range(2, 61):
         for d in range(0, n):
             verdict = bounds.competitive_check(n, d, 1)
             assert verdict.branch in ("d0", "dense", "sparse"), (n, d, verdict)
-            assert verdict.asserted
 
 
 def test_merge_bound_pinned_and_random():

@@ -394,6 +394,45 @@ def test_verify_grid_csv_layout(tmp_path):
     assert all(len(line.split(",")) == 7 for line in lines[1:])
 
 
+def test_verify_grid_writes_a_violation_row_per_failed_bound(monkeypatch, tmp_path):
+    # A zu-upper-n of 0 fails on every cell. The grid looks the evaluator up
+    # in bounds when it runs, so the patched one is the one it checks.
+    monkeypatch.setattr(
+        bounds,
+        "zu_upper_n",
+        lambda n: bounds.BoundReport(n, None, "zu-upper-n", 0.0, True, bounds.UPPER),
+    )
+    report = verify_grid(4, algorithms=["zu"], checks=["bounds"])
+    cells = [  # (n, d, worst_tests, argmax_mask)
+        (1, 0, 1, 0), (1, 1, 1, 1),
+        (2, 0, 2, 0), (2, 1, 2, 1), (2, 2, 2, 3),
+        (3, 0, 2, 0), (3, 1, 4, 2), (3, 2, 4, 6), (3, 3, 3, 7),
+        (4, 0, 3, 0), (4, 1, 5, 2), (4, 2, 5, 5), (4, 3, 5, 13), (4, 4, 4, 15),
+    ]
+    assert report["violations"] == [
+        {
+            "algorithm": "zu",
+            "n": n,
+            "d": d,
+            "check": "zu-upper-n",
+            "worst_tests": worst,
+            "bound_value": 0.0,
+            "argmax_mask": argmax,
+        }
+        for n, d, worst, argmax in cells
+    ]
+    cell = report["cells"][-1]
+    assert (cell["n"], cell["d"]) == (4, 4)
+    assert cell["bound_values"] == [
+        ["zu-upper-n", 0.0, False],
+        ["zu-upper-d", bounds.zu_upper_d(4, 4).value, True],
+    ]
+    path = tmp_path / "grid.csv"
+    harness.write_csv(report, str(path))
+    lines = path.read_text().splitlines()
+    assert lines[-2:] == ["zu,4,4,4,zu-upper-n,0.0,False", "zu,4,4,4,zu-upper-d,29.4349208,True"]
+
+
 def test_verify_grid_rejects_bad_arguments():
     with pytest.raises(ValueError):
         verify_grid(0)

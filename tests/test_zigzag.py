@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from gtlab import bounds
 from gtlab.core import (
     ADDITIONAL,
     CONTAMINATED,
@@ -165,7 +166,7 @@ def test_zu_worst_case_stays_under_seven_fifths_n():
             run_zu(PoolOracle(instance_from_mask(n, mask))).tests_used
             for mask in range(1 << n)
         )
-        assert 5 * worst <= 7 * n, (n, worst)
+        assert worst <= bounds.zu_upper_n(n).value + 1e-9, (n, worst)
 
 
 @settings(max_examples=60, deadline=None)
