@@ -288,7 +288,6 @@ def test_analysis_violations_report_a_structure_error_as_one_row():
     rows = harness._analysis_violations(
         dataclasses.replace(run, transcript=tampered), instance
     )
-    assert len(rows) == 1
     (row,) = rows
     assert (row["algorithm"], row["n"], row["d"], row["check"]) == ("zu", 12, 3, "structure")
     dump = row["counterexample"]

@@ -10,6 +10,7 @@ from gtlab.cli import main
 # d <= n + 1 and rho in {0.25, 0.5, 0.75}.
 BOUNDS_OUTPUT_SHA256 = "375ea9d6e48011aa71bf255069bb70a922fab4fd8a9a19e2e4c12b7e0d639eb6"
 
+
 def _capture(capsys, argv):
     code = main(argv)
     out = capsys.readouterr().out
