@@ -6,6 +6,7 @@ from collections import Counter
 import pytest
 
 from gtlab import analysis, harness
+from gtlab.bounds import budget
 from gtlab.analysis import (
     StructureError,
     analyze,
@@ -28,6 +29,7 @@ from gtlab.core import (
     Identification,
     Instance,
     PoolOracle,
+    RunResult,
     TestRecord,
     Transcript,
     instance_from_mask,
@@ -53,6 +55,14 @@ GRID_10_ANALYSIS_SHA256 = (
 )
 ZC_UPWARD_FAILURES_SHA256 = (
     "e931ffa4f2c7552dd93c78ad122227bf01cb6edbf33e9ef7aa2a347ab13dee8a"
+)
+
+# A digest of the whole analysis of every zu run for n <= 11 and of every
+# quarter-round run's upward portion for n <= 10: the classes, tuples, phases
+# and defective count as well as the failures, so a passing run whose
+# classes or tuples move changes it too.
+ANALYSIS_OUTPUT_SHA256 = (
+    "e0d9354c3e80c8958e31b09a0aa32d6fb50cfb1dc9e889580885895c1a4e8b90"
 )
 
 
@@ -318,6 +328,292 @@ def test_classify_requires_a_defective_per_tuple():
         classify(Transcript(records, idents))
 
 
+def _failures(transcript):
+    # The failure rows analyze gives a zu run with this transcript.
+    run = RunResult("zu", len(transcript.records), transcript, {})
+    return analyze(run).failures
+
+
+def _reattributed(run, **owners):
+    # The run's transcript with item i's identification attributed to test
+    # owners[f"item{i}"], or relabelled when the value is a label.
+    idents = []
+    for ident in run.transcript.identifications:
+        new = owners.get(f"item{ident.item}")
+        if new in (GOOD, DEFECTIVE):
+            ident = ident._replace(label=new)
+        elif new is not None:
+            ident = ident._replace(attributed_to=new)
+        idents.append(ident)
+    return Transcript(list(run.transcript.records), idents)
+
+
+def _idents(*triples):
+    return [Identification(item, label, owner, True) for item, label, owner in triples]
+
+
+def test_unmatched_pure_driver_out_of_rank_order_fails_c4_consecutive_ranks():
+    # zu on 100 items with defective 99 leaves its rank-0..5 drivers in c4;
+    # test 1 relabelled to rank 1 breaks the run of ranks.
+    transcript = _tampered(_zu(100, {99}), 1, rank=1)
+    assert _failures(transcript) == [
+        ("c4-consecutive-ranks", {"ranks": [1, 1, 2, 3, 4, 5]})
+    ]
+
+
+def test_c4_reaching_the_top_tuple_rank_fails_the_rank_gap():
+    # Two rank-0 pure drivers and a resolved rank-1 pair: the pair partners
+    # test 1, so test 2 stays in c4 at rank 0, one below the tuple's rank.
+    records = [
+        _rec(1, [0], PURE, DRIVER, rank=0),
+        _rec(2, [1], PURE, DRIVER, rank=0),
+        _rec(3, [2, 3], CONTAMINATED, DRIVER, rank=1),
+        _rec(4, [2], CONTAMINATED, INCURRED, parent=3),
+        _rec(5, [3], CONTAMINATED, INCURRED, parent=3),
+    ]
+    idents = _idents((0, GOOD, 1), (1, GOOD, 2), (2, DEFECTIVE, 3), (3, DEFECTIVE, 3))
+    assert _failures(Transcript(records, idents)) == [
+        ("c4-rank-gap", {"c4_max": 0, "contaminated_max": 1})
+    ]
+
+
+def test_more_phases_than_defectives_allow_fails_phase_count():
+    # Two rank-0 enders, the second labelling its item good, then an open
+    # phase: three phases for one defective.
+    records = [
+        _rec(1, [0], CONTAMINATED, DRIVER, rank=0),
+        _rec(2, [1], CONTAMINATED, DRIVER, rank=0),
+        _rec(3, [2], PURE, DRIVER, rank=0),
+    ]
+    idents = _idents((0, DEFECTIVE, 1), (1, GOOD, 2), (2, GOOD, 3))
+    assert _failures(Transcript(records, idents)) == [
+        ("phase-count", {"phases": 3, "defectives": 1})
+    ]
+
+
+def test_eight_pure_tests_in_the_final_phase_fail_its_budget():
+    records = [_rec(s, [s - 1], PURE, DRIVER, rank=s - 1) for s in range(1, 9)]
+    assert _failures(Transcript(records, [])) == [
+        ("final-phase-budget", {"lhs": 8, "rhs": 7})
+    ]
+
+
+def test_rank0_test_with_an_incurred_test_fails_its_bound():
+    # zu on 3 items with defective 0: test 1 is a rank-0 ender. A second
+    # test charged to it takes it, and the paired classes, over budget(1, 1).
+    transcript = _tampered(
+        _zu(3, {0}), 4, pool=(0,), outcome=CONTAMINATED, kind=INCURRED, parent=1
+    )
+    rhs = budget(1, 1)
+    assert rhs == pytest.approx(1.6087302, abs=1e-12)
+    assert _failures(transcript) == [
+        ("rank0-test-bound", {"test": 1, "lhs": 2, "rhs": rhs}),
+        ("paired-classes-bound", {"lhs": 2, "rhs": rhs}),
+    ]
+
+
+def test_paired_classes_without_a_defective_fail_with_no_budget():
+    # The same run with its one defective relabelled good: the rank-0 ender
+    # carries no defective, and two phases exceed zero defectives plus one.
+    transcript = _reattributed(_zu(3, {0}), item0=GOOD)
+    assert _failures(transcript) == [
+        ("phase-count", {"phases": 2, "defectives": 0}),
+        ("paired-classes-bound", {"lhs": 1, "rhs": None}),
+    ]
+
+
+def test_paired_classes_over_budget_with_every_tuple_within_it():
+    # zu on 6 items with defectives 1 and 4 ends on a triple tuple of 7
+    # tests against budget(2, 5) = 7.0008. An appended rank-0 ender that
+    # identifies nothing adds one test to the paired sum and nothing else.
+    transcript = _tampered(
+        _zu(6, {1, 4}), 9, pool=(5,), outcome=CONTAMINATED, kind=DRIVER, rank=0
+    )
+    assert _failures(transcript) == [
+        ("paired-classes-bound", {"lhs": 8, "rhs": 7.000818607567632})
+    ]
+
+
+def test_incurred_tests_charged_to_c4_fail_the_all_classes_bound():
+    # The clean 12-item run with 19 more incurred tests charged to test 1,
+    # a pure rank-0 driver in c4: 30 tests against budget(3, 12) + 16.
+    run, _ = _clean_zu_12()
+    records = list(run.transcript.records) + [
+        _rec(seq, [0], PURE, INCURRED, parent=1) for seq in range(12, 31)
+    ]
+    transcript = Transcript(records, list(run.transcript.identifications))
+    assert _failures(transcript) == [
+        ("all-classes-bound", {"lhs": 30, "rhs": 29.412190600000002})
+    ]
+
+
+def test_deep_tuple_short_of_its_identifications_fails_type_bound():
+    # zu on 12 items with defective 11 ends on a deep-q4 tuple identifying
+    # exactly its floor of 9 items; item 6 moved to test 1 leaves 8.
+    transcript = _reattributed(_zu(12, {11}), item6=1)
+    assert _failures(transcript) == [
+        (
+            "type-bound",
+            {
+                "cont_test": 4,
+                "tuple_type": "deep-q4",
+                "identified": 8,
+                "floor": 9,
+                "incurred": 5,
+                "cap": 6,
+            },
+        )
+    ]
+
+
+def test_every_budget_row_fires_when_the_budget_is_negative(monkeypatch):
+    # zu on 12 items with defectives 0, 4, 8 and 11: a rank-0 ender, three
+    # tuples and four defectives, so every check that reads budget applies.
+    monkeypatch.setattr(analysis, "budget", lambda d, n: -100.0)
+    tuple_rows = [
+        (3, 4, "r2-scan", 3),
+        (6, 7, "r2-scan", 4),
+        (10, 11, "r2-solo", 2),
+    ]
+    assert analyze(_zu(12, {0, 4, 8, 11})).failures == [
+        ("rank0-test-bound", {"test": 1, "lhs": 1, "rhs": -100.0}),
+        *(
+            (
+                "tuple-bound",
+                {
+                    "pure_test": pure,
+                    "cont_test": cont,
+                    "rank": 2,
+                    "tuple_type": tuple_type,
+                    "lhs": lhs,
+                    "rhs": -100.0,
+                },
+            )
+            for pure, cont, tuple_type, lhs in tuple_rows
+        ),
+        ("paired-classes-bound", {"lhs": 10, "rhs": -100.0}),
+        ("all-classes-bound", {"lhs": 11, "rhs": -84.0}),
+    ]
+
+
+# tuple-count and c4-pure fire only on a transcript that reuses a seq. With
+# distinct seqs, c3 is the disjoint union of the tuples' tests, and every
+# top-level test that is not pure is a phase's ender or its additional test.
+def test_a_test_that_both_ends_and_partners_a_tuple_fails_tuple_count():
+    # Seq 2 is a resolved rank-1 pair and, again later, a pure rank-1
+    # driver: its last view partners the rank-2 triple after ending the pair.
+    records = [
+        _rec(1, [0], PURE, DRIVER, rank=0),
+        _rec(2, [1, 2], CONTAMINATED, DRIVER, rank=1),
+        _rec(3, [1], CONTAMINATED, INCURRED, parent=2),
+        _rec(4, [2], CONTAMINATED, INCURRED, parent=2),
+        _rec(2, [1, 2], PURE, DRIVER, rank=1),
+        _rec(6, [3, 4, 5], CONTAMINATED, DRIVER, rank=2),
+        _rec(7, [3], PURE, INCURRED, parent=6),
+        _rec(8, [4], CONTAMINATED, INCURRED, parent=6),
+        _rec(9, [5], PURE, INCURRED, parent=6),
+    ]
+    idents = _idents(
+        (0, GOOD, 1), (1, DEFECTIVE, 2), (2, DEFECTIVE, 2),
+        (3, GOOD, 6), (4, DEFECTIVE, 6), (5, GOOD, 6),
+    )
+    assert _failures(Transcript(records, idents)) == [
+        ("tuple-count", {"tuples": 2, "expected": 1.5, "c3": [1, 2, 6]}),
+        ("test-recomposition", {"lhs": 8, "rhs": 9}),
+    ]
+
+
+def test_a_contaminated_additional_left_out_of_its_tuple_fails_c4_pure():
+    # Seq 3 is a pure driver and, again in the final phase, a pure
+    # additional test: as the first additional of the closed phase it
+    # becomes the tuple's extra, and the contaminated additional 7 is left
+    # in c4.
+    records = [_rec(s, [s - 1], PURE, DRIVER, rank=0) for s in range(1, 7)]
+    records += [
+        _rec(7, [6, 7, 8, 9], CONTAMINATED, ADDITIONAL),
+        _rec(8, [6, 7], CONTAMINATED, DRIVER, rank=1),
+        _rec(9, [6], CONTAMINATED, INCURRED, parent=8),
+        _rec(10, [7], CONTAMINATED, INCURRED, parent=8),
+    ]
+    records += [_rec(s, [s - 3], PURE, DRIVER, rank=0) for s in range(11, 17)]
+    records.append(_rec(3, [14], PURE, ADDITIONAL))
+    idents = _idents(*[(i, GOOD, i + 1) for i in range(6)])
+    idents += _idents((6, DEFECTIVE, 8), (7, DEFECTIVE, 8))
+    idents += _idents(*[(i, GOOD, i + 3) for i in range(8, 14)], (14, GOOD, 3))
+    assert _failures(Transcript(records, idents)) == [
+        ("c4-pure", {"c4": [2, 4, 5, 6, 7]}),
+        ("c4-consecutive-ranks", {"ranks": [0, 0, 0, 0, 0]}),
+        ("c4-rank-gap", {"c4_max": 0, "contaminated_max": 1}),
+        (
+            "tuple-bound",
+            {
+                "pure_test": 1,
+                "cont_test": 8,
+                "rank": 1,
+                "tuple_type": "r1-pair",
+                "lhs": 5,
+                "rhs": 4.891623077063949,
+            },
+        ),
+        ("test-recomposition", {"lhs": 16, "rhs": 17}),
+    ]
+
+
+# A record kind none of the strategies write.
+_FOREIGN = "foreign"
+
+
+def test_phase_grammar_rejects_an_additional_after_a_foreign_test():
+    records = [_rec(s, [s], PURE, DRIVER, rank=0) for s in range(1, 6)]
+    records.append(_rec(6, [6], PURE, _FOREIGN))
+    records.append(_rec(7, [7], CONTAMINATED, ADDITIONAL))
+    records.append(_rec(8, [8], CONTAMINATED, DRIVER, rank=6))
+    with pytest.raises(StructureError, match="^additional test not preceded by 6 pure tests$"):
+        segment_phases(Transcript(records, []))
+
+
+@pytest.mark.parametrize("closed", [True, False], ids=["closed", "final"])
+def test_phase_grammar_rejects_a_contaminated_test_inside_a_phase(closed):
+    # In the final phase this raises before the "contaminated driver in the
+    # final phase" check, which no transcript reaches.
+    records = [
+        _rec(1, [1], PURE, DRIVER, rank=0),
+        _rec(2, [2], CONTAMINATED, _FOREIGN),
+    ]
+    if closed:
+        records.append(_rec(3, [3], CONTAMINATED, DRIVER, rank=1))
+    with pytest.raises(StructureError, match="^contaminated driver does not close its phase$"):
+        segment_phases(Transcript(records, []))
+
+
+def test_classify_rejects_incurred_tests_under_a_single_item_driver():
+    # The clean 12-item run ends on test 11, a one-item rank-2 ender.
+    run, _ = _clean_zu_12()
+    transcript = _tampered(
+        run, 12, pool=(11,), outcome=CONTAMINATED, kind=INCURRED, parent=11
+    )
+    with pytest.raises(StructureError, match="^single-item driver with incurred tests$"):
+        classify(transcript)
+
+
+def test_classify_rejects_a_rank1_ender_that_is_not_a_resolved_pair():
+    # zu on 3 items with defectives 1 and 2 resolves the pair (1, 2) with
+    # two contaminated single tests; the first turned pure is no pair.
+    transcript = _tampered(_zu(3, {1, 2}), 3, outcome=PURE)
+    with pytest.raises(
+        StructureError, match="^rank-1 contaminated driver is not a resolved pair$"
+    ):
+        classify(transcript)
+
+
+def test_classify_rejects_an_additional_test_in_a_rank0_phase():
+    records = [_rec(s, [s], PURE, DRIVER, rank=0) for s in range(1, 7)]
+    records.append(_rec(7, [7], CONTAMINATED, ADDITIONAL))
+    records.append(_rec(8, [8], CONTAMINATED, DRIVER, rank=0))
+    with pytest.raises(StructureError, match="^additional test in a rank-0 phase$"):
+        classify(Transcript(records, []))
+
+
 def test_transcript_json_round_trips_through_json():
     run = _zu(9, {1, 6, 7})
     payload = transcript_json(run.transcript)
@@ -378,6 +674,37 @@ def test_upward_portions_of_quarter_round_runs_are_pinned():
             digest.update(json.dumps([n, mask, failures], sort_keys=True).encode())
     assert portions == 1608
     assert digest.hexdigest() == ZC_UPWARD_FAILURES_SHA256
+
+
+def _analysis_output(n, mask, report):
+    cls = report.classification
+    return [
+        n,
+        mask,
+        [sorted(c) for c in (cls.c1, cls.c2, cls.c3, cls.c4, cls.additional)],
+        cls.tuples,
+        cls.phases,
+        cls.defectives,
+        report.failures,
+    ]
+
+
+def test_whole_analysis_of_small_runs_is_pinned():
+    digest = hashlib.sha256()
+    rows = 0
+    for run_algorithm, n_max in ((run_zu, 11), (run_zc, 10)):
+        for n in range(1, n_max + 1):
+            for mask in range(1 << n):
+                run = run_algorithm(PoolOracle(instance_from_mask(n, mask)))
+                try:
+                    upward_subtranscript(run)
+                except ValueError:
+                    continue
+                row = _analysis_output(n, mask, analyze(run))
+                digest.update(json.dumps(row, sort_keys=True).encode())
+                rows += 1
+    assert rows == 4094 + 1608
+    assert digest.hexdigest() == ANALYSIS_OUTPUT_SHA256
 
 
 PARSE_STEPS = (
