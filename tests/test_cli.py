@@ -182,7 +182,7 @@ def test_verify_unwritable_out_exits_2_before_the_sweep(
 
 
 def test_verify_workers_match_serial_across_shards(capsys):
-    # The smallest n whose zu analysis spans two shards.
+    # The smallest n whose pooled zu analysis spans two shards.
     n = harness._ANALYSIS_SHARD.bit_length()
     assert 1 << (n - 1) <= harness._ANALYSIS_SHARD < 1 << n
     argv = ["verify", "--n-max", str(n), "--workers"]
