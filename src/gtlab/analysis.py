@@ -222,10 +222,10 @@ def _extracted_offset(
     found; raises StructureError unless the extraction is one the plan lists."""
     if not 0 < len(pool) <= pool_size(rank):
         raise StructureError("driver pool does not fit its rank")
-    offset = {item: pos for pos, item in enumerate(pool)}
+    offset = dict(zip(pool, range(len(pool)))).__getitem__
     try:
         queries = tuple(
-            (tuple(offset[item] for item in rec.pool), _hit(rec)) for rec in recs
+            [(tuple(map(offset, rec.pool)), rec.raw_outcome == CONTAMINATED) for rec in recs]
         )
     except KeyError:
         raise StructureError("incurred test outside its driver's pool") from None
@@ -235,13 +235,22 @@ def _extracted_offset(
     return p
 
 
+_SOLO_TYPES = {1: "r1-solo", 2: "r2-solo"}
+
+
+@lru_cache(maxsize=None)
+def _quarter_ends(rank: int) -> List[int]:
+    """The end offset of each of the four runs of a rank >= 3 pool."""
+    return list(accumulate(quarter_run_sizes(rank)))
+
+
 def _tuple_type(ender: TestView, recs: Sequence[TestRecord]) -> str:
     rank = ender.rank or 0
     pool = ender.pool
     if len(pool) == 1:
         if recs:
             raise StructureError("single-item driver with incurred tests")
-        return {1: "r1-solo", 2: "r2-solo"}.get(rank, "deep-solo")
+        return _SOLO_TYPES.get(rank, "deep-solo")
     if rank == 1:
         if (
             len(pool) != 2
@@ -261,10 +270,10 @@ def _tuple_type(ender: TestView, recs: Sequence[TestRecord]) -> str:
         return "r2-scan"
     if len(pool) <= 3:
         return "deep-scan"
-    ends = list(accumulate(quarter_run_sizes(rank)))
-    return f"deep-q{bisect_right(ends, p) + 1}"
+    return f"deep-q{bisect_right(_quarter_ends(rank), p) + 1}"
 
 
+@lru_cache(maxsize=None)
 def _type_floor(tuple_type: str, rank: int) -> Tuple[int, int]:
     """Minimum identifications and maximum incurred surplus for a deep
     tuple: (n(P) floor beyond the pure partner's pool, incurred cap term)."""
@@ -283,77 +292,89 @@ def classify(transcript: Transcript) -> Classification:
     views, recs_by_parent, d_run = _views(transcript)
     phases = tuple(segment_phases(transcript))
     trailing = phases[-1] if phases and not phases[-1].closed else None
-    c1: Set[int] = set(trailing.tests) if trailing else set()
+    c1 = frozenset(trailing.tests) if trailing else frozenset()
     # Pure drivers with a full pool, by rank, in test order: the only tests
-    # that can partner a contaminated driver one rank up.
-    partners: Dict[int, List[int]] = defaultdict(list)
+    # that can partner a contaminated driver one rank up. A partner leaves
+    # its list once matched.
+    partners: Dict[int, List[int]] = {}
     additional: Set[int] = set()
     for seq in sorted(views):
         view = views[seq]
-        if view.kind == ADDITIONAL:
+        kind = view[1]
+        if kind == ADDITIONAL:
             additional.add(seq)
-        elif (
-            view.kind == DRIVER
-            and view.status == PURE
-            and view.rank is not None
-            and len(view.pool) == pool_size(view.rank)
-            and seq not in c1
-        ):
-            partners[view.rank].append(seq)
-    c2: Set[int] = set()
-    c3: Set[int] = set()
-    matched: Set[int] = set()
+        elif kind == DRIVER and view[3] == PURE:
+            rank = view[2]
+            if rank is not None and len(view[4]) == pool_size(rank) and seq not in c1:
+                ranked = partners.get(rank)
+                if ranked is None:
+                    partners[rank] = [seq]
+                else:
+                    ranked.append(seq)
+    c2: List[int] = []
+    c3: List[int] = []
     tuples: List[ZigZagTuple] = []
     for phase in phases:
-        if not phase.closed:
+        if not phase[2]:
             continue
-        ender = views[phase.tests[-1]]
-        extra = (
-            next((s for s in phase.tests if s in additional), None)
-            if additional
-            else None
-        )
-        if ender.rank == 0:
+        tests = phase[1]
+        ender = views[tests[-1]]
+        cont = ender[0]
+        extra = None
+        if additional:
+            for s in tests:
+                if s in additional:
+                    extra = s
+                    break
+        rank = ender[2]
+        if rank == 0:
             if extra is not None:
                 raise StructureError("additional test in a rank-0 phase")
-            c2.add(ender.seq)
+            c2.append(cont)
             continue
-        rank = ender.rank or 0
-        eligible = [s for s in partners.get(rank - 1, ()) if s not in matched]
+        rank = rank or 0
+        eligible = partners.get(rank - 1)
         if not eligible:
-            raise StructureError(
-                f"no pure partner of rank {rank - 1} for test {ender.seq}"
-            )
+            raise StructureError(f"no pure partner of rank {rank - 1} for test {cont}")
         # A partner inside the phase wins; otherwise the earliest in the run.
-        partner = next((s for s in phase.tests[:-1] if s in eligible), eligible[0])
-        matched.add(partner)
-        ttype = _tuple_type(ender, recs_by_parent.get(ender.seq, []))
-        defectives = views[partner].defectives + ender.defectives
+        # The ender is never eligible: it sits in the list of its own rank.
+        for s in tests:
+            if s in eligible:
+                partner = s
+                eligible.remove(s)
+                break
+        else:
+            partner = eligible.pop(0)
+        ttype = _tuple_type(ender, recs_by_parent.get(cont, ()))
+        pure = views[partner]
+        defectives = pure[7] + ender[7]
         if defectives < 1:
             raise StructureError("tuple without a defective identification")
         tuples.append(
             _zigzag_tuple(
                 (
                     partner,
-                    ender.seq,
+                    cont,
                     extra,
                     rank,
-                    views[partner].incurred + ender.incurred + (extra is not None),
-                    views[partner].identified + ender.identified,
+                    pure[5] + ender[5] + (extra is not None),
+                    pure[6] + ender[6],
                     defectives,
                     ttype,
                 )
             )
         )
-        c3.update((partner, ender.seq))
+        c3.append(partner)
+        c3.append(cont)
         if extra is not None:
-            c3.add(extra)
-    c4 = set(views).difference(c1, c2, c3)
+            c3.append(extra)
+    c2_set = frozenset(c2)
+    c3_set = frozenset(c3)
     return Classification(
-        c1=frozenset(c1),
-        c2=frozenset(c2),
-        c3=frozenset(c3),
-        c4=frozenset(c4),
+        c1=c1,
+        c2=c2_set,
+        c3=c3_set,
+        c4=frozenset(views).difference(c1, c2_set, c3_set),
         additional=frozenset(additional),
         tuples=tuple(tuples),
         views=views,
@@ -367,34 +388,40 @@ def verify_observations(
 ) -> List[Tuple[str, Dict[str, object]]]:
     cls = classification
     views = cls.views
+    tuples = cls.tuples
+    c3 = cls.c3
     failures: List[Tuple[str, Dict[str, object]]] = []
     in_tuples: List[int] = []
-    for t in cls.tuples:
-        in_tuples.extend([t.pure_test, t.cont_test])
-        if t.extra is not None:
-            in_tuples.append(t.extra)
-    cont_additionals = len(cls.additional & cls.c3)
-    expected = (len(cls.c3) - cont_additionals) / 2
-    if len(cls.tuples) != expected or sorted(in_tuples) != sorted(cls.c3):
+    for t in tuples:
+        in_tuples.append(t[0])
+        in_tuples.append(t[1])
+        if t[2] is not None:
+            in_tuples.append(t[2])
+    expected = (len(c3) - len(cls.additional & c3)) / 2
+    # Equal lengths and equal sets mean equal sorted lists.
+    if len(tuples) != expected or len(in_tuples) != len(c3) or c3 != set(in_tuples):
         failures.append(
             (
                 "tuple-count",
-                {"tuples": len(cls.tuples), "expected": expected, "c3": sorted(cls.c3)},
+                {"tuples": len(tuples), "expected": expected, "c3": sorted(c3)},
             )
         )
-    c4_views = [views[s] for s in sorted(cls.c4)]
-    if any(v.status != PURE for v in c4_views):
-        failures.append(("c4-pure", {"c4": sorted(cls.c4)}))
-    ranks = sorted(v.rank or 0 for v in c4_views)
-    if c4_views and ranks != list(range(len(ranks))):
-        failures.append(("c4-consecutive-ranks", {"ranks": ranks}))
-    cont_ranks = [t.rank for t in cls.tuples]
-    if c4_views and cont_ranks:
-        top_c4, top_cont = max(ranks), max(cont_ranks)
-        if top_c4 + 2 > top_cont:
-            failures.append(
-                ("c4-rank-gap", {"c4_max": top_c4, "contaminated_max": top_cont})
-            )
+    c4 = cls.c4
+    if c4:
+        c4_views = [views[s] for s in c4]
+        for view in c4_views:
+            if view[3] != PURE:
+                failures.append(("c4-pure", {"c4": sorted(c4)}))
+                break
+        ranks = sorted([view[2] or 0 for view in c4_views])
+        if ranks != list(range(len(ranks))):
+            failures.append(("c4-consecutive-ranks", {"ranks": ranks}))
+        if tuples:
+            top_c4, top_cont = ranks[-1], max([t[3] for t in tuples])
+            if top_c4 + 2 > top_cont:
+                failures.append(
+                    ("c4-rank-gap", {"c4_max": top_c4, "contaminated_max": top_cont})
+                )
     d_run = cls.defectives
     n_phases = len(cls.phases)
     if n_phases > d_run + 1:
@@ -411,62 +438,71 @@ def check_class_bounds(
 
     lhs = 0
     for seq in cls.c1:
-        lhs += views[seq].incurred
+        lhs += views[seq][5]
     if lhs > 7:
         failures.append(("final-phase-budget", {"lhs": lhs, "rhs": 7}))
 
-    for seq in sorted(cls.c2):
+    c2 = cls.c2
+    for seq in sorted(c2):
         view = views[seq]
-        n_t = max(view.identified, 1)
-        rhs = budget(1, n_t)
-        if not view.incurred < rhs:
+        rhs = budget(1, max(view[6], 1))
+        if not view[5] < rhs:
             failures.append(
-                ("rank0-test-bound", {"test": seq, "lhs": view.incurred, "rhs": rhs})
+                ("rank0-test-bound", {"test": seq, "lhs": view[5], "rhs": rhs})
             )
 
     for t in cls.tuples:
-        rhs = budget(t.defectives, t.identified)
-        if t.incurred > rhs + _SLACK:
+        pure_test, cont_test, _, rank, incurred, identified, defectives, tuple_type = t
+        rhs = budget(defectives, identified)
+        if incurred > rhs + _SLACK:
             failures.append(
                 (
                     "tuple-bound",
                     {
-                        "pure_test": t.pure_test,
-                        "cont_test": t.cont_test,
-                        "rank": t.rank,
-                        "tuple_type": t.tuple_type,
-                        "lhs": t.incurred,
+                        "pure_test": pure_test,
+                        "cont_test": cont_test,
+                        "rank": rank,
+                        "tuple_type": tuple_type,
+                        "lhs": incurred,
                         "rhs": rhs,
                     },
                 )
             )
-        floor, surplus = _type_floor(t.tuple_type, t.rank) if t.rank >= 3 else (None, None)
-        if floor is not None:
-            pure_incurred = views[t.pure_test].incurred
-            cap = pure_incurred + surplus
-            if t.identified < floor or t.incurred > cap:
+        if rank >= 3:
+            floor, surplus = _type_floor(tuple_type, rank)
+            cap = views[pure_test][5] + surplus
+            if identified < floor or incurred > cap:
                 failures.append(
                     (
                         "type-bound",
                         {
-                            "cont_test": t.cont_test,
-                            "tuple_type": t.tuple_type,
-                            "identified": t.identified,
+                            "cont_test": cont_test,
+                            "tuple_type": tuple_type,
+                            "identified": identified,
                             "floor": floor,
-                            "incurred": t.incurred,
+                            "incurred": incurred,
                             "cap": cap,
                         },
                     )
                 )
 
-    paired = cls.c2 | cls.c3
+    # One pass over the views sums the paired classes (c2 and c3), the rest
+    # of the classified tests (c4) and every test.
+    c3 = cls.c3
+    c4 = cls.c4
+    paired = False
+    d_pair = n_pair = lhs = rest = total = 0
+    for seq, view in views.items():
+        incurred = view[5]
+        total += incurred
+        if seq in c3 or seq in c2:
+            paired = True
+            d_pair += view[7]
+            n_pair += view[6]
+            lhs += incurred
+        elif seq in c4:
+            rest += incurred
     if paired:
-        d_pair = n_pair = lhs = 0
-        for seq in paired:
-            view = views[seq]
-            d_pair += view.defectives
-            n_pair += view.identified
-            lhs += view.incurred
         if d_pair < 1:
             failures.append(("paired-classes-bound", {"lhs": lhs, "rhs": None}))
         else:
@@ -475,20 +511,15 @@ def check_class_bounds(
                 failures.append(("paired-classes-bound", {"lhs": lhs, "rhs": rhs}))
 
     d_run = cls.defectives
-    n_run = len(transcript.identifications)
     if d_run >= 3:
-        lhs = sum(views[s].incurred for s in (cls.c2 | cls.c3 | cls.c4))
-        rhs = budget(d_run, n_run) + 16
+        lhs += rest
+        rhs = budget(d_run, len(transcript.identifications)) + 16
         if lhs > rhs + _SLACK:
             failures.append(("all-classes-bound", {"lhs": lhs, "rhs": rhs}))
 
-    total = 0
-    for view in views.values():
-        total += view.incurred
-    if total != len(transcript.records):
-        failures.append(
-            ("test-recomposition", {"lhs": total, "rhs": len(transcript.records)})
-        )
+    n_records = len(transcript.records)
+    if total != n_records:
+        failures.append(("test-recomposition", {"lhs": total, "rhs": n_records}))
 
     return failures
 

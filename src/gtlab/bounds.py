@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import List, Optional
 
 _LN2 = math.log(2)
@@ -33,9 +34,11 @@ class BoundReport:
     direction: str
 
 
+@lru_cache(maxsize=None)
 def budget(d: int, n: int) -> float:
     """The paper's test budget for d defectives among n items,
-    RATE * d * (log2(n/d) + SHIFT)."""
+    RATE * d * (log2(n/d) + SHIFT). Memoized: the analysis asks for the
+    same few pairs on every run."""
     return RATE * d * (math.log2(n / d) + SHIFT)
 
 
