@@ -11,7 +11,6 @@ reported in the verdict so callers can collect counterexamples.
 from __future__ import annotations
 
 from bisect import bisect_right
-from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
 from itertools import accumulate
@@ -44,6 +43,8 @@ class StructureError(Exception):
     """Transcript shape contradicts the upward strategy's grammar."""
 
 
+# classify and the checks read views by index, in this field order (seq is
+# 0, defectives 7): a tuple index is cheaper than a field name per leaf.
 class TestView(NamedTuple):
     seq: int
     kind: str
@@ -225,7 +226,7 @@ def _extracted_offset(
     offset = dict(zip(pool, range(len(pool)))).__getitem__
     try:
         queries = tuple(
-            [(tuple(map(offset, rec.pool)), rec.raw_outcome == CONTAMINATED) for rec in recs]
+            [(tuple(map(offset, rec.pool)), _hit(rec)) for rec in recs]
         )
     except KeyError:
         raise StructureError("incurred test outside its driver's pool") from None
@@ -236,12 +237,6 @@ def _extracted_offset(
 
 
 _SOLO_TYPES = {1: "r1-solo", 2: "r2-solo"}
-
-
-@lru_cache(maxsize=None)
-def _quarter_ends(rank: int) -> List[int]:
-    """The end offset of each of the four runs of a rank >= 3 pool."""
-    return list(accumulate(quarter_run_sizes(rank)))
 
 
 def _tuple_type(ender: TestView, recs: Sequence[TestRecord]) -> str:
@@ -270,7 +265,8 @@ def _tuple_type(ender: TestView, recs: Sequence[TestRecord]) -> str:
         return "r2-scan"
     if len(pool) <= 3:
         return "deep-scan"
-    return f"deep-q{bisect_right(_quarter_ends(rank), p) + 1}"
+    ends = list(accumulate(quarter_run_sizes(rank)))
+    return f"deep-q{bisect_right(ends, p) + 1}"
 
 
 @lru_cache(maxsize=None)
