@@ -186,9 +186,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         help="worker processes (default serial); the tasks "
-        "are the (algorithm, n) sweeps and the zu transcript analysis, cut "
-        "into 1024-mask shards only when pooled, and the report does not "
-        "depend on the count",
+        "are the (algorithm, n) sweeps and the zu transcript analysis of "
+        "each n, and the report does not depend on the count",
     )
     p_vf.add_argument("--out", help="also write the grid as CSV here")
     p_vf.set_defaults(func=_cmd_verify)

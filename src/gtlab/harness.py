@@ -52,13 +52,6 @@ DEFAULT_CHECKS = tuple(CHECK_ALGORITHMS)
 # Largest n the verify grid sweeps.
 MAX_GRID_N = 20
 
-# Masks per transcript-analysis task in a pooled grid. The zu analysis of
-# the largest n dominates a grid; split into shards this size and handed out
-# in list order, it leaves at most one shard running after the other workers
-# finish. A serial grid takes blocks of kernels.BLOCK masks instead, so each
-# n up to 16 is one walk and the tree's top is walked once.
-_ANALYSIS_SHARD = 1 << 10
-
 # Most masks an exhaustive worst_case walks before it refuses.
 _EXHAUSTIVE_CAP = 10**7
 
@@ -459,21 +452,20 @@ def _analysis_task(n: int, lo: int, hi: int) -> Tuple[List[dict], List[dict]]:
 
 
 def _grid_tasks(
-    algorithms: Sequence[str], n_max: int, checks: Sequence[str], workers: int
+    algorithms: Sequence[str], n_max: int, checks: Sequence[str]
 ) -> List[partial]:
-    """Every (algorithm, n) sweep, each followed by its zu analysis shards in
-    mask order, so joining the outputs in list order gives the report.
-    Shards are _ANALYSIS_SHARD masks when workers > 1 share them, and
-    kernels.BLOCK masks otherwise."""
-    shard = _ANALYSIS_SHARD if workers > 1 else kernels.BLOCK
+    """Every (algorithm, n) sweep, each followed by its zu analysis in blocks
+    of kernels.BLOCK masks, in mask order, so joining the outputs in list
+    order gives the report. Each n up to 16 is one block, so the top of zu's
+    decision tree is walked once per n."""
     tasks = []
     for algorithm in algorithms:
         for n in range(1, n_max + 1):
             tasks.append(partial(_sweep_task, algorithm, n, checks))
             if algorithm == "zu" and "analysis" in checks:
                 end = 1 << n
-                for lo in range(0, end, shard):
-                    hi = min(lo + shard, end)
+                for lo in range(0, end, kernels.BLOCK):
+                    hi = min(lo + kernels.BLOCK, end)
                     tasks.append(partial(_analysis_task, n, lo, hi))
     return tasks
 
@@ -502,15 +494,12 @@ def verify_grid(
     one in which no check family applies to any selected algorithm
     (CHECK_ALGORITHMS).
 
-    The grid is one task list: each (algorithm, n) sweep, followed for zu
-    by its transcript analysis in mask-range shards. workers None, 0 or 1
-    run it serially, more hand it to a process pool in list order, and a
-    negative count is rejected. A pooled grid cuts each n's analysis into
-    _ANALYSIS_SHARD masks, which keeps the largest n from leaving one worker
-    busy alone; a serial grid walks each n up to 16 in one piece, so the
-    top of zu's decision tree is walked once per n rather than once per
-    shard. Outputs are joined in list order, so the report is the same for
-    every worker count.
+    The grid is one task list (_grid_tasks): each (algorithm, n) sweep,
+    followed for zu by its transcript analysis in blocks of kernels.BLOCK
+    masks. workers None, 0 or 1 run it serially in list order, more hand it
+    to a process pool largest n first, and a negative count is rejected.
+    Outputs are joined in list order, so the report is the same for every
+    worker count.
     """
     if not 1 <= n_max <= MAX_GRID_N:
         raise ValueError(f"need 1 <= n_max <= {MAX_GRID_N}")
@@ -540,10 +529,11 @@ def verify_grid(
     workers = workers or 0
     if workers < 0:
         raise ValueError(f"need workers >= 0, got {workers}")
-    tasks = _grid_tasks(algorithms, n_max, checks, workers)
+    tasks = _grid_tasks(algorithms, n_max, checks)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            outputs = list(pool.map(_run_task, tasks))
+            # Largest n first, so the longest tasks do not start last.
+            outputs = list(pool.map(_run_task, tasks[::-1]))[::-1]
     else:
         outputs = [_run_task(task) for task in tasks]
     cells = [cell for out_cells, _ in outputs for cell in out_cells]

@@ -133,9 +133,8 @@ def quarter_split(
     if m <= 3:
         _scan_individuals(session, X, parent)
         return
-    if k <= 2:
-        raise ValueError("size %d needs k >= 3, got k=%d" % (m, k))
 
+    # m >= 4 > pool_size(2) here, so k >= 3 and the four runs are defined.
     start = 0
     for size in quarter_run_sizes(k):
         subset = X[start : start + size]

@@ -574,8 +574,8 @@ def test_phase_grammar_rejects_an_additional_after_a_foreign_test():
 
 @pytest.mark.parametrize("closed", [True, False], ids=["closed", "final"])
 def test_phase_grammar_rejects_a_contaminated_test_inside_a_phase(closed):
-    # In the final phase this raises before the "contaminated driver in the
-    # final phase" check, which no transcript reaches.
+    # The final phase has no closing test, so any contaminated test in it
+    # fails the same check.
     records = [
         _rec(1, [1], PURE, DRIVER, rank=0),
         _rec(2, [2], CONTAMINATED, _FOREIGN),

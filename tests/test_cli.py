@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from gtlab import harness
+from gtlab import harness, kernels
 from gtlab.cli import main
 
 # SHA-256 over `gtlab bounds` exit code, stdout and stderr for every n <= 20,
@@ -72,6 +72,26 @@ def test_run_names_a_bad_defective_token(capsys):
     code = main(["run", "--alg", "zd", "--n", "4", "--defectives", "1,,2"])
     assert code == 2
     assert capsys.readouterr().err == "error: bad defective index ''\n"
+
+
+def test_run_rejects_a_duplicate_defective(capsys):
+    code = main(["run", "--alg", "zd", "--n", "4", "--defectives", "1,1"])
+    assert code == 2
+    assert capsys.readouterr().err == "error: duplicate defective index\n"
+
+
+def test_run_rejects_more_random_defectives_than_items(capsys):
+    code = main(["run", "--alg", "zd", "--n", "5", "--d-random", "6"])
+    assert code == 2
+    assert capsys.readouterr().err == "error: need 0 <= --d-random <= --n\n"
+
+
+def test_run_with_an_empty_defective_list_is_a_d0_run(capsys):
+    code, out = _capture(capsys, ["run", "--alg", "zu", "--n", "5", "--defectives", ""])
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["defectives"] == []
+    assert payload["ok"] is True
 
 
 def test_worstcase_json(capsys):
@@ -181,10 +201,11 @@ def test_verify_unwritable_out_exits_2_before_the_sweep(
     assert not (tmp_path / "missing").exists()
 
 
-def test_verify_workers_match_serial_across_shards(capsys):
-    # The smallest n whose pooled zu analysis spans two shards.
-    n = harness._ANALYSIS_SHARD.bit_length()
-    assert 1 << (n - 1) <= harness._ANALYSIS_SHARD < 1 << n
+def test_verify_workers_match_serial_across_shards(capsys, monkeypatch):
+    # The smallest n whose zu analysis spans two blocks. Tasks carry their
+    # mask range, so the workers need no patch.
+    monkeypatch.setattr(kernels, "BLOCK", 1 << 8)
+    n = kernels.BLOCK.bit_length()
     argv = ["verify", "--n-max", str(n), "--workers"]
     serial = _capture(capsys, argv + ["1"])
     parallel = _capture(capsys, argv + ["2"])
@@ -214,6 +235,12 @@ def test_oracle_prints_a_bare_integer(capsys):
 def test_oracle_refusal_exits_2(capsys):
     code, _ = _capture(capsys, ["oracle", "--n", "12", "--d", "1"])
     assert code == 2
+
+
+def test_oracle_rejects_d_above_n(capsys):
+    code = main(["oracle", "--n", "3", "--d", "5"])
+    assert code == 2
+    assert capsys.readouterr().err == "error: need 0 <= d <= n\n"
 
 
 def test_bounds_payload(capsys):

@@ -332,13 +332,14 @@ def test_verify_grid_bound_rows_are_pinned():
     assert digest == GRID_14_BOUNDS_SHA256
 
 
-def test_verify_grid_workers_match_serial(tmp_path):
+def test_verify_grid_workers_match_serial(monkeypatch):
     serial = verify_grid(6)
     parallel = verify_grid(6, workers=3)
     assert harness.report_to_json(serial) == harness.report_to_json(parallel)
-    # The smallest n whose pooled zu analysis spans two shards.
-    n = harness._ANALYSIS_SHARD.bit_length()
-    assert 1 << (n - 1) <= harness._ANALYSIS_SHARD < 1 << n
+    # The smallest n whose zu analysis spans two blocks. Tasks carry their
+    # mask range, so the workers need no patch.
+    monkeypatch.setattr(kernels, "BLOCK", 1 << 8)
+    n = kernels.BLOCK.bit_length()
     checks = ["bounds", "analysis"]
     serial = verify_grid(n, algorithms=["zu"], checks=checks, workers=1)
     parallel = verify_grid(n, algorithms=["zu"], checks=checks, workers=2)
@@ -358,16 +359,15 @@ def test_analysis_shards_join_to_the_full_range():
 
 def test_verify_grid_report_does_not_depend_on_the_shard_size(monkeypatch):
     checks = ["bounds", "analysis"]
-    # Serially, each n's analysis is one walk: one sweep and one analysis
-    # task per n.
-    assert len(harness._grid_tasks(["zu"], 10, checks, 1)) == 2 * 10
+    # Each n's analysis is one walk: one sweep and one analysis task per n.
+    assert len(harness._grid_tasks(["zu"], 10, checks)) == 2 * 10
     serial = harness.report_to_json(verify_grid(10, algorithms=["zu"], checks=checks))
     pooled = harness.report_to_json(
         verify_grid(10, algorithms=["zu"], checks=checks, workers=2)
     )
-    monkeypatch.setattr(harness, "_ANALYSIS_SHARD", 37)
-    assert len(harness._grid_tasks(["zu"], 10, checks, 2)) == 10 + sum(
-        -(-(1 << n) // 37) for n in range(1, 11)
+    monkeypatch.setattr(kernels, "BLOCK", 1 << 5)
+    assert len(harness._grid_tasks(["zu"], 10, checks)) == 10 + sum(
+        -(-(1 << n) // 32) for n in range(1, 11)
     )
     small = harness.report_to_json(
         verify_grid(10, algorithms=["zu"], checks=checks, workers=2)

@@ -115,6 +115,24 @@ def test_sweep_rejects_a_counter_that_reaches_a_mask_twice(monkeypatch, algorith
         kernels.sweep(algorithm, 6)
 
 
+@pytest.mark.parametrize("algorithm", kernels.ALGORITHMS)
+def test_sweep_rejects_a_counter_that_leaves_its_block(monkeypatch, algorithm):
+    # With 2^3-mask blocks, mask 0x15 lies in the third block of n = 5; the
+    # tampered leaf names it, correctly classified, in the first.
+    def moves_mask_5_to_0x15(leaf):
+        masks, tests, good, bad = leaf
+        if masks == [5]:
+            masks, good, bad = [0x15], 0x1F ^ 0x15, 0x15
+        yield masks, tests, good, bad
+
+    monkeypatch.setattr(kernels, "BLOCK", 1 << 3)
+    _tampered(monkeypatch, algorithm, moves_mask_5_to_0x15)
+    with pytest.raises(
+        AssertionError, match=f"^{algorithm} reached mask 0x15 outside its block at n=5$"
+    ):
+        kernels.sweep(algorithm, 5)
+
+
 def test_sweep_is_the_same_in_small_blocks(monkeypatch):
     default = {
         (algorithm, n): kernels.sweep(algorithm, n)

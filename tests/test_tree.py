@@ -236,3 +236,25 @@ def test_a_walk_that_misses_or_repeats_a_mask_is_rejected(monkeypatch, consume, 
     monkeypatch.setattr(harness, "walk", _tampered(tamper))
     with pytest.raises(AssertionError, match=message[tamper]):
         consume()
+
+
+@pytest.mark.parametrize(
+    "consume, algorithm, n, count",
+    [
+        pytest.param(partial(harness.worst_case, "zd", 8, 3), "zd", 8, 56, id="worst_case"),
+        pytest.param(partial(harness._analyze_upward_runs, 6, 0, 32), "zu", 6, 32, id="analysis"),
+    ],
+)
+def test_a_walk_that_reaches_a_mask_outside_its_list_is_rejected(
+    monkeypatch, consume, algorithm, n, count
+):
+    # The tampered walk also walks the all-defective mask, which is in
+    # neither family; every recorded run passes, so the walk's error stands.
+    def wider_walk(step, start, n, masks):
+        return walk(step, start, n, [*masks, (1 << n) - 1])
+
+    monkeypatch.setattr(harness, "walk", wider_walk)
+    full = (1 << n) - 1
+    message = f"^{algorithm} walk at n={n} reached mask {full:#x}, not one of its {count} masks$"
+    with pytest.raises(AssertionError, match=message):
+        consume()
