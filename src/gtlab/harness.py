@@ -532,7 +532,8 @@ def verify_grid(
     tasks = _grid_tasks(algorithms, n_max, checks)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            # Largest n first, so the longest tasks do not start last.
+            # Reversed, so each algorithm's largest n, the longest tasks,
+            # start early rather than last.
             outputs = list(pool.map(_run_task, tasks[::-1]))[::-1]
     else:
         outputs = [_run_task(task) for task in tasks]
