@@ -74,16 +74,18 @@ def test_run_names_a_bad_defective_token(capsys):
     assert capsys.readouterr().err == "error: bad defective index ''\n"
 
 
-def test_run_rejects_a_duplicate_defective(capsys):
-    code = main(["run", "--alg", "zd", "--n", "4", "--defectives", "1,1"])
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--n", "4", "--defectives", "1,1"], "duplicate defective index"),
+        (["--n", "5", "--d-random", "6"], "need 0 <= --d-random <= --n"),
+    ],
+    ids=["duplicate", "d-random-above-n"],
+)
+def test_run_rejects_a_defective_set_that_cannot_exist(capsys, flags, message):
+    code = main(["run", "--alg", "zd", *flags])
     assert code == 2
-    assert capsys.readouterr().err == "error: duplicate defective index\n"
-
-
-def test_run_rejects_more_random_defectives_than_items(capsys):
-    code = main(["run", "--alg", "zd", "--n", "5", "--d-random", "6"])
-    assert code == 2
-    assert capsys.readouterr().err == "error: need 0 <= --d-random <= --n\n"
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_run_with_an_empty_defective_list_is_a_d0_run(capsys):
