@@ -7,7 +7,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import os
 import random
 import sys
@@ -61,7 +60,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         payload["plan"] = dataclasses.asdict(result.plan)
     if args.emit_transcript:
         payload["transcript"] = transcript_json(result.transcript)
-    print(json.dumps(payload, indent=2, sort_keys=True))
+    print(harness.report_to_json(payload))
     return 0 if verdict.ok else 1
 
 
@@ -77,7 +76,7 @@ def _cmd_worstcase(args: argparse.Namespace) -> int:
         "argmax_defectives": cell.argmax_defectives,
         "exact": cell.exact,
     }
-    print(json.dumps(payload, indent=2, sort_keys=True))
+    print(harness.report_to_json(payload))
     return 0
 
 
@@ -147,7 +146,7 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
         "bounds": [_bound_row(report) for report in reports],
         "best_lower_bound": bounds.best_lower_bound(n, d, args.rho) if d < n else None,
     }
-    print(json.dumps(payload, indent=2, sort_keys=True))
+    print(harness.report_to_json(payload))
     return 0
 
 

@@ -3,9 +3,11 @@ import itertools
 import json
 import math
 import random
+import tracemalloc
+from collections import OrderedDict
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from gtlab import bounds, harness, kernels
 from gtlab.analysis import transcript_json
@@ -324,6 +326,59 @@ def test_verify_grid_reports_are_byte_identical():
     a = harness.report_to_json(verify_grid(7))
     b = harness.report_to_json(verify_grid(7))
     assert a == b
+
+
+_JSON_SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers(-(2**70), 2**70)
+    | st.floats()
+    | st.sampled_from([-0.0, 1e300, math.inf, -math.inf, math.nan])
+    | st.text()
+    | st.sampled_from(
+        ['say "hi"', "back\\slash", "\x00\t\n\x1f\x7f", "zu \u00e9 \u2603 \U0001d11e"]
+    )
+)
+_JSON_VALUES = st.recursive(
+    _JSON_SCALARS,
+    lambda children: st.lists(children)
+    | st.lists(children).map(tuple)
+    | st.dictionaries(st.text(), children)
+    | st.dictionaries(st.text(), children).map(OrderedDict),
+    max_leaves=40,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_JSON_VALUES)
+@example({"a": [(), {}, []], "b": [OrderedDict([("z", [-0.0, math.nan]), ("y", {})])]})
+def test_report_to_json_matches_json_dumps(value):
+    expected = json.dumps(value, indent=2, sort_keys=True)
+    assert harness.report_to_json(value) == expected
+
+
+@pytest.mark.parametrize("bad", [{1, 2}, b"bytes"])
+def test_report_to_json_rejects_what_json_dumps_rejects(bad):
+    value = {"cells": [{"n": 3, "x": bad}]}
+    with pytest.raises(TypeError) as ours:
+        harness.report_to_json(value)
+    with pytest.raises(TypeError) as theirs:
+        json.dumps(value, indent=2, sort_keys=True)
+    assert str(ours.value) == str(theirs.value)
+
+
+def test_report_to_json_peak_memory_is_at_most_three_times_the_text():
+    # json.dumps with indent holds every chunk of the text at once: about
+    # six times its length at the peak.
+    report = verify_grid(10, algorithms=["zu"], checks=["analysis"])
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        text = harness.report_to_json(report)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * len(text)
 
 
 def test_verify_grid_bound_rows_are_pinned():
