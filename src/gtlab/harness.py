@@ -558,7 +558,7 @@ def report_to_json(report: dict) -> str:
     indent set, json falls back to its pure-Python encoder, which holds
     every chunk of the text in one list before joining it. Here each
     container joins its encoded children and frees them, which takes about
-    half the time and a third of the peak memory on a grid report.
+    60% of the time and a third of the peak memory on a grid report.
 
     The recursion goes through _encode, never through this name: callers
     may wrap report_to_json (perfbench's tracer does) to time one encoding."""
@@ -567,8 +567,8 @@ def report_to_json(report: dict) -> str:
 
 def _encode(o: object, ind: str) -> str:
     # Exact types only: subclasses, nan and infinities, non-str keys and
-    # unsupported types go to json.dumps, re-indented to this depth. That is exact
-    # because encoded JSON never holds a raw newline.
+    # unsupported types go to json.dumps, re-indented to this depth. That
+    # is exact because encoded JSON never holds a raw newline.
     t = type(o)
     if t is str:
         return _encode_str(o)

@@ -357,7 +357,7 @@ def test_report_to_json_matches_json_dumps(value):
     assert harness.report_to_json(value) == expected
 
 
-@pytest.mark.parametrize("bad", [{1, 2}, b"bytes"])
+@pytest.mark.parametrize("bad", [{1, 2}, b"bytes"], ids=["set", "bytes"])
 def test_report_to_json_rejects_what_json_dumps_rejects(bad):
     value = {"cells": [{"n": 3, "x": bad}]}
     with pytest.raises(TypeError) as ours:
