@@ -24,6 +24,7 @@ from gtlab.core import (
     DRIVER,
     INCURRED,
     PURE,
+    Identification,
     Instance,
     RunResult,
     TestRecord,
@@ -237,9 +238,9 @@ def _extracted_offset(
 _SOLO_TYPES = {1: "r1-solo", 2: "r2-solo"}
 
 
-def _tuple_type(ender: TestView, recs: Sequence[TestRecord]) -> str:
-    rank = ender.rank or 0
-    pool = ender.pool
+def _tuple_type(rank: int, pool: Tuple[int, ...], recs: Sequence[TestRecord]) -> str:
+    """The type of the tuple a contaminated driver of rank >= 1 on pool
+    ends, read from its incurred records recs."""
     if len(pool) == 1:
         if recs:
             raise StructureError("single-item driver with incurred tests")
@@ -339,7 +340,7 @@ def classify(transcript: Transcript) -> Classification:
                 break
         else:
             partner = eligible.pop(0)
-        ttype = _tuple_type(ender, recs_by_parent.get(cont, ()))
+        ttype = _tuple_type(rank, ender[4], recs_by_parent.get(cont, ()))
         pure = views[partner]
         defectives = pure[7] + ender[7]
         if defectives < 1:
@@ -377,14 +378,114 @@ def classify(transcript: Transcript) -> Classification:
     )
 
 
+# Each count and budget check, written once: the failure row it reports,
+# or None when it passes. verify_observations and check_class_bounds
+# report the rows; the fold (fold_records) defers a run on any of them.
+Failure = Tuple[str, Dict[str, object]]
+
+
+def _c4_rank_rows(ranks: List[int], tuples: Sequence[ZigZagTuple]) -> List[Failure]:
+    """The sorted ranks of a nonempty c4 must be 0, 1, 2, ..., the highest
+    at least two below the highest tuple's."""
+    rows: List[Failure] = []
+    if ranks != list(range(len(ranks))):
+        rows.append(("c4-consecutive-ranks", {"ranks": ranks}))
+    if tuples:
+        top_c4, top_cont = ranks[-1], max([t[3] for t in tuples])
+        if top_c4 + 2 > top_cont:
+            rows.append(
+                ("c4-rank-gap", {"c4_max": top_c4, "contaminated_max": top_cont})
+            )
+    return rows
+
+
+def _phase_count_row(phases: int, defectives: int) -> Optional[Failure]:
+    if phases > defectives + 1:
+        return ("phase-count", {"phases": phases, "defectives": defectives})
+    return None
+
+
+def _final_phase_row(lhs: int) -> Optional[Failure]:
+    if lhs > 7:
+        return ("final-phase-budget", {"lhs": lhs, "rhs": 7})
+    return None
+
+
+def _rank0_row(seq: int, incurred: int, identified: int) -> Optional[Failure]:
+    rhs = budget(1, max(identified, 1))
+    if not incurred < rhs:
+        return ("rank0-test-bound", {"test": seq, "lhs": incurred, "rhs": rhs})
+    return None
+
+
+def _tuple_row(t: ZigZagTuple) -> Optional[Failure]:
+    pure_test, cont_test, _, rank, incurred, identified, defectives, tuple_type = t
+    rhs = budget(defectives, identified)
+    if incurred > rhs + _SLACK:
+        return (
+            "tuple-bound",
+            {
+                "pure_test": pure_test,
+                "cont_test": cont_test,
+                "rank": rank,
+                "tuple_type": tuple_type,
+                "lhs": incurred,
+                "rhs": rhs,
+            },
+        )
+    return None
+
+
+def _type_row(t: ZigZagTuple, pure_incurred: int) -> Optional[Failure]:
+    """The deep-tuple floor and cap; pure_incurred is the partner's |I(T)|."""
+    rank, incurred, identified, tuple_type = t[3], t[4], t[5], t[7]
+    if rank < 3:
+        return None
+    floor, surplus = _type_floor(tuple_type, rank)
+    cap = pure_incurred + surplus
+    if identified < floor or incurred > cap:
+        return (
+            "type-bound",
+            {
+                "cont_test": t[1],
+                "tuple_type": tuple_type,
+                "identified": identified,
+                "floor": floor,
+                "incurred": incurred,
+                "cap": cap,
+            },
+        )
+    return None
+
+
+def _paired_row(defectives: int, identified: int, lhs: int) -> Optional[Failure]:
+    """The summed budget of c2 and c3, which must hold a defective."""
+    if defectives < 1:
+        return ("paired-classes-bound", {"lhs": lhs, "rhs": None})
+    rhs = budget(defectives, max(identified, defectives))
+    if lhs > rhs + _SLACK:
+        return ("paired-classes-bound", {"lhs": lhs, "rhs": rhs})
+    return None
+
+
+def _all_classes_row(defectives: int, identified: int, lhs: int) -> Optional[Failure]:
+    """The budget of every classified test, checked from 3 defectives on."""
+    if defectives < 3:
+        return None
+    rhs = budget(defectives, identified) + 16
+    if lhs > rhs + _SLACK:
+        return ("all-classes-bound", {"lhs": lhs, "rhs": rhs})
+    return None
+
+
 def verify_observations(
     classification: Classification, transcript: Transcript
-) -> List[Tuple[str, Dict[str, object]]]:
+) -> List[Failure]:
     cls = classification
     views = cls.views
     tuples = cls.tuples
     c3 = cls.c3
-    failures: List[Tuple[str, Dict[str, object]]] = []
+    failures: List[Failure] = []
     in_tuples: List[int] = []
     for t in tuples:
         in_tuples.append(t[0])
@@ -407,78 +508,33 @@ def verify_observations(
             if view[3] != PURE:
                 failures.append(("c4-pure", {"c4": sorted(c4)}))
                 break
-        ranks = sorted([view[2] or 0 for view in c4_views])
-        if ranks != list(range(len(ranks))):
-            failures.append(("c4-consecutive-ranks", {"ranks": ranks}))
-        if tuples:
-            top_c4, top_cont = ranks[-1], max([t[3] for t in tuples])
-            if top_c4 + 2 > top_cont:
-                failures.append(
-                    ("c4-rank-gap", {"c4_max": top_c4, "contaminated_max": top_cont})
-                )
-    d_run = cls.defectives
-    n_phases = len(cls.phases)
-    if n_phases > d_run + 1:
-        failures.append(("phase-count", {"phases": n_phases, "defectives": d_run}))
+        failures += _c4_rank_rows(sorted([view[2] or 0 for view in c4_views]), tuples)
+    row = _phase_count_row(len(cls.phases), cls.defectives)
+    if row:
+        failures.append(row)
     return failures
 
 
 def check_class_bounds(
     classification: Classification, transcript: Transcript
-) -> List[Tuple[str, Dict[str, object]]]:
+) -> List[Failure]:
     cls = classification
     views = cls.views
-    failures: List[Tuple[str, Dict[str, object]]] = []
+    rows: List[Optional[Failure]] = []
 
     lhs = 0
     for seq in cls.c1:
         lhs += views[seq][5]
-    if lhs > 7:
-        failures.append(("final-phase-budget", {"lhs": lhs, "rhs": 7}))
+    rows.append(_final_phase_row(lhs))
 
     c2 = cls.c2
     for seq in sorted(c2):
         view = views[seq]
-        rhs = budget(1, max(view[6], 1))
-        if not view[5] < rhs:
-            failures.append(
-                ("rank0-test-bound", {"test": seq, "lhs": view[5], "rhs": rhs})
-            )
+        rows.append(_rank0_row(seq, view[5], view[6]))
 
     for t in cls.tuples:
-        pure_test, cont_test, _, rank, incurred, identified, defectives, tuple_type = t
-        rhs = budget(defectives, identified)
-        if incurred > rhs + _SLACK:
-            failures.append(
-                (
-                    "tuple-bound",
-                    {
-                        "pure_test": pure_test,
-                        "cont_test": cont_test,
-                        "rank": rank,
-                        "tuple_type": tuple_type,
-                        "lhs": incurred,
-                        "rhs": rhs,
-                    },
-                )
-            )
-        if rank >= 3:
-            floor, surplus = _type_floor(tuple_type, rank)
-            cap = views[pure_test][5] + surplus
-            if identified < floor or incurred > cap:
-                failures.append(
-                    (
-                        "type-bound",
-                        {
-                            "cont_test": cont_test,
-                            "tuple_type": tuple_type,
-                            "identified": identified,
-                            "floor": floor,
-                            "incurred": incurred,
-                            "cap": cap,
-                        },
-                    )
-                )
+        rows.append(_tuple_row(t))
+        rows.append(_type_row(t, views[t[0]][5]))
 
     # One pass over the views sums the paired classes (c2 and c3), the rest
     # of the classified tests (c4) and every test.
@@ -497,19 +553,11 @@ def check_class_bounds(
         elif seq in c4:
             rest += incurred
     if paired:
-        if d_pair < 1:
-            failures.append(("paired-classes-bound", {"lhs": lhs, "rhs": None}))
-        else:
-            rhs = budget(d_pair, max(n_pair, d_pair))
-            if lhs > rhs + _SLACK:
-                failures.append(("paired-classes-bound", {"lhs": lhs, "rhs": rhs}))
-
-    d_run = cls.defectives
-    if d_run >= 3:
-        lhs += rest
-        rhs = budget(d_run, len(transcript.identifications)) + 16
-        if lhs > rhs + _SLACK:
-            failures.append(("all-classes-bound", {"lhs": lhs, "rhs": rhs}))
+        rows.append(_paired_row(d_pair, n_pair, lhs))
+    rows.append(
+        _all_classes_row(cls.defectives, len(transcript.identifications), lhs + rest)
+    )
+    failures = [row for row in rows if row]
 
     n_records = len(transcript.records)
     if total != n_records:
@@ -562,6 +610,195 @@ def analyze(run: RunResult) -> AnalysisReport:
         classification=classification,
         verdict=verdict,
         failures=failures,
+    )
+
+
+# The fold: the same checks as analyze, carried along a run one top-level
+# test at a time, so that a walk of zu's decision tree shares the analysis
+# of each run's prefix with every run that shares the prefix.
+#
+# The state is an immutable tuple (FoldState), or None once the fold has
+# deferred. It holds the open phase's grammar, the unmatched pure drivers,
+# running sums and the last seq. A phase's partner is matched when its ender
+# closes it, among the full pure drivers seen so far: one inside the phase
+# first, otherwise the earliest. classify matches among every closed
+# phase's drivers, so the two agree whenever the fold finds a partner; the
+# fold defers a closed phase with none yet. It also defers every failed
+# check and anything analyze would raise on or that it does not follow: a
+# seq out of order, an unknown kind or status, an incurred test away from
+# its parent or an identification away from its test. fold_passes then
+# certifies only a run on which analyze reports no failure, and analyze,
+# the reference, is left to report everything else.
+class FoldState(NamedTuple):
+    seq: int  # records so far; the next top-level test has seq + 1
+    phase_len: int  # top-level tests in the open phase
+    phase_incurred: int  # their |I(T)|, so its records are the last ones
+    # The open phase's additional test: (seq, incurred, identified,
+    # defectives, status), or None.
+    extra: Optional[tuple]
+    # Every pure driver not yet a partner, in seq order: (rank, seq,
+    # incurred, identified, defectives, full pool). Those in closed phases
+    # are c4.
+    pure: tuple
+    tuples: Tuple[ZigZagTuple, ...]  # the closed phases' tuples, in order
+    phases: int  # closed phases
+    d_pair: int  # defectives, identifications and |I(T)| of c2 and c3
+    n_pair: int
+    lhs_pair: int
+    defectives: int  # of the run so far
+    identified: int
+
+
+_fold_state = partial(tuple.__new__, FoldState)
+
+FOLD_START = _fold_state((0, 0, 0, None, (), (), 0, 0, 0, 0, 0, 0))
+
+
+def _fold_test(
+    state: FoldState,
+    rec: TestRecord,
+    kids: Sequence[TestRecord],
+    identified: int,
+    defectives: int,
+) -> Optional[FoldState]:
+    """state after the top-level test rec, with its incurred records kids
+    and identified items, defectives of them."""
+    (seq, phase_len, phase_incurred, extra, pure, tuples, phases,
+     d_pair, n_pair, lhs_pair, d_run, idents) = state
+    if extra is not None and extra[4] == PURE:
+        return None  # a test after a pure additional
+    test = rec.seq
+    incurred = 1 + len(kids)
+    last = seq + incurred
+    d_run += defectives
+    idents += identified
+    kind = rec.kind
+    status = rec.status
+    if kind == ADDITIONAL:
+        if extra is not None or phase_len != 6 or status not in (PURE, CONTAMINATED):
+            return None
+        extra = (test, incurred, identified, defectives, status)
+        return _fold_state((
+            last, 7, phase_incurred + incurred, extra, pure, tuples, phases,
+            d_pair, n_pair, lhs_pair, d_run, idents,
+        ))
+    rank = rec.rank
+    if kind != DRIVER or type(rank) is not int or rank < 0:
+        return None
+    if status == PURE:
+        full = len(rec.pool) == pool_size(rank)
+        pure += ((rank, test, incurred, identified, defectives, full),)
+        return _fold_state((
+            last, phase_len + 1, phase_incurred + incurred, extra, pure, tuples,
+            phases, d_pair, n_pair, lhs_pair, d_run, idents,
+        ))
+    if status != CONTAMINATED:
+        return None
+    # A contaminated driver closes the phase (c2 at rank 0, else a tuple).
+    if rank == 0:
+        if extra is not None or _rank0_row(test, incurred, identified):
+            return None
+        d_pair += defectives
+        n_pair += identified
+        lhs_pair += incurred
+    else:
+        want = rank - 1
+        start = seq - phase_incurred + 1
+        pick = None
+        for i, entry in enumerate(pure):
+            if entry[0] == want and entry[5]:
+                if pick is None or entry[1] >= start:
+                    pick = i
+                if entry[1] >= start:
+                    break
+        if pick is None:
+            return None
+        partner = pure[pick]
+        try:
+            tuple_type = _tuple_type(rank, tuple(rec.pool), kids)
+        except StructureError:
+            return None
+        t = _zigzag_tuple((
+            partner[1],
+            test,
+            extra[0] if extra is not None else None,
+            rank,
+            partner[2] + incurred + (extra is not None),
+            partner[3] + identified,
+            partner[4] + defectives,
+            tuple_type,
+        ))
+        if t[6] < 1 or _tuple_row(t) or _type_row(t, partner[2]):
+            return None
+        pure = pure[:pick] + pure[pick + 1 :]
+        d_pair += partner[4] + defectives
+        n_pair += partner[3] + identified
+        lhs_pair += partner[2] + incurred
+        if extra is not None:
+            d_pair += extra[3]
+            n_pair += extra[2]
+            lhs_pair += extra[1]
+        tuples += (t,)
+    return _fold_state((
+        last, 0, 0, None, pure, tuples, phases + 1,
+        d_pair, n_pair, lhs_pair, d_run, idents,
+    ))
+
+
+def fold_records(
+    state: Optional[FoldState],
+    records: Sequence[TestRecord],
+    identifications: Sequence[Identification],
+) -> Optional[FoldState]:
+    """state after a run's next records, in order, and the identifications
+    made with them; None once the fold defers.
+
+    Each top-level record is folded with the incurred records after it and
+    the identifications, in order, attributed to it. Any record or
+    identification that does not fit that shape defers.
+    """
+    end = len(records)
+    n_idents = len(identifications)
+    i = j = 0
+    while i < end and state is not None:
+        rec = records[i]
+        test = rec.seq
+        if test != state[0] + 1 or rec.kind == INCURRED:
+            return None
+        k = i + 1
+        while k < end and records[k].kind == INCURRED:
+            if records[k].parent != test:
+                return None
+            k += 1
+        identified = defectives = 0
+        while j < n_idents and identifications[j][2] == test:
+            identified += 1
+            if identifications[j][1] == DEFECTIVE:
+                defectives += 1
+            j += 1
+        state = _fold_test(state, rec, records[i + 1 : k], identified, defectives)
+        i = k
+    return state if j == n_idents else None
+
+
+def fold_passes(state: Optional[FoldState]) -> bool:
+    """True when the folded run certainly passes analyze with no failure;
+    False defers the run to analyze."""
+    if state is None:
+        return False
+    (seq, phase_len, phase_incurred, extra, pure, tuples, phases,
+     d_pair, n_pair, lhs_pair, d_run, idents) = state
+    if extra is not None and extra[4] != PURE:
+        return False  # a contaminated additional in the final phase
+    start = seq - phase_incurred + 1
+    ranks = sorted([entry[0] for entry in pure if entry[1] < start])
+    closed_incurred = seq - phase_incurred
+    return not (
+        _final_phase_row(phase_incurred)
+        or _phase_count_row(phases + (phase_len > 0), d_run)
+        or (ranks and _c4_rank_rows(ranks, tuples))
+        or (phases and _paired_row(d_pair, n_pair, lhs_pair))
+        or _all_classes_row(d_run, idents, closed_incurred)
     )
 
 

@@ -17,8 +17,22 @@ from json.encoder import encode_basestring_ascii as _encode_str
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from gtlab import bounds, kernels
-from gtlab.analysis import StructureError, analyze, counterexample_json
-from gtlab.core import Instance, PoolOracle, RunResult, finalize, instance_from_mask
+from gtlab.analysis import (
+    FOLD_START,
+    StructureError,
+    analyze,
+    counterexample_json,
+    fold_passes,
+    fold_records,
+)
+from gtlab.core import (
+    Instance,
+    PoolOracle,
+    RunResult,
+    Session,
+    finalize,
+    instance_from_mask,
+)
 from gtlab.tree import walk
 
 ALGORITHMS = kernels.ALGORITHMS
@@ -124,7 +138,7 @@ def worst_case(
         argmax = 0
         while block := list(itertools.islice(family, kernels.BLOCK)):
             with _recorded_on_failure(algorithm, n, block):
-                for i, result, _ in _walked_runs(algorithm, n, block):
+                for i, result, _, _ in _walked_runs(algorithm, n, block):
                     tests, mask = result.tests_used, block[i]
                     if tests > worst or (tests == worst and mask < argmax):
                         worst = tests
@@ -162,18 +176,22 @@ def _recorded_on_failure(algorithm: str, n: int, masks: Sequence[int]) -> Iterat
 
 
 def _walked_runs(
-    algorithm: str, n: int, masks: Sequence[int]
-) -> Iterator[Tuple[int, RunResult, Instance]]:
-    """Yields (index in masks, finalized run, instance) for every leaf of
-    one walk of the algorithm's decision tree over masks, which ascend, in
-    no particular order.
+    algorithm: str,
+    n: int,
+    masks: Sequence[int],
+    strategy: Optional[kernels.Strategy] = None,
+) -> Iterator[Tuple[int, RunResult, Instance, object]]:
+    """Yields (index in masks, finalized run, instance, final state) for
+    every leaf of one walk of the algorithm's decision tree over masks,
+    which ascend, in no particular order. strategy, the algorithm's own by
+    default, gives the step and start state walked.
 
     Each leaf is finalized against the mask of the items it identified as
     defective, so its run is the one the recorded run on that mask makes.
     The walk fails on a leaf outside masks, on a mask reached twice and on
     a mask never reached. A run is valid only until the walk resumes.
     """
-    strategy = kernels.STRATEGIES[algorithm]
+    strategy = strategy or kernels.STRATEGIES[algorithm]
     reached = bytearray(len(masks))
     for session, state in walk(strategy.step, strategy.start, n, masks):
         mask = session.defective_mask
@@ -189,7 +207,7 @@ def _walked_runs(
         if reached[i]:
             raise AssertionError(f"{algorithm} reached mask {mask:#x} twice at n={n}")
         reached[i] = 1
-        yield i, result, instance
+        yield i, result, instance, state
     if not all(reached):
         raise AssertionError(
             f"{algorithm} walk at n={n} reached {sum(reached)} leaves, "
@@ -390,15 +408,42 @@ def _analyze_upward_runs(n: int, lo: int, hi: int) -> List[dict]:
 
     The runs come from one walk of zu's decision tree (_walked_runs), not
     one run per mask: each leaf's transcript is the one core.drive makes
-    looping zigzag.zu_step on that mask. A failure raises as the recorded
-    run on the first failing mask does.
+    looping zigzag.zu_step on that mask. The walk carries the analysis fold
+    (analysis.fold_records) in zu's state, so runs that share steps share
+    their folded prefix, and only the leaves the fold cannot certify
+    (fold_passes) go to analyze, which writes every violation row. A
+    failure raises as the recorded run on the first failing mask does.
     """
     masks = range(lo, hi)
-    rows: List[List[dict]] = [[] for _ in masks]
+    folded = _folded_zu()
+    rows: Dict[int, List[dict]] = {}
     with _recorded_on_failure("zu", n, masks):
-        for i, result, instance in _walked_runs("zu", n, masks):
-            rows[i] = _analysis_violations(result, instance)
-    return [v for row in rows for v in row]
+        for i, result, instance, (_, fold) in _walked_runs("zu", n, masks, folded):
+            if not fold_passes(fold):
+                rows[i] = _analysis_violations(result, instance)
+    return [v for i in sorted(rows) for v in rows[i]]
+
+
+def _folded_zu() -> kernels.Strategy:
+    """zu with the analysis fold of its run carried along: the state is
+    (zu's state, fold state), and each step folds what it recorded."""
+    zu = kernels.STRATEGIES["zu"]
+    step = zu.step
+
+    def folded_step(
+        session: Session, remaining: List[int], state: Tuple[object, object]
+    ) -> Tuple[List[int], Tuple[object, object]]:
+        inner, fold = state
+        tests = session.tests
+        idents = len(session.identifications)
+        remaining, inner = step(session, remaining, inner)
+        if fold is not None:
+            fold = fold_records(
+                fold, session.records[tests:], session.identifications[idents:]
+            )
+        return remaining, (inner, fold)
+
+    return zu._replace(step=folded_step, start=(zu.start, FOLD_START))
 
 
 def _analysis_violations(result: RunResult, instance: Instance) -> List[dict]:

@@ -34,8 +34,9 @@ masks, and count_run() is the same walk over one mask.
 from __future__ import annotations
 
 from collections import defaultdict
+from functools import reduce
 from itertools import groupby
-from operator import itemgetter
+from operator import itemgetter, or_
 from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from gtlab.competitive import ZC_START, individual_step, run_individual, run_zc, zc_step
@@ -97,10 +98,16 @@ def _extractions(pool: int, k: int, masks: Masks) -> Iterator[Leaf]:
 def _individual(items: int, masks: Masks) -> Iterator[Leaf]:
     """Tests every item on its own: one leaf per set of items held.
 
-    The masks are sorted by the items they hold and cut into groups one at
-    a time, so a block of singleton groups is never held at once.
+    When no mask has a bit outside items, as in the individual sweep, each
+    mask is its own leaf. Otherwise the masks are sorted by the items they
+    hold and cut into groups one at a time, so a block of singleton groups
+    is never held at once.
     """
     tests = items.bit_count()
+    if not reduce(or_, masks, 0) & ~items:
+        for bad in masks:
+            yield [bad], tests, items ^ bad, bad
+        return
     held = items.__and__
     for bad, group in groupby(sorted(masks, key=held), held):
         yield list(group), tests, items ^ bad, bad

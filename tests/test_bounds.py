@@ -193,3 +193,18 @@ def test_info_bound_is_the_exact_bit_length(n, d):
         return
     rep = bounds.info_lower_bound(n, d)
     assert rep.value == float((math.comb(n, d) - 1).bit_length())
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.data())
+def test_budget_is_superadditive(data):
+    # d*log2(n/d) is the perspective d*f(n/d) of the concave f = log2, so
+    # it is concave and homogeneous of degree one in (d, n), and such an h
+    # is superadditive: h(a + b) = 2h((a + b)/2) >= h(a) + h(b). The SHIFT
+    # term is linear in d. Equality holds when n1/d1 = n2/d2.
+    n1 = data.draw(st.integers(1, 10**6))
+    n2 = data.draw(st.integers(1, 10**6))
+    d1 = data.draw(st.integers(1, n1))
+    d2 = data.draw(st.integers(1, n2))
+    rhs = bounds.budget(d1, n1) + bounds.budget(d2, n2)
+    assert bounds.budget(d1 + d2, n1 + n2) >= rhs - 1e-9 * max(1.0, rhs)

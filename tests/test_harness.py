@@ -10,9 +10,10 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from gtlab import bounds, harness, kernels
-from gtlab.analysis import transcript_json
+from gtlab.analysis import analyze, transcript_json
 from gtlab.core import PoolOracle, instance_from_mask
 from gtlab.harness import MinimaxLimits, minimax_m, verify_grid, worst_case
+from test_analysis import GRID_10_ANALYSIS_SHA256
 
 # SHA-256 over every recorded run of every algorithm for n <= 9: the test
 # count and the full transcript JSON of each (algorithm, n, mask).
@@ -410,6 +411,22 @@ def test_analysis_shards_join_to_the_full_range():
     ]
     assert sum(1 for part in parts if part) == 2
     assert [v for part in parts for v in part] == full
+
+
+def test_analysis_grid_analyzes_only_the_leaves_the_fold_defers(monkeypatch):
+    # One analyze call per red row for n <= 10 (4 at n = 9, 16 at n = 10),
+    # where analyzing every zu run would make 2^11 - 2 calls.
+    calls = []
+
+    def counted(run):
+        calls.append(run)
+        return analyze(run)
+
+    monkeypatch.setattr(harness, "analyze", counted)
+    report = verify_grid(10, algorithms=["zu"], checks=["analysis"])
+    assert len(calls) == len(report["violations"]) == 20
+    digest = hashlib.sha256(harness.report_to_json(report).encode()).hexdigest()
+    assert digest == GRID_10_ANALYSIS_SHA256
 
 
 def test_verify_grid_report_does_not_depend_on_the_shard_size(monkeypatch):
