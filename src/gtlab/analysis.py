@@ -619,16 +619,16 @@ def analyze(run: RunResult) -> AnalysisReport:
 #
 # The state is an immutable tuple (FoldState), or None once the fold has
 # deferred. It holds the open phase's grammar, the unmatched pure drivers,
-# running sums and the last seq. A phase's partner is matched when its ender
-# closes it, among the full pure drivers seen so far: one inside the phase
-# first, otherwise the earliest. classify matches among every closed
-# phase's drivers, so the two agree whenever the fold finds a partner; the
-# fold defers a closed phase with none yet. It also defers every failed
-# check and anything analyze would raise on or that it does not follow: a
-# seq out of order, an unknown kind or status, an incurred test away from
-# its parent or an identification away from its test. fold_passes then
-# certifies only a run on which analyze reports no failure, and analyze,
-# the reference, is left to report everything else.
+# the closed tuples, running sums and the record count. A phase's partner
+# is matched when its ender closes it, among the full pure drivers seen so
+# far: one inside the phase first, otherwise the earliest. classify matches
+# among every closed phase's drivers, so the two agree whenever the fold
+# finds a partner; the fold defers a closed phase with none yet. It also
+# defers every failed check and anything analyze would raise on or that it
+# does not follow: a seq out of order, an unknown kind or driver status, an
+# incurred test away from its parent or an identification away from its
+# test. fold_passes then certifies only a run on which analyze reports no
+# failure, and analyze, the reference, is left to report everything else.
 class FoldState(NamedTuple):
     seq: int  # records so far; the next top-level test has seq + 1
     phase_len: int  # top-level tests in the open phase
@@ -675,7 +675,8 @@ def _fold_test(
     kind = rec.kind
     status = rec.status
     if kind == ADDITIONAL:
-        if extra is not None or phase_len != 6 or status not in (PURE, CONTAMINATED):
+        # The only one of its phase, since it leaves the phase 7 tests long.
+        if phase_len != 6:
             return None
         extra = (test, incurred, identified, defectives, status)
         return _fold_state((
@@ -702,17 +703,11 @@ def _fold_test(
         n_pair += identified
         lhs_pair += incurred
     else:
-        want = rank - 1
-        start = seq - phase_incurred + 1
-        pick = None
-        for i, entry in enumerate(pure):
-            if entry[0] == want and entry[5]:
-                if pick is None or entry[1] >= start:
-                    pick = i
-                if entry[1] >= start:
-                    break
-        if pick is None:
+        eligible = [i for i, e in enumerate(pure) if e[0] == rank - 1 and e[5]]
+        if not eligible:
             return None
+        start = seq - phase_incurred + 1  # the open phase's first seq
+        pick = ([i for i in eligible if pure[i][1] >= start] or eligible)[0]
         partner = pure[pick]
         try:
             tuple_type = _tuple_type(rank, tuple(rec.pool), kids)
@@ -763,7 +758,7 @@ def fold_records(
     while i < end and state is not None:
         rec = records[i]
         test = rec.seq
-        if test != state[0] + 1 or rec.kind == INCURRED:
+        if test != state[0] + 1:
             return None
         k = i + 1
         while k < end and records[k].kind == INCURRED:

@@ -54,17 +54,17 @@ def test_the_fold_defers_exactly_the_zu_leaves_analyze_fails():
     assert failing == 4 + 16 + 44 + 112
 
 
-def _calls(test):
-    # One call per parameter set of a test's parametrize marks.
-    marks = [m for m in getattr(test, "pytestmark", []) if m.name == "parametrize"]
+def _param_sets(test):
+    """The keyword arguments of each call pytest makes of test."""
     grids = []
-    for mark in marks:
-        names = [name.strip() for name in mark.args[0].split(",")]
-        grids.append(
-            [dict(zip(names, v if len(names) > 1 else (v,))) for v in mark.args[1]]
-        )
+    for mark in getattr(test, "pytestmark", []):
+        if mark.name == "parametrize":
+            names = [name.strip() for name in mark.args[0].split(",")]
+            grids.append(
+                [dict(zip(names, v if len(names) > 1 else (v,))) for v in mark.args[1]]
+            )
     for combo in itertools.product(*grids):
-        yield lambda combo=combo: test(**{k: v for part in combo for k, v in part.items()})
+        yield {k: v for part in combo for k, v in part.items()}
 
 
 # The calls test_analysis.py builds a forged or tampered transcript with.
@@ -86,8 +86,8 @@ def _forged_transcripts(monkeypatch):
         if name.startswith("test_") and any(
             call in inspect.getsource(test) for call in _BUILDERS
         ):
-            for call in _calls(test):
-                call()
+            for kwargs in _param_sets(test):
+                test(**kwargs)
     monkeypatch.undo()
     return built
 
@@ -185,13 +185,12 @@ def _verdicts(records, idents):
     return failures, fold_passes(fold_records(FOLD_START, records, idents))
 
 
-def _three_phases():
-    # A rank-0 ender, then two rank-1 pairs, each of whose partners could be
-    # test 1 (the earliest) or test 3 (inside the second phase).
+def _two_pairs_after(*outcomes):
+    # Three rank-0 drivers on items 0..2 with these outcomes, then two
+    # rank-1 pairs, tests 4 and 7, each of which a pure rank-0 driver can
+    # partner.
     return [
-        _rec(1, [0], PURE, DRIVER, rank=0),
-        _rec(2, [1], CONTAMINATED, DRIVER, rank=0),
-        _rec(3, [2], PURE, DRIVER, rank=0),
+        *(_rec(s, [s - 1], outcome, DRIVER, rank=0) for s, outcome in enumerate(outcomes, 1)),
         _rec(4, [3, 4], CONTAMINATED, DRIVER, rank=1),
         _rec(5, [3], CONTAMINATED, INCURRED, parent=4),
         _rec(6, [4], CONTAMINATED, INCURRED, parent=4),
@@ -202,16 +201,32 @@ def _three_phases():
 
 
 def test_the_fold_takes_a_partner_inside_the_phase_first():
-    # Item 2 is charged to test 1, and item 7 to the last pair. Test 3 then
-    # partners the first pair on 2 identifications, over budget(2, 2); the
-    # earliest partner, test 1, would have left both tuples within budget.
+    # Test 2 ends the first phase. Item 2 is charged to test 1, and item 7
+    # to the last pair. Test 3 then partners the first pair on 2
+    # identifications, over budget(2, 2); the earliest partner, test 1,
+    # would have left both tuples within budget.
     idents = _idents(
         (0, GOOD, 1), (2, GOOD, 1), (1, DEFECTIVE, 2), (3, DEFECTIVE, 4),
         (4, DEFECTIVE, 4), (5, DEFECTIVE, 7), (6, DEFECTIVE, 7), (7, GOOD, 7),
     )
-    failures, certified = _verdicts(_three_phases(), idents)
+    failures, certified = _verdicts(_two_pairs_after(PURE, CONTAMINATED, PURE), idents)
     assert [(name, values["pure_test"]) for name, values in failures] == [
         ("tuple-bound", 3)
+    ]
+    assert not certified
+
+
+def test_the_fold_takes_the_earliest_partner_outside_the_phase():
+    # Test 1 partners the first pair, which no test of its own phase can,
+    # on 2 identifications, over budget(2, 2); test 2, which holds item 0,
+    # would have left both tuples within budget.
+    idents = _idents(
+        (0, GOOD, 2), (1, GOOD, 2), (2, DEFECTIVE, 3), (3, DEFECTIVE, 4),
+        (4, DEFECTIVE, 4), (5, DEFECTIVE, 7), (6, DEFECTIVE, 7), (7, GOOD, 7),
+    )
+    failures, certified = _verdicts(_two_pairs_after(PURE, PURE, CONTAMINATED), idents)
+    assert [(name, values["pure_test"]) for name, values in failures] == [
+        ("tuple-bound", 1)
     ]
     assert not certified
 
@@ -240,6 +255,32 @@ def test_the_fold_checks_the_all_classes_budget():
         records, _idents(*owners, (6, DEFECTIVE, None), (7, DEFECTIVE, None))
     )
     assert [name for name, _ in failures] == ["all-classes-bound"]
+    assert not certified
+
+
+def test_the_fold_counts_the_additional_test_in_the_paired_budget():
+    # zu on 100 items with defective 99 ends on a tuple with contaminated
+    # additional 7. Five incurred tests charged to it, right after it, take
+    # the paired classes to 10 tests against budget(1, 52); the tuple counts
+    # the additional as one test and stays within its own budget.
+    run = run_zu(PoolOracle(instance_from_mask(100, 1 << 99)))
+
+    def shifted(seq):
+        return seq + 5 if seq is not None and seq > 7 else seq
+
+    records = []
+    for rec in run.transcript.records:
+        records.append(dataclasses.replace(rec, seq=shifted(rec.seq), parent=shifted(rec.parent)))
+        if rec.seq == 7:
+            records += [_rec(s, [0], PURE, INCURRED, parent=7) for s in range(8, 13)]
+    idents = [
+        ident._replace(attributed_to=shifted(ident.attributed_to))
+        for ident in run.transcript.identifications
+    ]
+    failures, certified = _verdicts(records, idents)
+    assert [(name, values["lhs"]) for name, values in failures] == [
+        ("paired-classes-bound", 10)
+    ]
     assert not certified
 
 
