@@ -131,7 +131,7 @@ def _field_values(rec, top):
 
 def _tampers(run):
     """Every transcript one change away from run's: one field of one record,
-    one record dropped or repeated, two records swapped, or one
+    one record dropped or repeated, two neighbouring records swapped, or one
     identification given another owner or label, dropped or repeated."""
     records = run.transcript.records
     idents = run.transcript.identifications
