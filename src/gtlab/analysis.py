@@ -469,7 +469,7 @@ def _paired_row(defectives: int, identified: int, lhs: int) -> Optional[Failure]
 
 
 def _all_classes_row(defectives: int, identified: int, lhs: int) -> Optional[Failure]:
-    """The budget of every classified test, checked from 3 defectives on."""
+    """The budget of every test in a class, checked from 3 defectives on."""
     if defectives < 3:
         return None
     rhs = budget(defectives, identified) + 16
@@ -537,7 +537,7 @@ def check_class_bounds(
         rows.append(_type_row(t, views[t[0]][5]))
 
     # One pass over the views sums the paired classes (c2 and c3), the rest
-    # of the classified tests (c4) and every test.
+    # of the tests (c4) and every test.
     c3 = cls.c3
     c4 = cls.c4
     paired = False

@@ -133,7 +133,7 @@ class Identification(NamedTuple):
     via_test: bool
 
 
-# (item, label) of an Identification, for building classified maps.
+# (item, label) of an Identification, as Transcript.classified maps it.
 _ITEM_LABEL = itemgetter(0, 1)
 
 # Identification from one (item, label, attributed_to, via_test) tuple:
@@ -147,16 +147,22 @@ class Transcript:
     identifications: List[Identification] = field(default_factory=list)
 
     def classified(self) -> Dict[int, str]:
-        return {ident.item: ident.label for ident in self.identifications}
+        """Each identified item's label; a repeated item keeps its last."""
+        return dict(map(_ITEM_LABEL, self.identifications))
 
 
 @dataclass
 class RunResult:
+    """A finished run: its transcript is the one record of its tests and
+    labels."""
+
     algorithm: str
-    tests_used: int
     transcript: Transcript
-    classified: Dict[int, str]
     plan: object = None
+
+    @property
+    def tests_used(self) -> int:
+        return len(self.transcript.records)
 
 
 class Session:
@@ -255,14 +261,9 @@ class Session:
     def transcript(self) -> Transcript:
         return Transcript(self.records, self.identifications)
 
-    def classified(self) -> Dict[int, str]:
-        return dict(map(_ITEM_LABEL, self.identifications))
-
     def result(self, algorithm: str, plan: object = None) -> RunResult:
         """The finished run of algorithm, as the runners return it."""
-        return RunResult(
-            algorithm, self.tests, self.transcript(), self.classified(), plan
-        )
+        return RunResult(algorithm, self.transcript(), plan)
 
 
 # One step of a strategy: step(session, remaining, state) -> (remaining,
@@ -289,9 +290,9 @@ class Verdict:
 def finalize(run: RunResult, instance: Instance) -> Verdict:
     """Checks a finished run against ground truth and the accounting rules.
 
-    Problems come in check order: the test count, every repeated
-    identification, the first item never identified, the first wrong label,
-    the classified map, then the records in sequence.
+    Problems come in check order: every repeated identification, the first
+    item never identified, the first wrong label, then the records in
+    sequence.
     """
 
     problems: List[str] = []
@@ -299,10 +300,7 @@ def finalize(run: RunResult, instance: Instance) -> Verdict:
     identifications = run.transcript.identifications
     defectives = instance.defectives
 
-    if run.tests_used != len(records):
-        problems.append("tests_used=%d but %d records" % (run.tests_used, len(records)))
-
-    seen: Dict[int, str] = dict(map(_ITEM_LABEL, identifications))
+    seen = run.transcript.classified()
     if len(seen) != len(identifications):
         named = set()
         for ident in identifications:
@@ -319,9 +317,6 @@ def finalize(run: RunResult, instance: Instance) -> Verdict:
         if label != truth:
             problems.append("item %d classified %s, truth %s" % (item, label, truth))
             break
-
-    if run.classified != seen:
-        problems.append("classified map disagrees with identifications")
 
     kinds: List[str] = []
     for seq, rec in enumerate(records, 1):

@@ -68,15 +68,11 @@ def resolve_pair(session: Session, pair: Sequence[int], driver_seq: int) -> str:
     """Individually resolves a rank-1 pool that group-tested contaminated.
 
     Both items are tested (2 tests) and identified. Returns "mixed" when one
-    is good and one defective, "both" when both are defective. A singleton
-    input is already proven defective by the group test and costs nothing.
+    is good and one defective, "both" when both are defective.
     """
     items = list(pair)
-    if len(items) > 2:
-        raise ValueError("pair resolution takes at most 2 items")
-    if len(items) == 1:
-        session.identify(items[0], DEFECTIVE, driver_seq, True)
-        return "both"
+    if len(items) != 2:
+        raise ValueError("pair resolution takes exactly 2 items")
     hits = []
     for item in items:
         hit = session.query([item], INCURRED, parent=driver_seq)

@@ -330,8 +330,7 @@ def test_classify_requires_a_defective_per_tuple():
 
 def _failures(transcript):
     # The failure rows analyze gives a zu run with this transcript.
-    run = RunResult("zu", len(transcript.records), transcript, {})
-    return analyze(run).failures
+    return analyze(RunResult("zu", transcript)).failures
 
 
 def _reattributed(run, **owners):
@@ -640,9 +639,10 @@ def test_counterexample_dump_ignores_the_runs_own_labels():
     # the ground-truth instance.
     inst = Instance(6, frozenset({1, 4}))
     run = run_zu(PoolOracle(inst))
-    run.classified = {0: DEFECTIVE}
+    run.transcript.identifications = [Identification(0, DEFECTIVE, 1, True)]
     dump = counterexample_json(run, inst, "finalize", {"problems": ["wrong"]})
     assert dump["instance"] == {"n": 6, "defectives": [1, 4]}
+    assert [i["item"] for i in dump["transcript"]["identifications"]] == [0]
 
 
 def test_phase_count_never_exceeds_defectives_plus_one():

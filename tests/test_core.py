@@ -194,7 +194,7 @@ def _honest_run(instance: Instance) -> RunResult:
     for item in range(instance.n):
         hit = session.query([item], DRIVER)
         session.identify(item, DEFECTIVE if hit else GOOD, session.tests, True)
-    return RunResult("individual", session.tests, session.transcript(), session.classified())
+    return RunResult("individual", session.transcript())
 
 
 def test_finalize_accepts_honest_run():
@@ -216,7 +216,7 @@ def test_finalize_flags_missing_item():
     session = Session(PoolOracle(inst))
     session.query([1], DRIVER)
     session.identify(1, DEFECTIVE, 1, True)
-    run = RunResult("partial", session.tests, session.transcript(), session.classified())
+    run = RunResult("partial", session.transcript())
     verdict = finalize(run, inst)
     assert not verdict.ok
 
@@ -235,13 +235,6 @@ def test_finalize_flags_an_outcome_that_contradicts_ground_truth():
     assert finalize(run, inst).problems == [
         "record 4 outcome does not match ground truth"
     ]
-
-
-def test_finalize_flags_test_count_mismatch():
-    inst = Instance(2, frozenset())
-    run = _honest_run(inst)
-    forged = RunResult(run.algorithm, run.tests_used + 1, run.transcript, run.classified)
-    assert not finalize(forged, inst).ok
 
 
 @given(st.integers(0, 10), st.data())
@@ -263,14 +256,9 @@ def _record(seq, pool, hit, kind, rank=None, parent=None):
     )
 
 
-def _forged(records, identifications, tests_used=None, classified=None) -> RunResult:
+def _forged(records, identifications) -> RunResult:
     transcript = Transcript(list(records), [Identification(*i) for i in identifications])
-    return RunResult(
-        "forged",
-        len(transcript.records) if tests_used is None else tests_used,
-        transcript,
-        transcript.classified() if classified is None else classified,
-    )
+    return RunResult("forged", transcript)
 
 
 def _labels(instance, order=None):
@@ -299,11 +287,6 @@ _INST = Instance(4, frozenset({2}))
                          (2, GOOD, None, False), (1, GOOD, None, False)]),
             ["item 3 classified defective, truth good"],
         ),
-        (
-            _forged([], _labels(_INST), classified={0: GOOD}),
-            ["classified map disagrees with identifications"],
-        ),
-        (_forged([], _labels(_INST), tests_used=2), ["tests_used=2 but 0 records"]),
         # A seq break stops the record walk: record 3's wrong outcome is not named.
         (
             _forged([_record(1, [0], False, DRIVER), _record(5, [1], False, DRIVER),
@@ -375,16 +358,12 @@ def test_finalize_lists_every_problem_in_check_order():
          _record(4, [0, 1, 2, 3], True, ADDITIONAL, rank=3)],
         [(0, GOOD, 1, True), (3, GOOD, 2, True), (0, DEFECTIVE, 1, True),
          (3, DEFECTIVE, 2, True), (2, GOOD, 3, True)],
-        tests_used=7,
-        classified={0: DEFECTIVE},
     )
     assert finalize(run, _INST).problems == [
-        "tests_used=7 but 4 records",
         "item 0 identified twice",
         "item 3 identified twice",
         "item 1 never identified",
         "item 0 classified defective, truth good",
-        "classified map disagrees with identifications",
         "additional record 2 carries a rank",
         "record 3 outcome does not match ground truth",
     ]

@@ -46,7 +46,7 @@ def test_the_fold_defers_exactly_the_zu_leaves_analyze_fails():
             except StructureError:
                 report = None
             passes = report is not None and not report.failures
-            assert fold_passes(fold) == passes, (n, result.classified)
+            assert fold_passes(fold) == passes, (n, result.transcript.classified())
             if passes:
                 assert fold.tuples == report.classification.tuples
             failing += not passes
@@ -97,7 +97,7 @@ def test_the_fold_never_certifies_a_forged_transcript_analyze_rejects(monkeypatc
     # and attributions point anywhere.
     verdicts = set()
     for transcript in _forged_transcripts(monkeypatch):
-        run = RunResult("zu", len(transcript.records), transcript, {})
+        run = RunResult("zu", transcript)
         try:
             failures = analyze(run).failures
         except StructureError as exc:
@@ -170,7 +170,7 @@ def test_the_fold_never_certifies_a_tampered_zu_run():
     for run in _zu_runs():
         for records, idents in _tampers(run):
             if fold_passes(fold_records(FOLD_START, records, idents)):
-                tampered = RunResult("zu", len(records), Transcript(records, idents), {})
+                tampered = RunResult("zu", Transcript(records, idents))
                 assert analyze(tampered).failures == [], (records, idents)
                 certified += 1
     # Some tampers change what analyze never reads, such as the parent of a
@@ -181,7 +181,7 @@ def test_the_fold_never_certifies_a_tampered_zu_run():
 def _verdicts(records, idents):
     # (analyze's failure rows, the fold's certificate) of a forged zu run.
     transcript = Transcript(records, idents)
-    failures = analyze(RunResult("zu", len(records), transcript, {})).failures
+    failures = analyze(RunResult("zu", transcript)).failures
     return failures, fold_passes(fold_records(FOLD_START, records, idents))
 
 

@@ -606,7 +606,6 @@ def test_finalize_failure_dumps_the_ground_truth_instance(monkeypatch):
     def labels_one_item(oracle):
         run = honest(oracle)
         run.transcript.identifications = run.transcript.identifications[:1]
-        run.classified = run.transcript.classified()
         return run
 
     monkeypatch.setitem(harness.RUNNERS, "zd", labels_one_item)

@@ -33,8 +33,9 @@ def test_pure_count_matches_recorded_runs_at_larger_n(algorithm, n, data):
     mask = data.draw(st.one_of(st.integers(0, (1 << n) - 1), sparse))
     tests, good, bad = kernels.count_run(algorithm, n, mask)
     result = RUNNERS[algorithm](PoolOracle(instance_from_mask(n, mask)))
-    recorded_bad = sum(1 << i for i, lab in result.classified.items() if lab == DEFECTIVE)
-    recorded_good = sum(1 << i for i, lab in result.classified.items() if lab == GOOD)
+    labels = result.transcript.classified().items()
+    recorded_bad = sum(1 << i for i, lab in labels if lab == DEFECTIVE)
+    recorded_good = sum(1 << i for i, lab in labels if lab == GOOD)
     assert tests == result.tests_used
     assert (good, bad) == (recorded_good, recorded_bad)
 

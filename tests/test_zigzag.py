@@ -124,21 +124,28 @@ def test_resolve_pair_outcomes():
     seq_hit = session.query([0, 1], DRIVER, rank=1)
     assert seq_hit
     assert resolve_pair(session, [0, 1], session.tests) == "mixed"
-    assert session.classified() == {0: DEFECTIVE, 1: GOOD}
+    assert session.transcript().classified() == {0: DEFECTIVE, 1: GOOD}
 
     session = Session(PoolOracle(Instance(2, frozenset({0, 1}))))
     session.query([0, 1], DRIVER, rank=1)
     assert resolve_pair(session, [0, 1], session.tests) == "both"
-    assert session.classified() == {0: DEFECTIVE, 1: DEFECTIVE}
+    assert session.transcript().classified() == {0: DEFECTIVE, 1: DEFECTIVE}
 
 
-def test_resolve_pair_singleton_needs_no_test():
+def test_resolve_pair_takes_exactly_two_items():
+    # zu identifies a one-item pool itself and never resolves it as a pair.
     session = Session(PoolOracle(Instance(3, frozenset({2}))))
-    session.query([2], DRIVER, rank=1)
-    before = session.tests
-    assert resolve_pair(session, [2], session.tests) == "both"
-    assert session.tests == before
-    assert session.classified() == {2: DEFECTIVE}
+    session.query([0, 1, 2], DRIVER, rank=1)
+    for items in ([2], [0, 1, 2]):
+        with pytest.raises(ValueError, match="^pair resolution takes exactly 2 items$"):
+            resolve_pair(session, items, session.tests)
+    assert session.tests == 1
+    assert session.identifications == []
+
+
+def test_initial_rank_needs_an_item():
+    with pytest.raises(ValueError, match="^need at least one item$"):
+        initial_rank(0)
 
 
 def test_resolve_triple_tests_every_item():
@@ -147,7 +154,16 @@ def test_resolve_triple_tests_every_item():
     seq = session.tests
     resolve_triple(session, [0, 1, 2], seq)
     assert session.tests == seq + 3
-    assert session.classified() == {0: DEFECTIVE, 1: GOOD, 2: DEFECTIVE}
+    assert session.transcript().classified() == {0: DEFECTIVE, 1: GOOD, 2: DEFECTIVE}
+
+
+def test_resolve_triple_takes_at_most_three_items():
+    session = Session(PoolOracle(Instance(4, frozenset({0}))))
+    session.query([0, 1, 2, 3], DRIVER, rank=2)
+    with pytest.raises(ValueError, match="^triple resolution takes at most 3 items$"):
+        resolve_triple(session, [0, 1, 2, 3], session.tests)
+    assert session.tests == 1
+    assert session.identifications == []
 
 
 def test_exhaustive_small_instances_classify_correctly():
