@@ -287,6 +287,19 @@ _INST = Instance(4, frozenset({2}))
                          (2, GOOD, None, False), (1, GOOD, None, False)]),
             ["item 3 classified defective, truth good"],
         ),
+        # A relabel is judged by the transcript's last label for the item.
+        (
+            _forged([], _labels(_INST) + [(2, GOOD, None, False)]),
+            ["item 2 identified twice", "item 2 classified good, truth defective"],
+        ),
+        # Records of every kind, each true to ground truth and well parented.
+        (
+            _forged([_record(1, [0, 1], False, DRIVER, rank=0),
+                     _record(2, [2, 3], True, DRIVER, rank=1),
+                     _record(3, [2], True, INCURRED, parent=2),
+                     _record(4, [0, 1, 2, 3], True, ADDITIONAL)], _labels(_INST)),
+            [],
+        ),
         # A seq break stops the record walk: record 3's wrong outcome is not named.
         (
             _forged([_record(1, [0], False, DRIVER), _record(5, [1], False, DRIVER),
