@@ -11,6 +11,7 @@ reported in the verdict so callers can collect counterexamples.
 from __future__ import annotations
 
 from bisect import bisect_right
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
 from itertools import accumulate
@@ -44,8 +45,6 @@ class StructureError(Exception):
     """Transcript shape contradicts the upward strategy's grammar."""
 
 
-# classify and the checks read views by index, in this field order (seq is
-# 0, defectives 7): a tuple index is cheaper than a field name per leaf.
 class TestView(NamedTuple):
     seq: int
     kind: str
@@ -74,11 +73,8 @@ class ZigZagTuple(NamedTuple):
     tuple_type: str
 
 
-# Each builds its tuple from one tuple of fields, without the Python-level
-# __new__ of the class call.
-_test_view = partial(tuple.__new__, TestView)
-_phase = partial(tuple.__new__, Phase)
-_zigzag_tuple = partial(tuple.__new__, ZigZagTuple)
+# A count or budget check's failure: its name and the values it reports.
+Failure = Tuple[str, Dict[str, object]]
 
 
 @dataclass(frozen=True)
@@ -100,54 +96,53 @@ class Classification:
 
 @dataclass
 class AnalysisReport:
-    phases: List[Phase]
+    """The classification of one transcript and its failed checks, in check
+    order; the phases and the verdict are read from these."""
+
     classification: Classification
-    verdict: Verdict
-    failures: List[Tuple[str, Dict[str, object]]]
+    failures: List[Failure]
+
+    @property
+    def phases(self) -> List[Phase]:
+        return list(self.classification.phases)
+
+    @property
+    def verdict(self) -> Verdict:
+        return Verdict(
+            ok=not self.failures,
+            problems=[f"{name}: {vals}" for name, vals in self.failures],
+        )
 
 
 def _views(
     transcript: Transcript,
 ) -> Tuple[Dict[int, TestView], Dict[int, List[TestRecord]], int]:
-    """One pass over the records and one over the identifications.
-
-    Returns the view of every top-level test by seq, the incurred records
-    of each parent in test order, and the run's defective identifications.
-    """
-    by_parent: Dict[int, List[TestRecord]] = {}
-    tops = []
+    """The view of every top-level test by seq, the incurred records of
+    each parent in test order, and the run's defective identifications."""
+    by_parent: Dict[int, List[TestRecord]] = defaultdict(list)
     for rec in transcript.records:
         if rec.kind == INCURRED:
-            kids = by_parent.get(rec.parent)
-            if kids is None:
-                by_parent[rec.parent] = [rec]
-            else:
-                kids.append(rec)
-        else:
-            tops.append(rec)
-    idents: Dict[Optional[int], int] = {}
-    defect: Dict[Optional[int], int] = {}
+            by_parent[rec.parent].append(rec)
+    idents: Counter = Counter()
+    defect: Counter = Counter()
     for ident in transcript.identifications:
-        owner = ident.attributed_to
-        idents[owner] = idents.get(owner, 0) + 1
+        idents[ident.attributed_to] += 1
         if ident.label == DEFECTIVE:
-            defect[owner] = defect.get(owner, 0) + 1
-    views = {}
-    for rec in tops:
-        seq = rec.seq
-        kids = by_parent.get(seq)
-        views[seq] = _test_view(
-            (
-                seq,
-                rec.kind,
-                rec.rank,
-                rec.status,
-                tuple(rec.pool),
-                1 + len(kids) if kids else 1,
-                idents.get(seq, 0),
-                defect.get(seq, 0),
-            )
+            defect[ident.attributed_to] += 1
+    views = {
+        rec.seq: TestView(
+            seq=rec.seq,
+            kind=rec.kind,
+            rank=rec.rank,
+            status=rec.status,
+            pool=tuple(rec.pool),
+            incurred=1 + len(by_parent[rec.seq]),
+            identified=idents[rec.seq],
+            defectives=defect[rec.seq],
         )
+        for rec in transcript.records
+        if rec.kind != INCURRED
+    }
     return views, by_parent, sum(defect.values())
 
 
@@ -177,35 +172,20 @@ def _check_phase(tests: Sequence[TestRecord], closed: bool) -> None:
 
 def segment_phases(transcript: Transcript) -> List[Phase]:
     """The top-level tests cut after each contaminated driver, every phase
-    checked against the grammar in order (the open final phase last).
-
-    A phase with no additional test, whose tests bar its closing driver are
-    all pure, passes every check, so only the other phases are checked in
-    full.
-    """
+    checked against the grammar in order (the open final phase last)."""
     phases: List[Phase] = []
     group: List[TestRecord] = []
-    plain = True
     for rec in transcript.records:
-        kind = rec.kind
-        if kind == INCURRED:
+        if rec.kind == INCURRED:
             continue
         group.append(rec)
-        status = rec.status
-        if kind == DRIVER and status == CONTAMINATED:
-            if not plain:
-                _check_phase(group, closed=True)
-            phases.append(
-                _phase((len(phases) + 1, tuple([r.seq for r in group]), True))
-            )
+        if rec.kind == DRIVER and rec.status == CONTAMINATED:
+            _check_phase(group, closed=True)
+            phases.append(Phase(len(phases) + 1, tuple(r.seq for r in group), True))
             group = []
-            plain = True
-        elif kind == ADDITIONAL or status != PURE:
-            plain = False
     if group:
-        if not plain:
-            _check_phase(group, closed=False)
-        phases.append(_phase((len(phases) + 1, tuple([r.seq for r in group]), False)))
+        _check_phase(group, closed=False)
+        phases.append(Phase(len(phases) + 1, tuple(r.seq for r in group), False))
     return phases
 
 
@@ -287,89 +267,72 @@ def classify(transcript: Transcript) -> Classification:
     views, recs_by_parent, d_run = _views(transcript)
     phases = tuple(segment_phases(transcript))
     trailing = phases[-1] if phases and not phases[-1].closed else None
-    c1 = frozenset(trailing.tests) if trailing else frozenset()
+    c1: Set[int] = set(trailing.tests) if trailing else set()
     # Pure drivers with a full pool, by rank, in test order: the only tests
     # that can partner a contaminated driver one rank up. A partner leaves
     # its list once matched.
-    partners: Dict[int, List[int]] = {}
+    partners: Dict[int, List[int]] = defaultdict(list)
     additional: Set[int] = set()
     for seq in sorted(views):
         view = views[seq]
-        kind = view[1]
-        if kind == ADDITIONAL:
+        if view.kind == ADDITIONAL:
             additional.add(seq)
-        elif kind == DRIVER and view[3] == PURE:
-            rank = view[2]
-            if rank is not None and len(view[4]) == pool_size(rank) and seq not in c1:
-                ranked = partners.get(rank)
-                if ranked is None:
-                    partners[rank] = [seq]
-                else:
-                    ranked.append(seq)
-    c2: List[int] = []
-    c3: List[int] = []
+        elif (
+            view.kind == DRIVER
+            and view.status == PURE
+            and view.rank is not None
+            and len(view.pool) == pool_size(view.rank)
+            and seq not in c1
+        ):
+            partners[view.rank].append(seq)
+    c2: Set[int] = set()
+    c3: Set[int] = set()
     tuples: List[ZigZagTuple] = []
     for phase in phases:
-        if not phase[2]:
+        if not phase.closed:
             continue
-        tests = phase[1]
-        ender = views[tests[-1]]
-        cont = ender[0]
-        extra = None
-        if additional:
-            for s in tests:
-                if s in additional:
-                    extra = s
-                    break
-        rank = ender[2]
-        if rank == 0:
+        ender = views[phase.tests[-1]]
+        extra = next((s for s in phase.tests if s in additional), None)
+        if ender.rank == 0:
             if extra is not None:
                 raise StructureError("additional test in a rank-0 phase")
-            c2.append(cont)
+            c2.add(ender.seq)
             continue
-        rank = rank or 0
-        eligible = partners.get(rank - 1)
+        rank = ender.rank or 0
+        eligible = partners[rank - 1]
         if not eligible:
-            raise StructureError(f"no pure partner of rank {rank - 1} for test {cont}")
+            raise StructureError(
+                f"no pure partner of rank {rank - 1} for test {ender.seq}"
+            )
         # A partner inside the phase wins; otherwise the earliest in the run.
         # The ender is never eligible: it sits in the list of its own rank.
-        for s in tests:
-            if s in eligible:
-                partner = s
-                eligible.remove(s)
-                break
-        else:
-            partner = eligible.pop(0)
-        ttype = _tuple_type(rank, ender[4], recs_by_parent.get(cont, ()))
+        partner = next((s for s in phase.tests if s in eligible), eligible[0])
+        eligible.remove(partner)
+        ttype = _tuple_type(rank, ender.pool, recs_by_parent[ender.seq])
         pure = views[partner]
-        defectives = pure[7] + ender[7]
+        defectives = pure.defectives + ender.defectives
         if defectives < 1:
             raise StructureError("tuple without a defective identification")
         tuples.append(
-            _zigzag_tuple(
-                (
-                    partner,
-                    cont,
-                    extra,
-                    rank,
-                    pure[5] + ender[5] + (extra is not None),
-                    pure[6] + ender[6],
-                    defectives,
-                    ttype,
-                )
+            ZigZagTuple(
+                pure_test=partner,
+                cont_test=ender.seq,
+                extra=extra,
+                rank=rank,
+                incurred=pure.incurred + ender.incurred + (extra is not None),
+                identified=pure.identified + ender.identified,
+                defectives=defectives,
+                tuple_type=ttype,
             )
         )
-        c3.append(partner)
-        c3.append(cont)
+        c3.update((partner, ender.seq))
         if extra is not None:
-            c3.append(extra)
-    c2_set = frozenset(c2)
-    c3_set = frozenset(c3)
+            c3.add(extra)
     return Classification(
-        c1=c1,
-        c2=c2_set,
-        c3=c3_set,
-        c4=frozenset(views).difference(c1, c2_set, c3_set),
+        c1=frozenset(c1),
+        c2=frozenset(c2),
+        c3=frozenset(c3),
+        c4=frozenset(views) - c1 - c2 - c3,
         additional=frozenset(additional),
         tuples=tuple(tuples),
         views=views,
@@ -381,9 +344,6 @@ def classify(transcript: Transcript) -> Classification:
 # Each count and budget check, written once: the failure row it reports,
 # or None when it passes. verify_observations and check_class_bounds
 # report the rows; the fold (fold_records) defers a run on any of them.
-Failure = Tuple[str, Dict[str, object]]
-
-
 def _c4_rank_rows(ranks: List[int], tuples: Sequence[ZigZagTuple]) -> List[Failure]:
     """The sorted ranks of a nonempty c4 must be 0, 1, 2, ..., the highest
     at least two below the highest tuple's."""
@@ -391,7 +351,7 @@ def _c4_rank_rows(ranks: List[int], tuples: Sequence[ZigZagTuple]) -> List[Failu
     if ranks != list(range(len(ranks))):
         rows.append(("c4-consecutive-ranks", {"ranks": ranks}))
     if tuples:
-        top_c4, top_cont = ranks[-1], max([t[3] for t in tuples])
+        top_c4, top_cont = ranks[-1], max(t.rank for t in tuples)
         if top_c4 + 2 > top_cont:
             rows.append(
                 ("c4-rank-gap", {"c4_max": top_c4, "contaminated_max": top_cont})
@@ -438,20 +398,19 @@ def _tuple_row(t: ZigZagTuple) -> Optional[Failure]:
 
 def _type_row(t: ZigZagTuple, pure_incurred: int) -> Optional[Failure]:
     """The deep-tuple floor and cap; pure_incurred is the partner's |I(T)|."""
-    rank, incurred, identified, tuple_type = t[3], t[4], t[5], t[7]
-    if rank < 3:
+    if t.rank < 3:
         return None
-    floor, surplus = _type_floor(tuple_type, rank)
+    floor, surplus = _type_floor(t.tuple_type, t.rank)
     cap = pure_incurred + surplus
-    if identified < floor or incurred > cap:
+    if t.identified < floor or t.incurred > cap:
         return (
             "type-bound",
             {
-                "cont_test": t[1],
-                "tuple_type": tuple_type,
-                "identified": identified,
+                "cont_test": t.cont_test,
+                "tuple_type": t.tuple_type,
+                "identified": t.identified,
                 "floor": floor,
-                "incurred": incurred,
+                "incurred": t.incurred,
                 "cap": cap,
             },
         )
@@ -482,33 +441,26 @@ def verify_observations(
     classification: Classification, transcript: Transcript
 ) -> List[Failure]:
     cls = classification
-    views = cls.views
-    tuples = cls.tuples
-    c3 = cls.c3
     failures: List[Failure] = []
     in_tuples: List[int] = []
-    for t in tuples:
-        in_tuples.append(t[0])
-        in_tuples.append(t[1])
-        if t[2] is not None:
-            in_tuples.append(t[2])
-    expected = (len(c3) - len(cls.additional & c3)) / 2
-    # Equal lengths and equal sets mean equal sorted lists.
-    if len(tuples) != expected or len(in_tuples) != len(c3) or c3 != set(in_tuples):
+    for t in cls.tuples:
+        in_tuples.extend([t.pure_test, t.cont_test])
+        if t.extra is not None:
+            in_tuples.append(t.extra)
+    expected = (len(cls.c3) - len(cls.additional & cls.c3)) / 2
+    if len(cls.tuples) != expected or sorted(in_tuples) != sorted(cls.c3):
         failures.append(
             (
                 "tuple-count",
-                {"tuples": len(tuples), "expected": expected, "c3": sorted(c3)},
+                {"tuples": len(cls.tuples), "expected": expected, "c3": sorted(cls.c3)},
             )
         )
-    c4 = cls.c4
-    if c4:
-        c4_views = [views[s] for s in c4]
-        for view in c4_views:
-            if view[3] != PURE:
-                failures.append(("c4-pure", {"c4": sorted(c4)}))
-                break
-        failures += _c4_rank_rows(sorted([view[2] or 0 for view in c4_views]), tuples)
+    c4_views = [cls.views[s] for s in sorted(cls.c4)]
+    if any(view.status != PURE for view in c4_views):
+        failures.append(("c4-pure", {"c4": sorted(cls.c4)}))
+    if c4_views:
+        ranks = sorted(view.rank or 0 for view in c4_views)
+        failures += _c4_rank_rows(ranks, cls.tuples)
     row = _phase_count_row(len(cls.phases), cls.defectives)
     if row:
         failures.append(row)
@@ -522,43 +474,29 @@ def check_class_bounds(
     views = cls.views
     rows: List[Optional[Failure]] = []
 
-    lhs = 0
-    for seq in cls.c1:
-        lhs += views[seq][5]
-    rows.append(_final_phase_row(lhs))
+    rows.append(_final_phase_row(sum(views[s].incurred for s in cls.c1)))
 
-    c2 = cls.c2
-    for seq in sorted(c2):
-        view = views[seq]
-        rows.append(_rank0_row(seq, view[5], view[6]))
+    for seq in sorted(cls.c2):
+        rows.append(_rank0_row(seq, views[seq].incurred, views[seq].identified))
 
     for t in cls.tuples:
         rows.append(_tuple_row(t))
-        rows.append(_type_row(t, views[t[0]][5]))
+        rows.append(_type_row(t, views[t.pure_test].incurred))
 
-    # One pass over the views sums the paired classes (c2 and c3), the rest
-    # of the tests (c4) and every test.
-    c3 = cls.c3
-    c4 = cls.c4
-    paired = False
-    d_pair = n_pair = lhs = rest = total = 0
-    for seq, view in views.items():
-        incurred = view[5]
-        total += incurred
-        if seq in c3 or seq in c2:
-            paired = True
-            d_pair += view[7]
-            n_pair += view[6]
-            lhs += incurred
-        elif seq in c4:
-            rest += incurred
+    paired = cls.c2 | cls.c3
     if paired:
+        d_pair = sum(views[s].defectives for s in paired)
+        n_pair = sum(views[s].identified for s in paired)
+        lhs = sum(views[s].incurred for s in paired)
         rows.append(_paired_row(d_pair, n_pair, lhs))
+
+    lhs = sum(views[s].incurred for s in paired | cls.c4)
     rows.append(
-        _all_classes_row(cls.defectives, len(transcript.identifications), lhs + rest)
+        _all_classes_row(cls.defectives, len(transcript.identifications), lhs)
     )
     failures = [row for row in rows if row]
 
+    total = sum(view.incurred for view in views.values())
     n_records = len(transcript.records)
     if total != n_records:
         failures.append(("test-recomposition", {"lhs": total, "rhs": n_records}))
@@ -602,15 +540,7 @@ def analyze(run: RunResult) -> AnalysisReport:
     classification = classify(transcript)
     failures = verify_observations(classification, transcript)
     failures += check_class_bounds(classification, transcript)
-    verdict = Verdict(
-        ok=not failures, problems=[f"{name}: {vals}" for name, vals in failures]
-    )
-    return AnalysisReport(
-        phases=list(classification.phases),
-        classification=classification,
-        verdict=verdict,
-        failures=failures,
-    )
+    return AnalysisReport(classification=classification, failures=failures)
 
 
 # The fold: the same checks as analyze, carried along a run one top-level
@@ -649,7 +579,10 @@ class FoldState(NamedTuple):
     identified: int
 
 
+# Each builds its tuple from one tuple of fields, without the Python-level
+# __new__ of the class call: the fold builds them on every walked step.
 _fold_state = partial(tuple.__new__, FoldState)
+_zigzag_tuple = partial(tuple.__new__, ZigZagTuple)
 
 FOLD_START = _fold_state((0, 0, 0, None, (), (), 0, 0, 0, 0, 0, 0))
 
