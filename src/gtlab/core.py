@@ -291,8 +291,8 @@ def finalize(run: RunResult, instance: Instance) -> Verdict:
     """Checks a finished run against ground truth and the accounting rules.
 
     Problems come in check order: every repeated identification, the first
-    item never identified, the first wrong label, then the records in
-    sequence.
+    item never identified, the first item outside the instance, the first
+    wrong label, then the records in sequence.
     """
 
     problems: List[str] = []
@@ -311,6 +311,11 @@ def finalize(run: RunResult, instance: Instance) -> Verdict:
     missing = next(filterfalse(seen.__contains__, range(instance.n)), None)
     if missing is not None:
         problems.append("item %d never identified" % missing)
+    # With every item identified, n labels leave no room for one outside.
+    if missing is not None or len(seen) != instance.n:
+        outside = next((item for item in seen if not 0 <= item < instance.n), None)
+        if outside is not None:
+            problems.append("item %d outside [0, %d)" % (outside, instance.n))
 
     for item, label in seen.items():
         truth = DEFECTIVE if item in defectives else GOOD

@@ -19,6 +19,7 @@ from gtlab.core import (
     finalize,
     instance_from_mask,
 )
+from gtlab.zigzag import run_zu
 
 
 def test_instance_basics():
@@ -219,6 +220,24 @@ def test_finalize_flags_missing_item():
     run = RunResult("partial", session.transcript())
     verdict = finalize(run, inst)
     assert not verdict.ok
+
+
+def test_finalize_flags_an_item_outside_the_instance():
+    inst = Instance(6, frozenset({2}))
+    run = run_zu(PoolOracle(inst))
+    assert finalize(run, inst).ok
+    idents = run.transcript.identifications
+    honest = list(idents)
+    far = Identification(40, GOOD, None, False)
+    negative = Identification(-3, GOOD, None, False)
+    idents += [far, negative]
+    assert finalize(run, inst).problems == ["item 40 outside [0, 6)"]
+    # An item missing as well: both are named, the missing one first.
+    idents[:] = [i for i in honest if i.item != 0] + [negative]
+    assert finalize(run, inst).problems == [
+        "item 0 never identified",
+        "item -3 outside [0, 6)",
+    ]
 
 
 def test_finalize_flags_an_outcome_that_contradicts_ground_truth():
