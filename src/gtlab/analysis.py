@@ -73,10 +73,6 @@ class ZigZagTuple(NamedTuple):
     tuple_type: str
 
 
-# A count or budget check's failure: its name and the values it reports.
-Failure = Tuple[str, Dict[str, object]]
-
-
 @dataclass(frozen=True)
 class Classification:
     """The test classes and tuples of one transcript, plus the parse they
@@ -267,7 +263,7 @@ def classify(transcript: Transcript) -> Classification:
     views, recs_by_parent, d_run = _views(transcript)
     phases = tuple(segment_phases(transcript))
     trailing = phases[-1] if phases and not phases[-1].closed else None
-    c1: Set[int] = set(trailing.tests) if trailing else set()
+    c1 = frozenset(trailing.tests) if trailing else frozenset()
     # Pure drivers with a full pool, by rank, in test order: the only tests
     # that can partner a contaminated driver one rank up. A partner leaves
     # its list once matched.
@@ -329,7 +325,7 @@ def classify(transcript: Transcript) -> Classification:
         if extra is not None:
             c3.add(extra)
     return Classification(
-        c1=frozenset(c1),
+        c1=c1,
         c2=frozenset(c2),
         c3=frozenset(c3),
         c4=frozenset(views) - c1 - c2 - c3,
@@ -344,6 +340,9 @@ def classify(transcript: Transcript) -> Classification:
 # Each count and budget check, written once: the failure row it reports,
 # or None when it passes. verify_observations and check_class_bounds
 # report the rows; the fold (fold_records) defers a run on any of them.
+Failure = Tuple[str, Dict[str, object]]
+
+
 def _c4_rank_rows(ranks: List[int], tuples: Sequence[ZigZagTuple]) -> List[Failure]:
     """The sorted ranks of a nonempty c4 must be 0, 1, 2, ..., the highest
     at least two below the highest tuple's."""
@@ -490,9 +489,9 @@ def check_class_bounds(
         lhs = sum(views[s].incurred for s in paired)
         rows.append(_paired_row(d_pair, n_pair, lhs))
 
-    lhs = sum(views[s].incurred for s in paired | cls.c4)
+    lhs_all = sum(views[s].incurred for s in paired | cls.c4)
     rows.append(
-        _all_classes_row(cls.defectives, len(transcript.identifications), lhs)
+        _all_classes_row(cls.defectives, len(transcript.identifications), lhs_all)
     )
     failures = [row for row in rows if row]
 
