@@ -436,9 +436,7 @@ def _all_classes_row(defectives: int, identified: int, lhs: int) -> Optional[Fai
     return None
 
 
-def verify_observations(
-    classification: Classification, transcript: Transcript
-) -> List[Failure]:
+def verify_observations(classification: Classification) -> List[Failure]:
     cls = classification
     failures: List[Failure] = []
     in_tuples: List[int] = []
@@ -537,7 +535,7 @@ def upward_subtranscript(run: RunResult) -> Transcript:
 def analyze(run: RunResult) -> AnalysisReport:
     transcript = upward_subtranscript(run)
     classification = classify(transcript)
-    failures = verify_observations(classification, transcript)
+    failures = verify_observations(classification)
     failures += check_class_bounds(classification, transcript)
     return AnalysisReport(classification=classification, failures=failures)
 

@@ -292,7 +292,7 @@ def finalize(run: RunResult, instance: Instance) -> Verdict:
 
     Problems come in check order: every repeated identification, the first
     item never identified, the first item outside the instance, the first
-    wrong label, then the records in sequence.
+    wrong label of an item inside it, then the records in sequence.
     """
 
     problems: List[str] = []
@@ -319,7 +319,8 @@ def finalize(run: RunResult, instance: Instance) -> Verdict:
 
     for item, label in seen.items():
         truth = DEFECTIVE if item in defectives else GOOD
-        if label != truth:
+        # An item outside the instance has no truth to judge; it is named above.
+        if label != truth and 0 <= item < instance.n:
             problems.append("item %d classified %s, truth %s" % (item, label, truth))
             break
 

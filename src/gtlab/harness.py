@@ -9,7 +9,6 @@ import math
 import random
 from bisect import bisect_left
 from collections import defaultdict
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import partial
@@ -577,6 +576,11 @@ def verify_grid(
         raise ValueError(f"need workers >= 0, got {workers}")
     tasks = _grid_tasks(algorithms, n_max, checks)
     if workers > 1:
+        # Imported here, not at the top: concurrent.futures and
+        # multiprocessing add about a third to gtlab's import time, and only
+        # a pool needs them.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             # Reversed, so each algorithm's largest n, the longest tasks,
             # start early rather than last.

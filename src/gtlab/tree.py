@@ -46,13 +46,15 @@ class ListOracle:
         self.forks = []
 
     def contaminated(self, pool: Sequence[int]) -> bool:
-        q = 0
-        for item in pool_items(pool, self.n):
-            q |= 1 << item
+        # Checked on replays too, so a step cannot replay a bad pool.
+        items = pool_items(pool, self.n)
         pos = len(self.answers)
         if pos < len(self.script):
             hit = self.script[pos]
         else:
+            q = 0
+            for item in items:
+                q |= 1 << item
             masks = self.masks
             miss = [m for m in masks if not m & q]
             hit = not miss

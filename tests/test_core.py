@@ -372,6 +372,11 @@ _INST = Instance(4, frozenset({2}))
                      _record(2, [2], True, INCURRED, parent=3)], _labels(_INST)),
             ["incurred record 2 lacks an earlier parent"],
         ),
+        # An item outside the instance is named once, not judged as a label.
+        (
+            _forged([], _labels(_INST) + [(9, DEFECTIVE, None, False)]),
+            ["item 9 outside [0, 4)"],
+        ),
     ],
 )
 def test_finalize_names_each_problem(run, problems):

@@ -2,7 +2,10 @@ import hashlib
 import itertools
 import json
 import math
+import os
 import random
+import subprocess
+import sys
 import tracemalloc
 from collections import OrderedDict
 
@@ -575,6 +578,28 @@ def test_check_algorithms_names_where_each_bound_family_writes_rows(check):
     report = verify_grid(8, checks=[check])
     with_rows = {c["algorithm"] for c in report["cells"] if c["bound_values"]}
     assert with_rows == set(harness.CHECK_ALGORITHMS[check])
+
+
+# Run in a fresh interpreter, since pytest and hypothesis may import the
+# pool modules themselves.
+_POOL_IMPORT_SCRIPT = """
+import sys
+import gtlab
+from gtlab import analysis, bounds, cli, harness, kernels
+loaded = [m for m in ("concurrent.futures", "multiprocessing") if m in sys.modules]
+assert not loaded, "imported without a pool: %s" % loaded
+assert harness.verify_grid(6, workers=2) == harness.verify_grid(6)
+"""
+
+
+def test_only_a_pooled_grid_imports_the_process_pool():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(harness.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-c", _POOL_IMPORT_SCRIPT],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_verify_grid_rejects_negative_workers():
