@@ -271,16 +271,15 @@ def classify(transcript: Transcript) -> Classification:
     additional: Set[int] = set()
     for seq in sorted(views):
         view = views[seq]
+        rank = view.rank
         if view.kind == ADDITIONAL:
             additional.add(seq)
-        elif (
-            view.kind == DRIVER
-            and view.status == PURE
-            and view.rank is not None
-            and len(view.pool) == pool_size(view.rank)
-            and seq not in c1
-        ):
-            partners[view.rank].append(seq)
+        elif view.kind != DRIVER or rank is None:
+            continue
+        elif type(rank) is not int or rank < 0:
+            raise StructureError(f"driver {seq} has rank {rank!r}")
+        elif view.status == PURE and len(view.pool) == pool_size(rank) and seq not in c1:
+            partners[rank].append(seq)
     c2: Set[int] = set()
     c3: Set[int] = set()
     tuples: List[ZigZagTuple] = []

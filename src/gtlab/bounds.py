@@ -51,10 +51,12 @@ def _log2_comb(n: int, d: int) -> float:
 
 
 def info_lower_bound(n: int, d: int) -> BoundReport:
-    """Ceiling of log2 of the number of candidate defective sets."""
+    """Ceiling of log2 of the number of candidate defective sets: exact
+    when min(d, n - d) <= 64, so for every n <= 128 and, by Sylvester-Schur,
+    whenever C(n, d) is a power of two; from lgamma beyond that."""
     if not 0 <= d <= n:
         raise ValueError("need 0 <= d <= n")
-    if n <= 64:
+    if min(d, n - d) <= 64:
         value = (math.comb(n, d) - 1).bit_length()
     else:
         # lgamma is within 1e-9 relative error here; guard the ceiling.

@@ -1,6 +1,8 @@
 """Command-line front end: single runs, worst-case cells, the verify grid,
 exact minimax values, and bound evaluation. JSON goes to stdout; --out adds
-a CSV copy of the verify grid. Exit codes: 0 clean, 1 violation, 2 usage.
+a CSV copy of the verify grid. Exit codes: 0 clean, 1 violation, 2 usage,
+141 stdout closed by its reader (128 + SIGPIPE, as a shell reports a
+process that SIGPIPE ends).
 """
 
 from __future__ import annotations
@@ -208,10 +210,16 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # The reader has gone; devnull takes what the exit flush would write.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
+    return code
 
 
 if __name__ == "__main__":

@@ -216,27 +216,9 @@ class Session:
     def identify_all(
         self, items: Iterable[int], label: str, attributed_to: Optional[int]
     ) -> None:
-        """identify(item, label, attributed_to, True) for each item in order.
-
-        A batch of distinct, not yet identified items is taken in one step.
-        Any other batch goes item by item, so it raises for the same item and
-        leaves the same state as the single calls would.
-        """
-        items = tuple(items)
-        batch = 0
+        """identify(item, label, attributed_to, True) for each item in order."""
         for item in items:
-            batch |= 1 << item
-        if batch.bit_count() != len(items) or batch & (self.good_mask | self.defective_mask):
-            for item in items:
-                self.identify(item, label, attributed_to, True)
-            return
-        if label == GOOD:
-            self.good_mask |= batch
-        else:
-            self.defective_mask |= batch
-        self.identifications.extend(
-            [_identification((item, label, attributed_to, True)) for item in items]
-        )
+            self.identify(item, label, attributed_to, True)
 
     def unresolved(self, items: Iterable[int]) -> List[int]:
         done = self.good_mask | self.defective_mask

@@ -292,6 +292,15 @@ def _clean_zu_12():
     return run, instance
 
 
+@pytest.mark.parametrize("rank", [-1, "2", True])
+def test_analyze_rejects_a_driver_rank_that_is_not_a_nonnegative_int(rank):
+    # Test 2 of the clean run is a full pure driver of rank 1.
+    run, _ = _clean_zu_12()
+    tampered = _tampered(run, 2, rank=rank)
+    with pytest.raises(StructureError, match=r"^driver 2 has rank "):
+        analyze(dataclasses.replace(run, transcript=tampered))
+
+
 def test_analysis_violations_report_a_structure_error_as_one_row():
     run, instance = _clean_zu_12()
     tampered = _tampered(run, 2, kind=ADDITIONAL, rank=None)

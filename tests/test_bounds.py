@@ -1,7 +1,7 @@
 import math
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from gtlab import bounds
 
@@ -26,8 +26,17 @@ def test_info_lower_bound_rejects_bad_d():
 
 
 def test_info_lower_bound_large_matches_exact_ceiling():
-    # The lgamma path beyond n=64 must agree with exact arithmetic.
-    for n, d in [(65, 3), (100, 10), (200, 7), (500, 250)]:
+    # Large n must agree with exact arithmetic, including the powers of two
+    # where log2 C(n, d) is an integer and lgamma alone overshoots by one.
+    for n, d in [
+        (65, 3),
+        (100, 10),
+        (200, 7),
+        (500, 250),
+        (2**20, 1),
+        (2**20, 2**20 - 1),
+        (2**26, 1),
+    ]:
         exact = (math.comb(n, d) - 1).bit_length()
         assert bounds.info_lower_bound(n, d).value == float(exact), (n, d)
 
@@ -208,3 +217,19 @@ def test_budget_is_superadditive(data):
     d2 = data.draw(st.integers(1, n2))
     rhs = bounds.budget(d1, n1) + bounds.budget(d2, n2)
     assert bounds.budget(d1 + d2, n1 + n2) >= rhs - 1e-9 * max(1.0, rhs)
+
+
+@given(
+    st.integers(1, 2**40) | st.integers(0, 40).map(lambda e: 2**e),
+    st.integers(0, 64),
+    st.booleans(),
+)
+@example(2**20, 1, False)
+@example(2**20, 1, True)
+@example(2**26, 1, False)
+def test_info_bound_is_exact_when_d_or_n_minus_d_is_small(n, k, from_top):
+    # Powers of two are drawn on purpose: there log2 C(n, 1) is an integer.
+    k = min(k, n)
+    d = n - k if from_top else k
+    rep = bounds.info_lower_bound(n, d)
+    assert rep.value == float((math.comb(n, d) - 1).bit_length())

@@ -1,8 +1,12 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import gtlab
 from gtlab import harness, kernels
 from gtlab.cli import main
 
@@ -286,3 +290,23 @@ def test_unknown_subcommand_exits_2():
     with pytest.raises(SystemExit) as err:
         main(["frobnicate"])
     assert err.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv", [["verify", "--n-max", "8"], ["bounds", "--n", "8", "--d", "1"]]
+)
+def test_closed_stdout_exits_quietly_with_its_own_code(argv):
+    # The reader closes the pipe before the command writes; a clean run
+    # must neither print a traceback nor exit 1, the violation code.
+    src = os.path.dirname(os.path.dirname(os.path.abspath(gtlab.__file__)))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "gtlab.cli", *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=dict(os.environ, PYTHONPATH=src),
+    )
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 141  # 128 + SIGPIPE
+    assert err == b""
