@@ -13,7 +13,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import partial
 from json.encoder import encode_basestring_ascii as _encode_str
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from gtlab import bounds, kernels
 from gtlab.analysis import (
@@ -25,10 +25,13 @@ from gtlab.analysis import (
     fold_records,
 )
 from gtlab.core import (
+    CHECK_START,
     Instance,
     PoolOracle,
     RunResult,
     Session,
+    check_passes,
+    check_records,
     finalize,
     instance_from_mask,
 )
@@ -118,9 +121,11 @@ def worst_case(
     in ascending blocks of kernels.BLOCK masks made as they are walked
     (_walked_runs), and refuses more than _EXHAUSTIVE_CAP masks;
     sampled mode is a lower estimate over samples >= 1 seeded draws, one
-    recorded run each. Every run is finalized; a correctness failure aborts
-    with the dump of the recorded run on the first failing mask, which in
-    exhaustive mode is the first in ascending order.
+    recorded run each. Every run is checked against ground truth: a sampled
+    run by finalize, a walked one by the check fold the walk carries, with
+    finalize on any leaf the fold cannot certify. A correctness failure
+    aborts with the dump of the recorded run on the first failing mask,
+    which in exhaustive mode is the first in ascending order.
     """
     kernels._check_algorithm(algorithm)
     if not 0 <= d <= n:
@@ -137,7 +142,7 @@ def worst_case(
         argmax = 0
         while block := list(itertools.islice(family, kernels.BLOCK)):
             with _recorded_on_failure(algorithm, n, block):
-                for i, result, _, _ in _walked_runs(algorithm, n, block):
+                for i, result, _ in _walked_runs(algorithm, n, block):
                     tests, mask = result.tests_used, block[i]
                     if tests > worst or (tests == worst and mask < argmax):
                         worst = tests
@@ -179,24 +184,28 @@ def _walked_runs(
     n: int,
     masks: Sequence[int],
     strategy: Optional[kernels.Strategy] = None,
-) -> Iterator[Tuple[int, RunResult, Instance, object]]:
-    """Yields (index in masks, finalized run, instance, final state) for
-    every leaf of one walk of the algorithm's decision tree over masks,
-    which ascend, in no particular order. strategy, the algorithm's own by
-    default, gives the step and start state walked.
+) -> Iterator[Tuple[int, RunResult, object]]:
+    """Yields (index in masks, checked run, final state) for every leaf of
+    one walk of the algorithm's decision tree over masks, which ascend, in
+    no particular order. strategy, the algorithm's own by default, gives
+    the step and start state walked.
 
-    Each leaf is finalized against the mask of the items it identified as
+    Each leaf is checked against the mask of the items it identified as
     defective, so its run is the one the recorded run on that mask makes.
+    The walk carries core's check fold (check_records), so each record is
+    checked once, by the step that made it; a leaf the fold cannot certify
+    (check_passes) is finalized, and a failure raises the finalize dump.
     The walk fails on a leaf outside masks, on a mask reached twice and on
     a mask never reached. A run is valid only until the walk resumes.
     """
-    strategy = strategy or kernels.STRATEGIES[algorithm]
+    checked = _folding(strategy or kernels.STRATEGIES[algorithm], check_records, CHECK_START)
+    plan_of = checked.plan_of
     reached = bytearray(len(masks))
-    for session, state in walk(strategy.step, strategy.start, n, masks):
+    for session, state in walk(checked.step, checked.start, n, masks):
         mask = session.defective_mask
-        instance = instance_from_mask(n, mask)
-        plan = strategy.plan_of(state) if strategy.plan_of else None
-        result = _finalized(session.result(algorithm, plan), instance)
+        result = session.result(algorithm, plan_of(state) if plan_of else None)
+        if not check_passes(state[1], session, n):
+            _finalized(result, instance_from_mask(n, mask))
         i = bisect_left(masks, mask)
         if i == len(masks) or masks[i] != mask:
             raise AssertionError(
@@ -206,12 +215,41 @@ def _walked_runs(
         if reached[i]:
             raise AssertionError(f"{algorithm} reached mask {mask:#x} twice at n={n}")
         reached[i] = 1
-        yield i, result, instance, state
+        yield i, result, state[0]
     if not all(reached):
         raise AssertionError(
             f"{algorithm} walk at n={n} reached {sum(reached)} leaves, "
             f"not each of the {len(masks)} masks once"
         )
+
+
+def _folding(
+    strategy: kernels.Strategy, fold: Callable[..., object], start: object
+) -> kernels.Strategy:
+    """strategy with a fold of its run carried along: the state is
+    (strategy's state, fold state), and each step folds the records and
+    identifications it made, fold(fold state, records, identifications),
+    until the fold defers (None). Runs that share steps share their folded
+    prefix."""
+    step = strategy.step
+    plan_of = strategy.plan_of
+
+    def folded_step(
+        session: Session, remaining: List[int], state: Tuple[object, object]
+    ) -> Tuple[List[int], Tuple[object, object]]:
+        inner, folded = state
+        tests = session.tests
+        idents = len(session.identifications)
+        remaining, inner = step(session, remaining, inner)
+        if folded is not None:
+            folded = fold(folded, session.records[tests:], session.identifications[idents:])
+        return remaining, (inner, folded)
+
+    return strategy._replace(
+        step=folded_step,
+        start=(strategy.start, start),
+        plan_of=plan_of and (lambda state: plan_of(state[0])),
+    )
 
 
 def _masks_of_weight(n: int, d: int) -> Iterator[int]:
@@ -414,35 +452,18 @@ def _analyze_upward_runs(n: int, lo: int, hi: int) -> List[dict]:
     failure raises as the recorded run on the first failing mask does.
     """
     masks = range(lo, hi)
-    folded = _folded_zu()
     rows: Dict[int, List[dict]] = {}
     with _recorded_on_failure("zu", n, masks):
-        for i, result, instance, (_, fold) in _walked_runs("zu", n, masks, folded):
+        for i, result, (_, fold) in _walked_runs("zu", n, masks, _folded_zu()):
             if not fold_passes(fold):
-                rows[i] = _analysis_violations(result, instance)
+                rows[i] = _analysis_violations(result, instance_from_mask(n, lo + i))
     return [v for i in sorted(rows) for v in rows[i]]
 
 
 def _folded_zu() -> kernels.Strategy:
     """zu with the analysis fold of its run carried along: the state is
-    (zu's state, fold state), and each step folds what it recorded."""
-    zu = kernels.STRATEGIES["zu"]
-    step = zu.step
-
-    def folded_step(
-        session: Session, remaining: List[int], state: Tuple[object, object]
-    ) -> Tuple[List[int], Tuple[object, object]]:
-        inner, fold = state
-        tests = session.tests
-        idents = len(session.identifications)
-        remaining, inner = step(session, remaining, inner)
-        if fold is not None:
-            fold = fold_records(
-                fold, session.records[tests:], session.identifications[idents:]
-            )
-        return remaining, (inner, fold)
-
-    return zu._replace(step=folded_step, start=(zu.start, FOLD_START))
+    (zu's state, fold state)."""
+    return _folding(kernels.STRATEGIES["zu"], fold_records, FOLD_START)
 
 
 def _analysis_violations(result: RunResult, instance: Instance) -> List[dict]:

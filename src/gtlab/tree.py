@@ -8,9 +8,11 @@ agree with every answer so far, answers each query pure when one of them
 misses the pool, and the masks that meet it are explored later from a
 snapshot of the step's start. A leaf is a finished run. It is the run on
 the mask of the items it identified as defective, provided every answer
-matches that mask, which the caller checks with finalize. Each mask of the
-list takes exactly one path, so the caller also checks that the leaves are
-the list's masks, each once.
+matches that mask, which the caller checks against ground truth: harness
+carries core's check fold along the walk, so each record is checked once,
+by the step that made it, and finalizes only the leaves the fold cannot
+certify. Each mask of the list takes exactly one path, so the caller also
+checks that the leaves are the list's masks, each once.
 """
 
 from __future__ import annotations

@@ -750,3 +750,51 @@ def test_analyze_parses_each_transcript_once(monkeypatch, run):
     report = analyze(run)
     assert calls == {name: 1 for name in PARSE_STEPS}
     assert report.phases == list(report.classification.phases)
+
+
+def _final_phase(records):
+    """(mixed pairs, records) of a zu run's final phase: the top-level
+    tests after its last contaminated driver, with their incurred tests. A
+    mixed pair is a rank-1 driver that tested contaminated and was
+    relabelled pure."""
+    start = 0
+    for i, rec in enumerate(records):
+        if rec.kind == DRIVER and rec.status == CONTAMINATED:
+            start = i + 1
+    while start < len(records) and records[start].kind == INCURRED:
+        start += 1
+    tail = records[start:]
+    mixed = sum(
+        r.kind == DRIVER and r.rank == 1 and r.raw_outcome == CONTAMINATED and r.status == PURE
+        for r in tail
+    )
+    return mixed, len(tail)
+
+
+def test_final_phase_budget_red_past_the_grid_is_pinned():
+    # The second known red (README, "A known red"): from n = 25 a zu run
+    # whose final phase holds a mixed pair spends 8 tests in it, against 7.
+    # Over every zu run with 25 <= n <= 40 and d <= 2, each such run is
+    # flagged with one final-phase-budget row, and no run has another row.
+    rows = Counter()
+    flagged_at_25 = []
+    off_family = []
+    for n in range(25, 41):
+        for d in range(3):
+            masks = list(harness._masks_of_weight(n, d))
+            for i, result, _ in harness._walked_runs("zu", n, masks):
+                failures = analyze(result).failures
+                mixed, lhs = _final_phase(result.transcript.records)
+                if mixed and lhs > 7:
+                    rows[n, d] += 1
+                    flagged_at_25 += [masks[i]] if n == 25 else []
+                    ok = mixed == 1 and lhs in (8, 9) and failures == [
+                        ("final-phase-budget", {"lhs": lhs, "rhs": 7})
+                    ]
+                else:
+                    ok = failures == []
+                if not ok:
+                    off_family.append((n, masks[i], mixed, lhs, failures))
+    assert off_family == []
+    assert rows == Counter({(25, 1): 2, **{(n, d): 2 for n in range(26, 41) for d in (1, 2)}})
+    assert sorted(flagged_at_25) == [1 << 1, 1 << 2]

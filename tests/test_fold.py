@@ -40,7 +40,7 @@ def test_the_fold_defers_exactly_the_zu_leaves_analyze_fails():
     folded = harness._folded_zu()
     failing = 0
     for n in range(1, 13):
-        for _, result, _, (_, fold) in harness._walked_runs("zu", n, range(1 << n), folded):
+        for _, result, (_, fold) in harness._walked_runs("zu", n, range(1 << n), folded):
             try:
                 report = analyze(result)
             except StructureError:
