@@ -3,6 +3,11 @@
 Every evaluator returns a BoundReport; callers read .value only when
 .applicable is set. Conventions: d*log2(n/d) is 0 at d=0, while any bare
 log2(d) term makes a bound inapplicable at d=0.
+
+A test count is held to a rational bound in integers (BoundReport.admits,
+competitive_check's d0 and dense branches), so a float value that rounds
+below the bound, as 1.4 * 45 does, decides nothing. Logarithmic bounds
+are compared in floats within a slack of 1e-9.
 """
 
 from __future__ import annotations
@@ -10,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 _LN2 = math.log(2)
 _LOG2_5 = math.log2(5)
@@ -19,6 +24,8 @@ _LOG2_5_3 = math.log2(5 / 3)
 # The paper's competitive rate and the shift of its d*log2(n/d) budget.
 RATE = 1.431
 SHIFT = 1.1242
+# RATE in thousandths, for exact comparisons.
+_RATE_MILLI = 1431
 
 LOWER = "lower"
 UPPER = "upper"
@@ -32,6 +39,17 @@ class BoundReport:
     value: float
     applicable: bool
     direction: str
+    # A rational bound's exact value as (numerator, denominator > 0); None
+    # for a bound only value holds.
+    exact: Optional[Tuple[int, int]] = None
+
+    def admits(self, tests: int) -> bool:
+        """True when tests is at most this upper bound: exactly when it is
+        rational, otherwise within a slack of 1e-9."""
+        if self.exact is None:
+            return tests <= self.value + 1e-9
+        num, den = self.exact
+        return tests * den <= num
 
 
 @lru_cache(maxsize=None)
@@ -140,7 +158,7 @@ def zu_upper_n(n: int) -> BoundReport:
     name = "zu-upper-n"
     if n < 1:
         return _na(n, None, name, UPPER)
-    return BoundReport(n, None, name, 1.4 * n, True, UPPER)
+    return BoundReport(n, None, name, 1.4 * n, True, UPPER, (7 * n, 5))
 
 
 def zc_upper_d(n: int, d: int, constant: int = 32) -> BoundReport:
@@ -157,7 +175,7 @@ def zc_upper_n(n: int) -> BoundReport:
     name = "zc-upper-n"
     if n < 1:
         return _na(n, None, name, UPPER)
-    return BoundReport(n, None, name, 1.4 * n + 13, True, UPPER)
+    return BoundReport(n, None, name, 1.4 * n + 13, True, UPPER, (7 * n + 65, 5))
 
 
 def hwang_upper(n: int, d: int) -> BoundReport:
@@ -197,16 +215,17 @@ def competitive_check(n: int, d: int, tests: int) -> CompetitiveVerdict:
     The d0 branch allows 7 tests, the dense branch (8n <= 21d) RATE*(n-1)
     + 15, and the sparse branch RATE times the entropy lower bound plus 39.
     Sparse means 1 <= d and 21d < 8n, so 2d < 16n/21 < n and the entropy
-    bound always applies. d >= n is excluded.
+    bound always applies. d >= n is excluded. The d0 and dense budgets are
+    rational and decided in integers; limit is their float.
     """
     if not 0 <= d < n:
         return CompetitiveVerdict(False, "excluded", math.nan, True)
     if d == 0:
-        limit = 7.0
-        return CompetitiveVerdict(True, "d0", limit, tests <= limit)
+        return CompetitiveVerdict(True, "d0", 7.0, tests <= 7)
     if 8 * n <= 21 * d:
         limit = RATE * (n - 1) + 15
-        return CompetitiveVerdict(True, "dense", limit, tests <= limit + 1e-9)
+        ok = 1000 * tests <= _RATE_MILLI * (n - 1) + 15000
+        return CompetitiveVerdict(True, "dense", limit, ok)
     limit = RATE * entropy_lower_bound(n, d).value + 39
     return CompetitiveVerdict(True, "sparse", limit, tests <= limit + 1e-9)
 

@@ -13,7 +13,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import partial
 from json.encoder import encode_basestring_ascii as _encode_str
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from gtlab import bounds, kernels
 from gtlab.analysis import (
@@ -142,8 +142,8 @@ def worst_case(
         argmax = 0
         while block := list(itertools.islice(family, kernels.BLOCK)):
             with _recorded_on_failure(algorithm, n, block):
-                for i, result, _ in _walked_runs(algorithm, n, block):
-                    tests, mask = result.tests_used, block[i]
+                for i, session, _ in _walked_runs(algorithm, n, block):
+                    tests, mask = session.tests, block[i]
                     if tests > worst or (tests == worst and mask < argmax):
                         worst = tests
                         argmax = mask
@@ -180,31 +180,31 @@ def _recorded_on_failure(algorithm: str, n: int, masks: Sequence[int]) -> Iterat
 
 
 def _walked_runs(
-    algorithm: str,
-    n: int,
-    masks: Sequence[int],
-    strategy: Optional[kernels.Strategy] = None,
-) -> Iterator[Tuple[int, RunResult, object]]:
-    """Yields (index in masks, checked run, final state) for every leaf of
-    one walk of the algorithm's decision tree over masks, which ascend, in
-    no particular order. strategy, the algorithm's own by default, gives
-    the step and start state walked.
+    algorithm: str, n: int, masks: Sequence[int], analysed: bool = False
+) -> Iterator[Tuple[int, Session, object]]:
+    """Yields (index in masks, session, analysis fold state) for every leaf
+    of one walk of the algorithm's decision tree over masks, which ascend,
+    in no particular order. The session holds the leaf's run until the walk
+    resumes: session.tests is its test count, and session.result(algorithm)
+    builds its RunResult for a caller that needs one. The walk carries
+    analysis.fold_records when analysed is set; otherwise the fold state is
+    None.
 
     Each leaf is checked against the mask of the items it identified as
     defective, so its run is the one the recorded run on that mask makes.
     The walk carries core's check fold (check_records), so each record is
-    checked once, by the step that made it; a leaf the fold cannot certify
-    (check_passes) is finalized, and a failure raises the finalize dump.
-    The walk fails on a leaf outside masks, on a mask reached twice and on
-    a mask never reached. A run is valid only until the walk resumes.
+    checked once, by the step that made it; only a leaf the fold cannot
+    certify (check_passes) gets a RunResult and finalize, and a failure
+    raises the finalize dump. The walk fails on a leaf outside masks, on a
+    mask reached twice and on a mask never reached.
     """
-    checked = _folding(strategy or kernels.STRATEGIES[algorithm], check_records, CHECK_START)
-    plan_of = checked.plan_of
+    strategy = _folding(kernels.STRATEGIES[algorithm], analysed)
+    plan_of = strategy.plan_of
     reached = bytearray(len(masks))
-    for session, state in walk(checked.step, checked.start, n, masks):
+    for session, state in walk(strategy.step, strategy.start, n, masks):
         mask = session.defective_mask
-        result = session.result(algorithm, plan_of(state) if plan_of else None)
         if not check_passes(state[1], session, n):
+            result = session.result(algorithm, plan_of(state) if plan_of else None)
             _finalized(result, instance_from_mask(n, mask))
         i = bisect_left(masks, mask)
         if i == len(masks) or masks[i] != mask:
@@ -215,7 +215,7 @@ def _walked_runs(
         if reached[i]:
             raise AssertionError(f"{algorithm} reached mask {mask:#x} twice at n={n}")
         reached[i] = 1
-        yield i, result, state[0]
+        yield i, session, state[2]
     if not all(reached):
         raise AssertionError(
             f"{algorithm} walk at n={n} reached {sum(reached)} leaves, "
@@ -223,31 +223,34 @@ def _walked_runs(
         )
 
 
-def _folding(
-    strategy: kernels.Strategy, fold: Callable[..., object], start: object
-) -> kernels.Strategy:
-    """strategy with a fold of its run carried along: the state is
-    (strategy's state, fold state), and each step folds the records and
-    identifications it made, fold(fold state, records, identifications),
-    until the fold defers (None). Runs that share steps share their folded
-    prefix."""
+def _folding(strategy: kernels.Strategy, analysed: bool = False) -> kernels.Strategy:
+    """strategy with core's check fold of its run carried along, and with
+    analysed also the analysis fold: the state is (strategy's state, check
+    fold state, analysis fold state), the last None unless analysed. Each
+    step folds the records and identifications it made into each fold,
+    check_records and analysis.fold_records, until that fold defers (None).
+    Runs that share steps share their folded prefix."""
     step = strategy.step
     plan_of = strategy.plan_of
 
     def folded_step(
-        session: Session, remaining: List[int], state: Tuple[object, object]
-    ) -> Tuple[List[int], Tuple[object, object]]:
-        inner, folded = state
+        session: Session, remaining: List[int], state: Tuple[object, object, object]
+    ) -> Tuple[List[int], Tuple[object, object, object]]:
+        inner, checked, folded = state
         tests = session.tests
         idents = len(session.identifications)
         remaining, inner = step(session, remaining, inner)
+        records = session.records[tests:]
+        made = session.identifications[idents:]
+        if checked is not None:
+            checked = check_records(checked, records, made)
         if folded is not None:
-            folded = fold(folded, session.records[tests:], session.identifications[idents:])
-        return remaining, (inner, folded)
+            folded = fold_records(folded, records, made)
+        return remaining, (inner, checked, folded)
 
     return strategy._replace(
         step=folded_step,
-        start=(strategy.start, start),
+        start=(strategy.start, CHECK_START, FOLD_START if analysed else None),
         plan_of=plan_of and (lambda state: plan_of(state[0])),
     )
 
@@ -430,7 +433,7 @@ def _cell_bound_rows(
         for evaluate in _UPPER_BOUNDS.get(algorithm, ()):
             b = evaluate(n, d)
             if b.applicable:
-                rows.append((b.bound_name, b.value, worst <= b.value + 1e-9))
+                rows.append((b.bound_name, b.value, b.admits(worst)))
     if algorithm == "zc" and "competitive" in checks:
         verdict = bounds.competitive_check(n, d, worst)
         if verdict.applicable:
@@ -440,30 +443,40 @@ def _cell_bound_rows(
     return rows
 
 
-def _analyze_upward_runs(n: int, lo: int, hi: int) -> List[dict]:
-    """Analysis violations of the zu runs on masks lo..hi-1, in mask order.
+def _walk_upward_runs(
+    n: int, lo: int, hi: int
+) -> Tuple[List[Tuple[int, int]], List[dict]]:
+    """Per-d (most tests, smallest mask spending them) over the zu runs on
+    masks lo..hi-1, (-1, 0) for a d none of them has, and their analysis
+    violations in mask order.
 
     The runs come from one walk of zu's decision tree (_walked_runs), not
     one run per mask: each leaf's transcript is the one core.drive makes
-    looping zigzag.zu_step on that mask. The walk carries the analysis fold
-    (analysis.fold_records) in zu's state, so runs that share steps share
-    their folded prefix, and only the leaves the fold cannot certify
-    (fold_passes) go to analyze, which writes every violation row. A
-    failure raises as the recorded run on the first failing mask does.
+    looping zigzag.zu_step on that mask, and its test count is the one
+    kernels.sweep counts. The walk carries the analysis fold
+    (analysis.fold_records) with the check fold, in one step wrapper, so
+    runs that share steps share both folded prefixes, and only the leaves
+    the analysis fold cannot certify (fold_passes) get a RunResult for
+    analyze, which writes every violation row. A failure raises as the
+    recorded run on the first failing mask does.
     """
     masks = range(lo, hi)
+    worst = [-1] * (n + 1)
+    argmax = [0] * (n + 1)
     rows: Dict[int, List[dict]] = {}
     with _recorded_on_failure("zu", n, masks):
-        for i, result, (_, fold) in _walked_runs("zu", n, masks, _folded_zu()):
+        for i, session, fold in _walked_runs("zu", n, masks, analysed=True):
+            mask = lo + i
+            tests = session.tests
+            d = mask.bit_count()
+            if tests > worst[d] or (tests == worst[d] and mask < argmax[d]):
+                worst[d] = tests
+                argmax[d] = mask
             if not fold_passes(fold):
-                rows[i] = _analysis_violations(result, instance_from_mask(n, lo + i))
-    return [v for i in sorted(rows) for v in rows[i]]
-
-
-def _folded_zu() -> kernels.Strategy:
-    """zu with the analysis fold of its run carried along: the state is
-    (zu's state, fold state)."""
-    return _folding(kernels.STRATEGIES["zu"], fold_records, FOLD_START)
+                rows[i] = _analysis_violations(
+                    session.result("zu"), instance_from_mask(n, mask)
+                )
+    return list(zip(worst, argmax)), [v for i in sorted(rows) for v in rows[i]]
 
 
 def _analysis_violations(result: RunResult, instance: Instance) -> List[dict]:
@@ -487,12 +500,13 @@ def _analysis_violations(result: RunResult, instance: Instance) -> List[dict]:
     ]
 
 
-def _sweep_task(
-    algorithm: str, n: int, checks: Sequence[str]
+def _cells(
+    algorithm: str, n: int, per_d: Sequence[Tuple[int, int]], checks: Sequence[str]
 ) -> Tuple[List[dict], List[dict]]:
+    """The cells of one (algorithm, n) from its per-d (worst_tests,
+    argmax_mask), and their bound violation rows."""
     cells = []
     violations = []
-    per_d = kernels.sweep(algorithm, n)
     for d, (worst, argmax) in enumerate(per_d):
         rows = _cell_bound_rows(algorithm, n, d, worst, checks)
         cell = {
@@ -513,26 +527,45 @@ def _sweep_task(
     return cells, violations
 
 
-def _analysis_task(n: int, lo: int, hi: int) -> Tuple[List[dict], List[dict]]:
-    return [], _analyze_upward_runs(n, lo, hi)
+def _sweep_task(
+    algorithm: str, n: int, checks: Sequence[str]
+) -> Tuple[List[dict], List[dict]]:
+    return _cells(algorithm, n, kernels.sweep(algorithm, n), checks)
+
+
+def _upward_task(n: int, checks: Sequence[str], block: int) -> Tuple[List[dict], List[dict]]:
+    """zu's cells at n, their bound violations and then its analysis
+    violations, from one walk of its decision tree in consecutive blocks of
+    block masks (_walk_upward_runs). The blocks ascend, so a later block
+    takes a d's cell only with strictly more tests: the smallest mask wins
+    ties, as in kernels.sweep."""
+    per_d = [(-1, 0)] * (n + 1)
+    rows = []
+    end = 1 << n
+    for lo in range(0, end, block):
+        block_per_d, block_rows = _walk_upward_runs(n, lo, min(lo + block, end))
+        per_d = [new if new[0] > old[0] else old for old, new in zip(per_d, block_per_d)]
+        rows += block_rows
+    cells, violations = _cells("zu", n, per_d, checks)
+    return cells, violations + rows
 
 
 def _grid_tasks(
     algorithms: Sequence[str], n_max: int, checks: Sequence[str]
 ) -> List[partial]:
-    """Every (algorithm, n) sweep, each followed by its zu analysis in blocks
-    of kernels.BLOCK masks, in mask order, so joining the outputs in list
-    order gives the report. Each n up to 16 is one block, so the top of zu's
-    decision tree is walked once per n."""
+    """One task per (algorithm, n), in order, so joining the outputs in list
+    order gives the report. With the analysis family selected, zu's task is
+    one walk of its decision tree that both fills the cells and analyzes
+    the runs (_upward_task), in blocks of kernels.BLOCK masks, so each n up
+    to 16 is one block; every other task counts its cells with
+    kernels.sweep (_sweep_task)."""
     tasks = []
     for algorithm in algorithms:
         for n in range(1, n_max + 1):
-            tasks.append(partial(_sweep_task, algorithm, n, checks))
             if algorithm == "zu" and "analysis" in checks:
-                end = 1 << n
-                for lo in range(0, end, kernels.BLOCK):
-                    hi = min(lo + kernels.BLOCK, end)
-                    tasks.append(partial(_analysis_task, n, lo, hi))
+                tasks.append(partial(_upward_task, n, checks, kernels.BLOCK))
+            else:
+                tasks.append(partial(_sweep_task, algorithm, n, checks))
     return tasks
 
 
@@ -560,12 +593,14 @@ def verify_grid(
     one in which no check family applies to any selected algorithm
     (CHECK_ALGORITHMS).
 
-    The grid is one task list (_grid_tasks): each (algorithm, n) sweep,
-    followed for zu by its transcript analysis in blocks of kernels.BLOCK
-    masks. workers None, 0 or 1 run it serially in list order, more hand it
-    to a process pool largest n first, and a negative count is rejected.
-    Outputs are joined in list order, so the report is the same for every
-    worker count.
+    The grid is one task list (_grid_tasks), one task per (algorithm, n):
+    kernels.sweep counts the cells, except that with the analysis family
+    selected zu's cells come from the one walk of its decision tree that
+    also analyzes its transcripts, in blocks of kernels.BLOCK masks. Both
+    give the same cells. workers None, 0 or 1 run it serially in list
+    order, more hand it to a process pool largest n first, and a negative
+    count is rejected. Outputs are joined in list order, so the report is
+    the same for every worker count.
     """
     if not 1 <= n_max <= MAX_GRID_N:
         raise ValueError(f"need 1 <= n_max <= {MAX_GRID_N}")

@@ -782,7 +782,8 @@ def test_final_phase_budget_red_past_the_grid_is_pinned():
     for n in range(25, 41):
         for d in range(3):
             masks = list(harness._masks_of_weight(n, d))
-            for i, result, _ in harness._walked_runs("zu", n, masks):
+            for i, session, _ in harness._walked_runs("zu", n, masks):
+                result = session.result("zu")
                 failures = analyze(result).failures
                 mixed, lhs = _final_phase(result.transcript.records)
                 if mixed and lhs > 7:

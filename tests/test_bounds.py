@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -158,6 +159,48 @@ def test_competitive_check_branches():
 
     excluded = bounds.competitive_check(8, 8, 12)
     assert not excluded.applicable
+
+
+def test_zu_upper_n_is_decided_in_integers():
+    # zu attains 7n/5 at every n divisible by 5; at n = 45 the float 1.4 * n
+    # falls below 63, which passed only through the float slack. The printed
+    # value stays the float.
+    rep = bounds.zu_upper_n(45)
+    assert rep.value == 1.4 * 45 < 63
+    assert rep.exact == (315, 5)
+    assert rep.admits(63)
+    assert not rep.admits(64)
+
+
+def test_rational_bounds_admit_exactly_the_counts_at_or_below_them():
+    for n in range(1, 400):
+        for rep, limit in [
+            (bounds.zu_upper_n(n), Fraction(7 * n, 5)),
+            (bounds.zc_upper_n(n), Fraction(7 * n, 5) + 13),
+        ]:
+            assert rep.value == pytest.approx(float(limit), abs=1e-9)
+            for tests in (math.floor(limit) - 1, math.floor(limit), math.floor(limit) + 1):
+                assert rep.admits(tests) == (tests <= limit), (rep, tests)
+    # At n = 165 the float zc-upper-n rounds below its integer value, 244.
+    assert bounds.zc_upper_n(165).value < 244 and bounds.zc_upper_n(165).admits(244)
+    # A bound with no exact value compares its float within the slack.
+    assert bounds.zd_upper(100, 10).exact is None
+
+
+def test_competitive_check_rational_branches_are_decided_in_integers():
+    for n in range(2, 1200, 7):
+        limits = {"d0": Fraction(7), "dense": Fraction(1431, 1000) * (n - 1) + 15}
+        for d in (0, n - 1):
+            branch = "d0" if d == 0 else "dense"
+            limit = limits[branch]
+            for tests in (math.floor(limit), math.floor(limit) + 1):
+                verdict = bounds.competitive_check(n, d, tests)
+                assert verdict.branch == branch
+                assert verdict.ok == (tests <= limit), (n, d, tests)
+                assert verdict.limit == (7.0 if d == 0 else bounds.RATE * (n - 1) + 15)
+    # n - 1 = 1000: the dense budget is the integer 1446, met exactly.
+    assert bounds.competitive_check(1001, 1000, 1446).ok
+    assert not bounds.competitive_check(1001, 1000, 1447).ok
 
 
 def test_competitive_proxy_branch_never_fires_in_range():

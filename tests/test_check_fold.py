@@ -30,8 +30,8 @@ from gtlab.tree import walk
 def _checked_leaves(algorithm, n, masks):
     """(fold passes, finalize verdict) of every leaf of a walk over masks,
     each leaf finalized against the mask it identified as defective."""
-    strategy = harness._folding(kernels.STRATEGIES[algorithm], check_records, CHECK_START)
-    for session, (_, state) in walk(strategy.step, strategy.start, n, masks):
+    strategy = harness._folding(kernels.STRATEGIES[algorithm])
+    for session, (_, state, _) in walk(strategy.step, strategy.start, n, masks):
         instance = instance_from_mask(n, session.defective_mask)
         yield check_passes(state, session, n), finalize(session.result(algorithm), instance)
 
@@ -55,7 +55,7 @@ def test_the_passing_walks_call_finalize_never(monkeypatch):
     for algorithm in kernels.ALGORITHMS:
         for d in range(11):
             harness.worst_case(algorithm, 10, d)
-    assert harness._analyze_upward_runs(10, 0, 1 << 10)
+    assert harness._walk_upward_runs(10, 0, 1 << 10)[1]
     assert calls == []
 
 
@@ -183,7 +183,7 @@ def test_a_tampered_walk_raises_the_recorded_dump(monkeypatch, algorithm, tamper
     assert str(walked.value) == expected
     if algorithm == "zu":
         with pytest.raises(AssertionError) as analysed:
-            harness._analyze_upward_runs(n, 0, 1 << n)
+            harness._walk_upward_runs(n, 0, 1 << n)
         assert str(analysed.value) == _first_recorded_failure("zu", n, range(1 << n))
 
 

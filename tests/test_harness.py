@@ -395,8 +395,8 @@ def test_verify_grid_workers_match_serial(monkeypatch):
     serial = verify_grid(6)
     parallel = verify_grid(6, workers=3)
     assert harness.report_to_json(serial) == harness.report_to_json(parallel)
-    # The smallest n whose zu analysis spans two blocks. Tasks carry their
-    # mask range, so the workers need no patch.
+    # The smallest n whose zu walk spans two blocks. Tasks carry their
+    # block size, so the workers need no patch.
     monkeypatch.setattr(kernels, "BLOCK", 1 << 8)
     n = kernels.BLOCK.bit_length()
     checks = ["bounds", "analysis"]
@@ -407,13 +407,20 @@ def test_verify_grid_workers_match_serial(monkeypatch):
 
 
 def test_analysis_shards_join_to_the_full_range():
-    full = harness._analyze_upward_runs(10, 0, 1 << 10)
+    full_cells, full_rows = harness._walk_upward_runs(10, 0, 1 << 10)
     parts = [
-        harness._analyze_upward_runs(10, lo, hi)
+        harness._walk_upward_runs(10, lo, hi)
         for lo, hi in [(0, 1), (1, 300), (300, 1 << 10)]
     ]
-    assert sum(1 for part in parts if part) == 2
-    assert [v for part in parts for v in part] == full
+    assert sum(1 for _, rows in parts if rows) == 2
+    assert [v for _, rows in parts for v in rows] == full_rows
+    # Each d's cell is the first shard's with the most tests, the smallest
+    # mask spending them; a d no mask of a shard has reads (-1, 0).
+    assert parts[0][0][1:] == [(-1, 0)] * 10
+    assert [max(shard, key=lambda cell: cell[0]) for shard in zip(*(c for c, _ in parts))] == (
+        full_cells
+    )
+    assert full_cells == kernels.sweep("zu", 10)
 
 
 def test_analysis_grid_analyzes_only_the_leaves_the_fold_defers(monkeypatch):
@@ -434,20 +441,50 @@ def test_analysis_grid_analyzes_only_the_leaves_the_fold_defers(monkeypatch):
 
 def test_verify_grid_report_does_not_depend_on_the_shard_size(monkeypatch):
     checks = ["bounds", "analysis"]
-    # Each n's analysis is one walk: one sweep and one analysis task per n.
-    assert len(harness._grid_tasks(["zu"], 10, checks)) == 2 * 10
+    # Each n is one task, one walk of zu's tree in blocks of kernels.BLOCK
+    # masks, which the task carries.
+    tasks = harness._grid_tasks(["zu"], 10, checks)
+    assert [task.args for task in tasks] == [(n, checks, kernels.BLOCK) for n in range(1, 11)]
     serial = harness.report_to_json(verify_grid(10, algorithms=["zu"], checks=checks))
     pooled = harness.report_to_json(
         verify_grid(10, algorithms=["zu"], checks=checks, workers=2)
     )
     monkeypatch.setattr(kernels, "BLOCK", 1 << 5)
-    assert len(harness._grid_tasks(["zu"], 10, checks)) == 10 + sum(
-        -(-(1 << n) // 32) for n in range(1, 11)
-    )
+    tasks = harness._grid_tasks(["zu"], 10, checks)
+    assert [task.args for task in tasks] == [(n, checks, 32) for n in range(1, 11)]
     small = harness.report_to_json(
         verify_grid(10, algorithms=["zu"], checks=checks, workers=2)
     )
     assert serial == pooled == small
+
+
+def test_zu_cells_from_the_analysis_walk_are_the_sweeps(monkeypatch):
+    # With the analysis family the walk that analyzes zu's runs also fills
+    # its cells, and kernels.sweep never runs for zu; without it, the sweep
+    # counts each n once. Both give the same cells.
+    calls = []
+    sweep = kernels.sweep
+
+    def counted(algorithm, n):
+        calls.append((algorithm, n))
+        return sweep(algorithm, n)
+
+    monkeypatch.setattr(kernels, "sweep", counted)
+    walked = verify_grid(12, algorithms=["zu"], checks=["bounds", "analysis"])
+    assert calls == []
+    swept = verify_grid(12, algorithms=["zu"], checks=["bounds"])
+    assert calls == [("zu", n) for n in range(1, 13)]
+    assert walked["cells"] == swept["cells"]
+    calls.clear()
+    verify_grid(4)
+    assert calls == [(alg, n) for alg in ("individual", "zd", "zc") for n in range(1, 5)]
+
+
+def test_zu_upper_n_row_is_decided_in_integers():
+    # At n = 45 the float 1.4 * n is below 63, zu's worst case there.
+    rows = harness._cell_bound_rows("zu", 45, 18, 63, ["bounds"])
+    assert rows[0] == ("zu-upper-n", 1.4 * 45, True)
+    assert harness._cell_bound_rows("zu", 45, 18, 64, ["bounds"])[0][2] is False
 
 
 def test_verify_grid_analysis_surfaces_known_offenders():

@@ -166,7 +166,7 @@ def test_a_broken_zu_fails_finalize_on_the_walk_as_on_recorded_runs(monkeypatch)
     monkeypatch.setattr(zigzag, "quarter_split", _broken_quarter_split)
     n = 8
     with pytest.raises(AssertionError, match=r"^zu failed correctness at n=8: ") as walked:
-        harness._analyze_upward_runs(n, 0, 1 << n)
+        harness._walk_upward_runs(n, 0, 1 << n)
     _assert_names_the_first_failing_mask(_dump(walked), "zu", n, range(1 << n))
     # Exhaustive worst cases walk the tree too.
     for algorithm in ["zu", "zd", "zc"]:
@@ -228,7 +228,7 @@ def _tampered(tamper):
             pytest.param(partial(harness.worst_case, alg, 8, 3), 56, id=f"worst_case-{alg}")
             for alg in kernels.ALGORITHMS
         ),
-        pytest.param(partial(harness._analyze_upward_runs, 6, 0, 1 << 6), 64, id="analysis"),
+        pytest.param(partial(harness._walk_upward_runs, 6, 0, 1 << 6), 64, id="analysis"),
     ],
 )
 def test_a_walk_that_misses_or_repeats_a_mask_is_rejected(monkeypatch, consume, count, tamper):
@@ -242,7 +242,7 @@ def test_a_walk_that_misses_or_repeats_a_mask_is_rejected(monkeypatch, consume, 
     "consume, algorithm, n, count",
     [
         pytest.param(partial(harness.worst_case, "zd", 8, 3), "zd", 8, 56, id="worst_case"),
-        pytest.param(partial(harness._analyze_upward_runs, 6, 0, 32), "zu", 6, 32, id="analysis"),
+        pytest.param(partial(harness._walk_upward_runs, 6, 0, 32), "zu", 6, 32, id="analysis"),
     ],
 )
 def test_a_walk_that_reaches_a_mask_outside_its_list_is_rejected(
