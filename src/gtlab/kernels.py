@@ -54,8 +54,9 @@ MAX_SWEEP_N = 24
 # themselves take masks of any width (tests pin zd, zu and zc up to n = 200).
 MAX_COUNT_N = 62
 
-# Masks a sweep walks at a time: sweep walks range(2^n), and
-# harness.worst_case its weight-d family, in consecutive blocks this size.
+# Masks a walk takes at a time: sweep walks range(2^n), harness.worst_case
+# its weight-d family and the grid's zu analysis walk range(2^n), in
+# consecutive blocks this size.
 BLOCK = 1 << 16
 
 Count = Tuple[int, int, int]
