@@ -480,13 +480,6 @@ def test_zu_cells_from_the_analysis_walk_are_the_sweeps(monkeypatch):
     assert calls == [(alg, n) for alg in ("individual", "zd", "zc") for n in range(1, 5)]
 
 
-def test_zu_upper_n_row_is_decided_in_integers():
-    # At n = 45 the float 1.4 * n is below 63, zu's worst case there.
-    rows = harness._cell_bound_rows("zu", 45, 18, 63, ["bounds"])
-    assert rows[0] == ("zu-upper-n", 1.4 * 45, True)
-    assert harness._cell_bound_rows("zu", 45, 18, 64, ["bounds"])[0][2] is False
-
-
 def test_verify_grid_analysis_surfaces_known_offenders():
     report = verify_grid(9, algorithms=["zu"], checks=["bounds", "analysis"])
     found = {
