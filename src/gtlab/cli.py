@@ -186,9 +186,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_vf.add_argument(
         "--workers",
         type=int,
-        help="worker processes (default serial); the tasks "
-        "are the (algorithm, n) sweeps and the zu transcript analysis of "
-        "each n, and the report does not depend on the count",
+        help="worker processes (default serial); there is one task per "
+        "(algorithm, n), a sweep or, with the analysis family, the one zu "
+        "walk that fills the cells and analyzes the runs, and the report "
+        "does not depend on the count",
     )
     p_vf.add_argument("--out", help="also write the grid as CSV here")
     p_vf.set_defaults(func=_cmd_verify)

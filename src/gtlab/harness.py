@@ -115,17 +115,22 @@ def worst_case(
     seed: int = 0,
 ) -> WorstCaseCell:
     """Maximizes tests over defective sets of size d, returning the most
-    tests and the smallest mask that spends them.
+    tests and a mask that spends them.
 
-    Exhaustive mode walks the algorithm's decision tree over every set,
-    in ascending blocks of kernels.BLOCK masks made as they are walked
-    (_walked_runs), and refuses more than _EXHAUSTIVE_CAP masks;
-    sampled mode is a lower estimate over samples >= 1 seeded draws, one
-    recorded run each. Every run is checked against ground truth: a sampled
-    run by finalize, a walked one by the check fold the walk carries, with
-    finalize on any leaf the fold cannot certify. A correctness failure
-    aborts with the dump of the recorded run on the first failing mask,
-    which in exhaustive mode is the first in ascending order.
+    Both modes walk the algorithm's decision tree (_walked_runs), whose
+    check fold checks each record once, by the step that made it, with
+    finalize on any leaf the fold cannot certify. Exhaustive mode walks
+    every set, in ascending blocks of kernels.BLOCK masks made as they are
+    walked, refuses more than _EXHAUSTIVE_CAP masks and returns the
+    smallest mask that spends the most tests. Sampled mode is a lower
+    estimate over samples >= 1 seeded draws: one walk over their distinct
+    masks, and the first draw, in draw order, that spends the most tests.
+    A correctness failure aborts with the dump of the recorded run on the
+    first failing mask: the first in ascending order in exhaustive mode,
+    the first in draw order in sampled mode.
+
+    Every cell then replays its witness, the returned mask, as a recorded
+    run with finalize (_witnessed): its test count must be the walk's.
     """
     kernels._check_algorithm(algorithm)
     if not 0 <= d <= n:
@@ -147,30 +152,43 @@ def worst_case(
                     if tests > worst or (tests == worst and mask < argmax):
                         worst = tests
                         argmax = mask
-        return WorstCaseCell(algorithm, n, d, worst, argmax, True)
+        return _witnessed(WorstCaseCell(algorithm, n, d, worst, argmax, True))
     if mode != "sampled":
         raise ValueError(f"unknown mode {mode!r}")
     if samples < 1:
         raise ValueError(f"need samples >= 1, got {samples}")
     rng = random.Random(seed)
-    worst = -1
-    argmax = 0
-    for _ in range(samples):
-        mask = sum(1 << i for i in rng.sample(range(n), d))
-        result = _run_checked(algorithm, instance_from_mask(n, mask))
-        if result.tests_used > worst:
-            worst = result.tests_used
-            argmax = mask
-    return WorstCaseCell(algorithm, n, d, worst, argmax, False)
+    draws = [sum(1 << i for i in rng.sample(range(n), d)) for _ in range(samples)]
+    masks = sorted(set(draws))
+    tests_of = {}
+    with _recorded_on_failure(algorithm, n, draws):
+        for i, session, _ in _walked_runs(algorithm, n, masks):
+            tests_of[masks[i]] = session.tests
+    worst = max(tests_of.values())
+    argmax = next(mask for mask in draws if tests_of[mask] == worst)
+    return _witnessed(WorstCaseCell(algorithm, n, d, worst, argmax, False))
+
+
+def _witnessed(cell: WorstCaseCell) -> WorstCaseCell:
+    """cell, once the recorded run on its argmax mask passes finalize and
+    spends the walked worst_tests; otherwise an AssertionError."""
+    algorithm, n, mask = cell.algorithm, cell.n, cell.argmax_mask
+    tests = _run_checked(algorithm, instance_from_mask(n, mask)).tests_used
+    if tests != cell.worst_tests:
+        raise AssertionError(
+            f"{algorithm} witness at n={n}, mask {mask:#x}: the recorded run "
+            f"spent {tests} tests, the walk {cell.worst_tests}"
+        )
+    return cell
 
 
 @contextmanager
 def _recorded_on_failure(algorithm: str, n: int, masks: Sequence[int]) -> Iterator[None]:
-    """Turns a failed walk over the ascending masks into the failure of the
-    recorded run on the first mask that fails, as one run per mask would
-    raise it. A failed leaf only knows the set it labelled defective, which
-    need not be one of the masks; the recorded run names the ground truth.
-    When every recorded run passes, the walk's own error stands."""
+    """Turns a failed walk over masks into the failure of the recorded run
+    on the first of them, in their order, that fails, as one run per mask
+    would raise it. A failed leaf only knows the set it labelled defective,
+    which need not be one of the masks; the recorded run names the ground
+    truth. When every recorded run passes, the walk's own error stands."""
     try:
         yield
     except Exception:

@@ -2,7 +2,8 @@
 
 The fold may defer any leaf to finalize, but must never certify one that
 finalize fails; on the honest walks it certifies every leaf, so the walks
-call finalize on none of them.
+call finalize on none of them (a worst_case cell finalizes only the
+recorded run that replays its witness).
 """
 
 import pytest
@@ -50,11 +51,20 @@ def test_the_fold_certifies_every_leaf_of_the_honest_walks():
 
 
 def test_the_passing_walks_call_finalize_never(monkeypatch):
+    # The one run a worst_case cell finalizes is its witness replay, on the
+    # cell's mask; any walked leaf finalized would be a second call.
     calls = []
-    monkeypatch.setattr(harness, "finalize", lambda *args: calls.append(args))
+
+    def counted(result, instance):
+        calls.append(instance)
+        return finalize(result, instance)
+
+    monkeypatch.setattr(harness, "finalize", counted)
     for algorithm in kernels.ALGORITHMS:
         for d in range(11):
-            harness.worst_case(algorithm, 10, d)
+            cell = harness.worst_case(algorithm, 10, d)
+            assert calls == [instance_from_mask(10, cell.argmax_mask)], (algorithm, d)
+            calls.clear()
     assert harness._walk_upward_runs(10, 0, 1 << 10)[1]
     assert calls == []
 

@@ -3,7 +3,6 @@ import itertools
 import json
 import math
 import os
-import random
 import subprocess
 import sys
 import tracemalloc
@@ -12,11 +11,20 @@ from collections import OrderedDict
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from gtlab import bounds, harness, kernels
+from gtlab import bounds, harness, kernels, zigzag
 from gtlab.analysis import analyze, transcript_json
-from gtlab.core import PoolOracle, instance_from_mask
+from gtlab.core import (
+    DRIVER,
+    GOOD,
+    PURE,
+    PoolOracle,
+    TestRecord,
+    finalize,
+    instance_from_mask,
+)
 from gtlab.harness import MinimaxLimits, minimax_m, verify_grid, worst_case
 from test_analysis import GRID_10_ANALYSIS_SHA256
+from test_tree import _assert_names_the_first_failing_mask, _broken_quarter_split, _draws
 
 # SHA-256 over every recorded run of every algorithm for n <= 9: the test
 # count and the full transcript JSON of each (algorithm, n, mask).
@@ -640,8 +648,6 @@ def test_verify_grid_rejects_negative_workers():
 def test_grid_catches_a_broken_pool_schedule(monkeypatch):
     # Doubling schedule instead of the staged one: either the sweep's
     # correctness cross-check or a budget row must trip.
-    import gtlab.zigzag as zigzag
-
     monkeypatch.setattr(zigzag, "pool_size", lambda i: 1 << i)
     try:
         report = verify_grid(8, algorithms=["zu"])
@@ -656,6 +662,29 @@ def test_json_report_has_no_unserializable_values():
 
 
 def test_finalize_failure_dumps_the_ground_truth_instance(monkeypatch):
+    # A broken step fails on the walk, and the dump is the recorded run on
+    # the first failing draw in draw order: at (8, 2, seed 1) neither the
+    # first draw nor the smallest failing one.
+    draws = _draws(8, 2, 10, 1)
+    with monkeypatch.context() as broken:
+        broken.setattr(zigzag, "quarter_split", _broken_quarter_split)
+        with pytest.raises(AssertionError, match=r"^zu failed correctness at n=8: ") as info:
+            worst_case("zu", 8, 2, mode="sampled", samples=10, seed=1)
+        dump = json.loads(str(info.value).split(": ", 1)[1])
+        _assert_names_the_first_failing_mask(dump, "zu", 8, draws)
+        failing = sum(1 << i for i in dump["instance"]["defectives"])
+        rejected = [
+            mask
+            for mask in draws
+            if not finalize(
+                harness.RUNNERS["zu"](PoolOracle(instance_from_mask(8, mask))),
+                instance_from_mask(8, mask),
+            ).ok
+        ]
+        assert failing not in (draws[0], min(rejected))
+
+    # A broken runner only the witness replay reaches: the dump names the
+    # witness's ground-truth instance, not the one item the run labelled.
     honest = harness.RUNNERS["zd"]
 
     def labels_one_item(oracle):
@@ -663,12 +692,59 @@ def test_finalize_failure_dumps_the_ground_truth_instance(monkeypatch):
         run.transcript.identifications = run.transcript.identifications[:1]
         return run
 
+    witness = worst_case("zd", 5, 2, mode="sampled", samples=10, seed=3)
     monkeypatch.setitem(harness.RUNNERS, "zd", labels_one_item)
-    # Sampled mode records one run per drawn set, through RUNNERS; the dump
-    # names the first draw, not the one item the run labelled.
-    with pytest.raises(AssertionError) as info:
+    with pytest.raises(AssertionError, match=r"^zd failed correctness at n=5: ") as info:
         worst_case("zd", 5, 2, mode="sampled", samples=10, seed=3)
     dump = json.loads(str(info.value).split(": ", 1)[1])
     assert dump["failed_check"] == "finalize"
-    first = sorted(random.Random(3).sample(range(5), 2))
-    assert dump["instance"] == {"n": 5, "defectives": first}
+    assert dump["instance"] == {"n": 5, "defectives": witness.argmax_defectives}
+
+
+def _reference_sampled_cell(algorithm, n, d, samples, seed):
+    # One recorded run plus finalize per draw; the first draw to reach the
+    # most tests.
+    worst, argmax = -1, 0
+    for mask in _draws(n, d, samples, seed):
+        instance = instance_from_mask(n, mask)
+        run = harness.RUNNERS[algorithm](PoolOracle(instance))
+        assert finalize(run, instance).ok, (algorithm, n, mask)
+        if run.tests_used > worst:
+            worst, argmax = run.tests_used, mask
+    return worst, argmax
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7])
+@pytest.mark.parametrize("algorithm", kernels.ALGORITHMS)
+def test_walked_sampled_cells_are_the_recorded_runs(algorithm, seed):
+    # (6, 2) with 60 draws out of 15 sets repeats draws.
+    for n, d, samples in [(6, 2, 60), (12, 3, 100), (20, 5, 100)]:
+        cell = worst_case(algorithm, n, d, mode="sampled", samples=samples, seed=seed)
+        reference = _reference_sampled_cell(algorithm, n, d, samples, seed)
+        assert (cell.worst_tests, cell.argmax_mask) == reference, (n, d)
+
+
+@pytest.mark.parametrize("mode", ["exhaustive", "sampled"])
+@pytest.mark.parametrize("algorithm", kernels.ALGORITHMS)
+def test_a_witness_that_spends_other_tests_is_rejected(monkeypatch, algorithm, mode):
+    # The runner passes finalize but makes one more honest query, a pure
+    # test of an item it labelled good, which the walk never makes.
+    honest = harness.RUNNERS[algorithm]
+
+    def one_more_query(oracle):
+        run = honest(oracle)
+        good = min(item for item, label in run.transcript.classified().items() if label == GOOD)
+        assert not oracle.contaminated([good])
+        seq = run.tests_used + 1
+        run.transcript.records.append(TestRecord(seq, (good,), PURE, DRIVER, status=PURE))
+        assert finalize(run, oracle.instance).ok
+        return run
+
+    cell = worst_case(algorithm, 8, 3, mode=mode, samples=20)
+    monkeypatch.setitem(harness.RUNNERS, algorithm, one_more_query)
+    message = (
+        f"^{algorithm} witness at n=8, mask {cell.argmax_mask:#x}: the recorded run "
+        f"spent {cell.worst_tests + 1} tests, the walk {cell.worst_tests}$"
+    )
+    with pytest.raises(AssertionError, match=message):
+        worst_case(algorithm, 8, 3, mode=mode, samples=20)

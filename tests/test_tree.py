@@ -145,9 +145,16 @@ def _dump(exc_info):
     return json.loads(message.split(": ", 1)[1])
 
 
+def _draws(n, d, samples, seed):
+    # The masks sampled worst_case draws, in draw order.
+    rng = random.Random(seed)
+    return [sum(1 << i for i in rng.sample(range(n), d)) for _ in range(samples)]
+
+
 def _assert_names_the_first_failing_mask(dump, algorithm, n, masks):
-    # The dump is the recorded run's on the first of the ascending masks on
-    # which that run fails finalize: one of the masks, the ground truth.
+    # The dump is the recorded run's on the first of the masks, in their
+    # order, on which that run fails finalize: one of the masks, the ground
+    # truth.
     assert dump["failed_check"] == "finalize"
     assert dump["instance"]["n"] == n
     failing = sum(1 << i for i in dump["instance"]["defectives"])
@@ -175,9 +182,11 @@ def test_a_broken_zu_fails_finalize_on_the_walk_as_on_recorded_runs(monkeypatch)
             harness.worst_case(algorithm, n, 2)
         family = list(harness._masks_of_weight(n, 2))
         _assert_names_the_first_failing_mask(_dump(exhaustive), algorithm, n, family)
-    with pytest.raises(AssertionError, match=r"^zu failed correctness at n=8: ") as recorded:
-        harness.worst_case("zu", n, 2, mode="sampled", samples=50)
-    assert _dump(recorded)["failed_check"] == "finalize"
+    # So do sampled ones, over their distinct draws; the dump is the first
+    # failing draw's, in draw order.
+    with pytest.raises(AssertionError, match=r"^zu failed correctness at n=8: ") as sampled:
+        harness.worst_case("zu", n, 2, mode="sampled", samples=50, seed=1)
+    _assert_names_the_first_failing_mask(_dump(sampled), "zu", n, _draws(n, 2, 50, 1))
 
 
 def test_exhaustive_worst_case_is_the_same_in_small_blocks(monkeypatch):
