@@ -335,84 +335,77 @@ def finalize(run: RunResult, instance: Instance) -> Verdict:
 
 
 # The check fold: finalize's checks carried along a walk of a strategy's
-# decision tree, so that each record is checked once, by the step that made
-# it, not once per leaf below that step. The state is an immutable tuple,
-# or None once the fold has deferred:
-#   (records checked, driver seqs as a bitmask, union of the pure pools,
-#    contaminated pools that meet no item yet identified defective,
-#    mask of the items identified defective).
+# decision tree (tree.walk), so that each record is checked once, by the
+# step that made it, not once per leaf below that step. The state is an
+# immutable tuple, or None once the fold has deferred:
+#   (records checked, driver seqs as a bitmask).
 #
 # Why check_passes implies finalize passes on a walked leaf. The leaf is
 # judged against M = session.defective_mask, the instance it is the run
-# of. A pool answered contaminated must meet M and any other must miss it,
-# which is what finalize tests; the fold drops a contaminated pool once it
-# meets an item labelled defective (a subset of M), and the leaf checks
-# the pure union against M. Session.identify refuses a repeated item and
-# files each label's bit in good_mask or defective_mask, so with every
-# label good or defective, n identifications and good_mask | M covering
-# range(n), each item of the instance is labelled once, by its truth, and
-# none lies outside it. The records are checked as each step makes them,
-# which holds for the leaf because a step never changes the records of
-# earlier steps (the invariant Session.restore states). Anything the fold
-# does not follow defers the leaf to finalize, the reference.
-CHECK_START = (0, 0, 0, (), 0)
+# of. The walk's ListOracle logs every query with its answer, and keeps
+# the masks that agree with every answer of the path: a fresh answer
+# filters them, and a replayed one must ask the pool it logged when the
+# masks were filtered. The fold matches each step's records one to one
+# with that step's log, pool and outcome, so each record's outcome is the
+# answer to its pool and no query goes unrecorded; with M the one mask
+# left, every outcome matches ground truth, which is what finalize tests.
+# Session.identify refuses a repeated item and files each label's bit in
+# good_mask or defective_mask, so with every label good or defective, n
+# identifications and good_mask | M covering range(n), each item of the
+# instance is labelled once, by its truth, and none lies outside it. The
+# records are checked as each step makes them, which holds for the leaf
+# because a step never changes the records of earlier steps (the invariant
+# Session.restore states). Anything the fold does not follow defers the
+# leaf to finalize, the reference.
+CHECK_START = (0, 0)
 
 
 def check_records(
-    state: tuple, records: Sequence[TestRecord], identifications: Sequence[Identification]
+    state: tuple,
+    records: Sequence[TestRecord],
+    identifications: Sequence[Identification],
+    answers: Sequence[Tuple[Tuple[int, ...], bool]],
 ) -> Optional[tuple]:
-    """state after a run's next records, in order, and the identifications
-    made with them; None once the fold defers."""
-    count, drivers, pure, pending, found = state
-    before = found
-    try:
-        for rec in records:
-            count += 1
-            if rec.seq != count:
+    """state after a run's next records, in order, the identifications made
+    with them and the oracle's (pool, contaminated) log of the queries that
+    made them; None once the fold defers."""
+    if len(records) != len(answers):
+        return None
+    count, drivers = state
+    for rec, (pool, hit) in zip(records, answers):
+        count += 1
+        if rec.seq != count or rec.pool != pool or (rec.raw_outcome == CONTAMINATED) != hit:
+            return None
+        kind = rec.kind
+        if kind == DRIVER:
+            drivers |= 1 << count
+        elif kind == ADDITIONAL:
+            if rec.rank is not None:
                 return None
-            q = 0
-            for item in rec.pool:
-                q |= 1 << item
-            if rec.raw_outcome != CONTAMINATED:
-                pure |= q
-            elif not q & found:
-                pending += (q,)
-            kind = rec.kind
-            if kind == DRIVER:
-                drivers |= 1 << count
-            elif kind == ADDITIONAL:
-                if rec.rank is not None:
-                    return None
-            elif kind == INCURRED:
-                parent = rec.parent
-                if type(parent) is not int or not 0 < parent < count or not drivers >> parent & 1:
-                    return None
-        for ident in identifications:
-            label = ident[1]
-            if label == DEFECTIVE:
-                found |= 1 << ident[0]
-            elif label != GOOD:
+        elif kind == INCURRED:
+            parent = rec.parent
+            if type(parent) is not int or not 0 < parent < count or not drivers >> parent & 1:
                 return None
-    except (TypeError, ValueError):
-        return None  # an item that is no bit index
-    if pending and found != before:
-        pending = tuple([q for q in pending if not q & found])
-    return count, drivers, pure, pending, found
+    for ident in identifications:
+        label = ident[1]
+        if label != DEFECTIVE and label != GOOD:
+            return None
+    return count, drivers
 
 
 def check_passes(state: Optional[tuple], session: Session, n: int) -> bool:
     """True when the run the fold state was carried along, which the
-    session holds at its leaf, certainly passes finalize against the
-    instance of n items it identified as defective; False defers the run
-    to finalize."""
+    session of a tree.walk leaf holds, certainly passes finalize against
+    the instance of n items it identified as defective; False defers the
+    run to finalize."""
     if state is None:
         return False
-    count, _, pure, pending, _ = state
     m = session.defective_mask
+    left = session.oracle.masks
     return (
-        count == len(session.records)
-        and not pending
-        and not pure & m
+        state[0] == len(session.records)
+        and len(left) == 1
+        and left[0] == m
         and session.good_mask | m == (1 << n) - 1
         and len(session.identifications) == n
     )

@@ -211,9 +211,10 @@ def _walked_runs(
     Each leaf is checked against the mask of the items it identified as
     defective, so its run is the one the recorded run on that mask makes.
     The walk carries core's check fold (check_records), so each record is
-    checked once, by the step that made it; only a leaf the fold cannot
-    certify (check_passes) gets a RunResult and finalize, and a failure
-    raises the finalize dump. The walk fails on a leaf outside masks, on a
+    checked once, by the step that made it, against the walk oracle's log
+    of the query that made it; only a leaf the fold cannot certify
+    (check_passes) gets a RunResult and finalize, and a failure raises the
+    finalize dump. The walk fails on a leaf outside masks, on a
     mask reached twice and on a mask never reached.
     """
     strategy = _folding(kernels.STRATEGIES[algorithm], analysed)
@@ -246,8 +247,10 @@ def _folding(strategy: kernels.Strategy, analysed: bool = False) -> kernels.Stra
     analysed also the analysis fold: the state is (strategy's state, check
     fold state, analysis fold state), the last None unless analysed. Each
     step folds the records and identifications it made into each fold,
-    check_records and analysis.fold_records, until that fold defers (None).
-    Runs that share steps share their folded prefix."""
+    check_records, with the walk oracle's log of the step's queries, and
+    analysis.fold_records, until that fold defers (None). The step must run
+    under tree.walk, whose oracle keeps that log. Runs that share steps
+    share their folded prefix."""
     step = strategy.step
     plan_of = strategy.plan_of
 
@@ -261,7 +264,7 @@ def _folding(strategy: kernels.Strategy, analysed: bool = False) -> kernels.Stra
         records = session.records[tests:]
         made = session.identifications[idents:]
         if checked is not None:
-            checked = check_records(checked, records, made)
+            checked = check_records(checked, records, made, session.oracle.log)
         if folded is not None:
             folded = fold_records(folded, records, made)
         return remaining, (inner, checked, folded)

@@ -5,14 +5,16 @@ A strategy written as a step function, step(session, remaining, state) ->
 answer differs. So instead of one recorded run per mask, walk() runs each
 step once per node of the decision tree: a ListOracle keeps the masks that
 agree with every answer so far, answers each query pure when one of them
-misses the pool, and the masks that meet it are explored later from a
-snapshot of the step's start. A leaf is a finished run. It is the run on
-the mask of the items it identified as defective, provided every answer
-matches that mask, which the caller checks against ground truth: harness
-carries core's check fold along the walk, so each record is checked once,
-by the step that made it, and finalizes only the leaves the fold cannot
-certify. Each mask of the list takes exactly one path, so the caller also
-checks that the leaves are the list's masks, each once.
+misses the pool, and logs the step's pools and answers. The masks that
+meet the pool are explored later from a snapshot of the step's start,
+replaying the log up to that query, answered contaminated; a replay must
+ask the logged pools. A leaf is a finished run, and the oracle is where
+its answers met ground truth: harness carries core's check fold along the
+walk, which checks each record once, by the step that made it, against
+the log, and certifies a leaf only when the oracle has exactly the mask
+of the items it identified as defective left; any other leaf is
+finalized. Each mask of the list takes exactly one path, so the caller
+also checks that the leaves are the list's masks, each once.
 """
 
 from __future__ import annotations
@@ -21,49 +23,67 @@ from typing import Iterator, List, Sequence, Tuple
 
 from gtlab.core import Session, Step, pool_items
 
+# One logged query: the pool as a tuple, and True for contaminated.
+Entry = Tuple[Tuple[int, ...], bool]
+
 
 class ListOracle:
     """Answers queries for a list of masks at once.
 
-    masks holds the masks that agree with every answer so far. The answers
-    of the current step first replay `script`; after it, a pool is answered
-    pure whenever one of the masks misses it, and the masks that meet it
-    are recorded with the answer's position in `forks` when there are any.
-    Otherwise the pool is answered contaminated.
+    masks holds the masks that agree with every answer so far, and log the
+    current step's (pool, answer) pairs. The step's queries first replay
+    `script`, a log: each must ask the logged pool, or the oracle raises an
+    AssertionError naming both. After it, the pool's bitmask is built once,
+    which validates it as core.pool_items does, with the same ValueError.
+    A pool is answered pure whenever one of the masks misses it, and the
+    masks that meet it are recorded with the query's position in `forks`
+    when there are any. Otherwise it is answered contaminated.
     """
 
     def __init__(self, n: int) -> None:
         self.n = n
         self.masks: Sequence[int] = []
-        self.script: Sequence[bool] = ()
-        self.answers: List[bool] = []
+        self.script: Sequence[Entry] = ()
+        self.log: List[Entry] = []
         self.forks: List[Tuple[int, List[int]]] = []
 
-    def start(self, masks: Sequence[int], script: Sequence[bool]) -> None:
+    def start(self, masks: Sequence[int], script: Sequence[Entry]) -> None:
         """Starts a step that replays script, then answers for masks, which
         must already agree with every answer of the script."""
         self.masks = masks
         self.script = script
-        self.answers = []
+        self.log = []
         self.forks = []
 
     def contaminated(self, pool: Sequence[int]) -> bool:
-        # Checked on replays too, so a step cannot replay a bad pool.
-        items = pool_items(pool, self.n)
-        pos = len(self.answers)
+        pool = tuple(pool)
+        log = self.log
+        pos = len(log)
         if pos < len(self.script):
-            hit = self.script[pos]
+            logged, hit = self.script[pos]
+            if pool != logged:
+                pool_items(pool, self.n)
+                raise AssertionError(
+                    f"replayed query {pos + 1} asked pool {pool}, "
+                    f"where the walk logged {logged}"
+                )
         else:
             q = 0
-            for item in items:
-                q |= 1 << item
+            try:
+                for item in pool:
+                    q |= 1 << item
+            except Exception:
+                pool_items(pool, self.n)
+                raise
+            if not q or q >> self.n:
+                pool_items(pool, self.n)  # raises: empty, or an item >= n
             masks = self.masks
             miss = [m for m in masks if not m & q]
             hit = not miss
             if miss and len(miss) < len(masks):
                 self.forks.append((pos, [m for m in masks if m & q]))
                 self.masks = miss
-        self.answers.append(hit)
+        log.append((pool, hit))
         return hit
 
 
@@ -76,7 +96,8 @@ def walk(
 
     The session is rewound once the caller resumes the walk, so a leaf's
     records, identifications and any RunResult built from them are valid
-    only until then.
+    only until then; session.oracle.masks holds the masks that agree with
+    every answer of the leaf's run.
     """
     if not masks:
         return
@@ -89,9 +110,10 @@ def walk(
         oracle.start(consistent, script)
         while remaining:
             after, next_state = step(session, remaining, state)
-            answers = oracle.answers
+            log = oracle.log
             for pos, meet in oracle.forks:
-                stack.append((remaining, state, snap, answers[:pos] + [True], meet))
+                script = log[:pos] + [(log[pos][0], True)]
+                stack.append((remaining, state, snap, script, meet))
             remaining, state = after, next_state
             if remaining:
                 snap = session.snapshot()

@@ -25,7 +25,7 @@ from gtlab.core import (
     finalize,
     instance_from_mask,
 )
-from gtlab.tree import walk
+from gtlab.tree import ListOracle, walk
 
 
 def _checked_leaves(algorithm, n, masks):
@@ -109,6 +109,16 @@ def _foreign_label(identify):
     return "identify", tampered
 
 
+def _flipped_label(identify):
+    # Item 0 labelled defective where its answers said good: the labels
+    # then name a set that the answers do not agree with.
+    def tampered(self, item, label, attributed_to, via_test):
+        label = DEFECTIVE if not item and label == GOOD else label
+        identify(self, item, label, attributed_to, via_test)
+
+    return "identify", tampered
+
+
 def _item_left_unidentified(identify):
     def tampered(self, item, label, attributed_to, via_test):
         if item or label != GOOD:
@@ -139,11 +149,23 @@ def _repeated_identification(identify):
     return "identify", tampered
 
 
+def _wrong_pool(query):
+    def tampered(self, pool, kind, rank=None, parent=None):
+        hit = query(self, pool, kind, rank, parent)
+        if self.tests == 3 and not hit:
+            self.records[-1].pool = tuple(range(self.oracle.n))
+        return hit
+
+    return "query", tampered
+
+
 TAMPERS = {
     "wrong-outcome": (_wrong_outcome, "query", "outcome does not match ground truth"),
+    "wrong-pool": (_wrong_pool, "query", "outcome does not match ground truth"),
     "non-driver-parent": (_incurred_under_a_non_driver, "query", "parented by a non-driver"),
     "additional-rank": (_additional_with_a_rank, "query", "carries a rank"),
     "foreign-label": (_foreign_label, "identify", "classified positive"),
+    "flipped-label": (_flipped_label, "identify", "outcome does not match ground truth"),
     "unidentified": (_item_left_unidentified, "identify", "item 0 never identified"),
     "outside-item": (_outside_item, "identify", "outside [0, "),
     "repeated": (_repeated_identification, "identify", "item 0 identified twice"),
@@ -198,31 +220,82 @@ def test_a_tampered_walk_raises_the_recorded_dump(monkeypatch, algorithm, tamper
 
 
 def _honest_zu(n, mask):
-    session = Session(harness.PoolOracle(instance_from_mask(n, mask)))
+    """A recorded zu run on mask, asked through a walk oracle of that one
+    mask, which answers as the pool oracle does and logs every query."""
+    oracle = ListOracle(n)
+    oracle.start([mask], ())
+    session = Session(oracle)
     drive(kernels.STRATEGIES["zu"].step, kernels.STRATEGIES["zu"].start, session, range(n))
     return session
 
 
 def test_the_fold_defers_a_foreign_label_and_a_record_it_never_saw():
     session = _honest_zu(6, 0b100)
-    records, idents = session.records, session.identifications
-    state = check_records(CHECK_START, records, idents)
+    records, idents, log = session.records, session.identifications, session.oracle.log
+    state = check_records(CHECK_START, records, idents, log)
     assert check_passes(state, session, 6)
     labels = [ident._replace(label="positive") for ident in idents]
-    assert check_records(CHECK_START, records, labels) is None
+    assert check_records(CHECK_START, records, labels, log) is None
     # Folded without its last record, the run has a record the fold missed.
-    assert not check_passes(check_records(CHECK_START, records[:-1], idents), session, 6)
+    assert not check_passes(check_records(CHECK_START, records[:-1], idents, log[:-1]), session, 6)
+    # A record without its query, or a query without its record, defers.
+    assert check_records(CHECK_START, records[:-1], idents, log) is None
+    assert check_records(CHECK_START, records, idents, log[:-1]) is None
+    # So does a leaf whose oracle has another mask left than the one it
+    # identified, or a second one.
+    for left in ([0b010], [0b100, 0b101]):
+        session.oracle.masks = left
+        assert not check_passes(state, session, 6), left
 
 
 def test_the_fold_defers_a_record_it_does_not_follow():
     # Records only a tampered step could make: a seq out of order, a pool
-    # item that is no bit index, an incurred record without a parent.
-    records = _honest_zu(6, 0b100).records
+    # other than the one the oracle answered, an outcome other than its
+    # answer, an incurred record without a parent.
+    session = _honest_zu(6, 0b100)
+    records, log = session.records, session.oracle.log
+    assert check_records(CHECK_START, records, [], log) is not None
     rec = next(r for r in records if r.kind == INCURRED)
-    for field, value in [("seq", 9), ("pool", (-1,)), ("pool", ("a",)), ("parent", None)]:
+    flipped = PURE if rec.raw_outcome == CONTAMINATED else CONTAMINATED
+    for field, value in [
+        ("seq", 9),
+        ("pool", (-1,)),
+        ("pool", ("a",)),
+        ("pool", tuple(range(6))),
+        ("raw_outcome", flipped),
+        ("parent", None),
+    ]:
         saved = getattr(rec, field)
         setattr(rec, field, value)
         try:
-            assert check_records(CHECK_START, records, []) is None, (field, value)
+            assert check_records(CHECK_START, records, [], log) is None, (field, value)
         finally:
             setattr(rec, field, saved)
+
+
+def test_the_fold_defers_every_leaf_of_a_step_that_peeks(monkeypatch):
+    # A zu step that asks the oracle about its first item before each
+    # step, and never records that query, makes the records of an honest
+    # run: finalize passes every leaf, but the fold must certify none.
+    strategy = kernels.STRATEGIES["zu"]
+
+    def peeking_step(session, remaining, state):
+        session.oracle.contaminated([remaining[0]])
+        return strategy.step(session, remaining, state)
+
+    monkeypatch.setitem(kernels.STRATEGIES, "zu", strategy._replace(step=peeking_step))
+    n = 8
+    leaves = list(_checked_leaves("zu", n, range(1 << n)))
+    assert len(leaves) == 1 << n
+    assert [passes for passes, _ in leaves] == [False] * (1 << n)
+    assert all(verdict.ok for _, verdict in leaves)
+    # So the walk harness finalizes every leaf, and each passes.
+    calls = []
+
+    def counted(result, instance):
+        calls.append(instance.mask)
+        return finalize(result, instance)
+
+    monkeypatch.setattr(harness, "finalize", counted)
+    reached = [i for i, _, _ in harness._walked_runs("zu", n, range(1 << n))]
+    assert sorted(reached) == sorted(calls) == list(range(1 << n))

@@ -7,7 +7,15 @@ import pytest
 from gtlab import harness, kernels, zigzag
 from gtlab.analysis import transcript_json
 from gtlab.competitive import ZcPlan
-from gtlab.core import DEFECTIVE, GOOD, INCURRED, PoolOracle, finalize, instance_from_mask
+from gtlab.core import (
+    DEFECTIVE,
+    DRIVER,
+    GOOD,
+    INCURRED,
+    PoolOracle,
+    finalize,
+    instance_from_mask,
+)
 from gtlab.tree import ListOracle, walk
 
 
@@ -89,7 +97,32 @@ def test_list_oracle_rejects_bad_pools_like_the_pool_oracle():
         oracle.contaminated([])
     with pytest.raises(ValueError, match=r"^pool index 4 outside \[0, 4\)$"):
         oracle.contaminated([1, 4, -2])
-    assert oracle.answers == []
+    assert oracle.log == []
+
+
+# (pool, pool_items' message) for an empty, an out-of-range and a negative
+# pool, each offender first in pool order, and with a later offender.
+BAD_POOLS = [
+    ((), "empty pool"),
+    ((2, 4, 0), r"pool index 4 outside \[0, 4\)"),
+    ((1, 9, -3), r"pool index 9 outside \[0, 4\)"),
+    ((-1,), r"pool index -1 outside \[0, 4\)"),
+    ((0, -2, 7), r"pool index -2 outside \[0, 4\)"),
+]
+
+
+@pytest.mark.parametrize(
+    "pool, message", BAD_POOLS, ids=["empty", "past-n", "past-n-first", "negative", "negative-first"]
+)
+def test_list_oracle_rejects_a_bad_pool_fresh_or_replayed(pool, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        PoolOracle(instance_from_mask(4, 0b0101)).contaminated(list(pool))
+    for script in [(), [((0, 1), True)]]:
+        oracle = ListOracle(4)
+        oracle.start(range(16), script)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            oracle.contaminated(list(pool))
+        assert oracle.log == [] and oracle.forks == []
 
 
 def test_list_oracle_answers_what_the_masks_force():
@@ -104,7 +137,7 @@ def test_list_oracle_answers_what_the_masks_force():
     assert oracle.contaminated([0, 1]) is False
     assert oracle.forks == [(2, [0b1001, 0b1010, 0b1011])]
     assert oracle.masks == [0b1000]
-    assert oracle.answers == [True, False, False]
+    assert oracle.log == [((3,), True), ((2,), False), ((0, 1), False)]
 
 
 def test_list_oracle_forks_only_when_both_answers_are_allowed():
@@ -122,14 +155,31 @@ def test_list_oracle_forks_only_when_both_answers_are_allowed():
 
 def test_list_oracle_replays_its_script_before_answering():
     oracle = ListOracle(3)
-    oracle.start([0b011], [False, True])
+    oracle.start([0b011], [((0,), False), ((2,), True)])
     # The script is replayed whatever the masks say, and forks nothing.
     assert oracle.contaminated([0]) is False
-    assert oracle.contaminated([2]) is True
+    assert oracle.contaminated((2,)) is True
     assert oracle.contaminated([1]) is True
     assert oracle.contaminated([2]) is False
     assert oracle.forks == []
-    assert oracle.answers == [False, True, True, False]
+    assert oracle.log == [((0,), False), ((2,), True), ((1,), True), ((2,), False)]
+
+
+def test_a_step_that_asks_another_pool_when_replayed_fails_the_walk():
+    # The step's first execution asks item 0, which splits masks 0b00 and
+    # 0b01; its second, the fork's replay, asks item 1 in its place.
+    executions = []
+
+    def fickle_step(session, remaining, state):
+        executions.append(remaining)
+        session.query([len(executions) - 1], DRIVER)
+        session.identify_all(remaining, GOOD, None)
+        return [], state
+
+    both = r"^replayed query 1 asked pool \(1,\), where the walk logged \(0,\)$"
+    with pytest.raises(AssertionError, match=both):
+        list(walk(fickle_step, None, 2, [0b00, 0b01]))
+    assert len(executions) == 2
 
 
 def _broken_quarter_split(session, items, k, parent):
