@@ -67,9 +67,16 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_worstcase(args: argparse.Namespace) -> int:
-    cell = harness.worst_case(
-        args.alg, args.n, args.d, mode=args.mode, samples=args.samples, seed=args.seed
-    )
+    # Only the options given reach worst_case, which holds their defaults.
+    sampled = {
+        key: value
+        for key, value in (("samples", args.samples), ("seed", args.seed))
+        if value is not None
+    }
+    if sampled and args.mode != "sampled":
+        given = " and ".join("--" + key for key in sampled)
+        raise ValueError(f"give {given} only with --mode sampled")
+    cell = harness.worst_case(args.alg, args.n, args.d, mode=args.mode, **sampled)
     payload = {
         "algorithm": cell.algorithm,
         "n": cell.n,
@@ -175,8 +182,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_wc.add_argument("--n", type=int, required=True)
     p_wc.add_argument("--d", type=int, required=True)
     p_wc.add_argument("--mode", choices=("exhaustive", "sampled"), default="exhaustive")
-    p_wc.add_argument("--samples", type=int, default=1000)
-    p_wc.add_argument("--seed", type=int, default=0)
+    p_wc.add_argument("--samples", type=int)
+    p_wc.add_argument("--seed", type=int)
     p_wc.set_defaults(func=_cmd_worstcase)
 
     p_vf = sub.add_parser("verify", help="sweep the grid and check every bound")

@@ -120,11 +120,12 @@ def worst_case(
     Both modes walk the algorithm's decision tree (_walked_runs), whose
     check fold checks each record once, by the step that made it, with
     finalize on any leaf the fold cannot certify. Exhaustive mode walks
-    every set, in ascending blocks of kernels.BLOCK masks made as they are
-    walked, refuses more than _EXHAUSTIVE_CAP masks and returns the
-    smallest mask that spends the most tests. Sampled mode is a lower
-    estimate over samples >= 1 seeded draws: one walk over their distinct
-    masks, and the first draw, in draw order, that spends the most tests.
+    every set with _walk_cells, in ascending blocks of kernels.BLOCK masks
+    made as they are walked, refuses more than _EXHAUSTIVE_CAP masks and
+    returns the smallest mask that spends the most tests. Sampled mode is
+    a lower estimate over samples >= 1 seeded draws: one walk over their
+    distinct masks, and the first draw, in draw order, that spends the
+    most tests.
     A correctness failure aborts with the dump of the recorded run on the
     first failing mask: the first in ascending order in exhaustive mode,
     the first in draw order in sampled mode.
@@ -143,15 +144,7 @@ def worst_case(
                 f"{_EXHAUSTIVE_CAP}"
             )
         family = _masks_of_weight(n, d)
-        worst = -1
-        argmax = 0
-        while block := list(itertools.islice(family, kernels.BLOCK)):
-            with _recorded_on_failure(algorithm, n, block):
-                for i, session, _ in _walked_runs(algorithm, n, block):
-                    tests, mask = session.tests, block[i]
-                    if tests > worst or (tests == worst and mask < argmax):
-                        worst = tests
-                        argmax = mask
+        worst, argmax = _walk_cells(algorithm, n, family, False, kernels.BLOCK)[0][d]
         return _witnessed(WorstCaseCell(algorithm, n, d, worst, argmax, True))
     if mode != "sampled":
         raise ValueError(f"unknown mode {mode!r}")
@@ -197,6 +190,44 @@ def _recorded_on_failure(algorithm: str, n: int, masks: Sequence[int]) -> Iterat
         raise
 
 
+def _walk_cells(
+    algorithm: str, n: int, masks: Iterable[int], analysed: bool, block: int
+) -> Tuple[List[Tuple[int, int]], List[dict]]:
+    """Per-d (most tests, smallest mask spending them) over the runs of
+    algorithm on masks, which ascend, (-1, 0) for a d none of them has;
+    with analysed, also the analysis violation rows of those runs in mask
+    order, and otherwise no rows.
+
+    The masks are walked (_walked_runs) in consecutive blocks of block
+    masks, each taken from masks as it is walked, and a failure in a block
+    raises as the recorded run on its first failing mask does
+    (_recorded_on_failure). The blocks ascend, so a later block takes a d's
+    cell only with strictly more tests: the smallest mask wins ties, as in
+    kernels.sweep. With analysed the walk carries the analysis fold too,
+    and only the leaves it cannot certify (fold_passes) get a RunResult for
+    analyze, which writes every violation row.
+    """
+    worst = [-1] * (n + 1)
+    argmax = [0] * (n + 1)
+    rows: List[dict] = []
+    masks = iter(masks)
+    while block_masks := list(itertools.islice(masks, block)):
+        found: Dict[int, List[dict]] = {}
+        with _recorded_on_failure(algorithm, n, block_masks):
+            for i, session, fold in _walked_runs(algorithm, n, block_masks, analysed):
+                tests, mask = session.tests, block_masks[i]
+                d = mask.bit_count()
+                if tests > worst[d] or (tests == worst[d] and mask < argmax[d]):
+                    worst[d] = tests
+                    argmax[d] = mask
+                if analysed and not fold_passes(fold):
+                    found[i] = _analysis_violations(
+                        session.result(algorithm), instance_from_mask(n, mask)
+                    )
+        rows += [v for i in sorted(found) for v in found[i]]
+    return list(zip(worst, argmax)), rows
+
+
 def _walked_runs(
     algorithm: str, n: int, masks: Sequence[int], analysed: bool = False
 ) -> Iterator[Tuple[int, Session, object]]:
@@ -218,13 +249,11 @@ def _walked_runs(
     mask reached twice and on a mask never reached.
     """
     strategy = _folding(kernels.STRATEGIES[algorithm], analysed)
-    plan_of = strategy.plan_of
     reached = bytearray(len(masks))
     for session, state in walk(strategy.step, strategy.start, n, masks):
         mask = session.defective_mask
         if not check_passes(state[1], session, n):
-            result = session.result(algorithm, plan_of(state) if plan_of else None)
-            _finalized(result, instance_from_mask(n, mask))
+            _finalized(session.result(algorithm), instance_from_mask(n, mask))
         i = bisect_left(masks, mask)
         if i == len(masks) or masks[i] != mask:
             raise AssertionError(
@@ -252,7 +281,6 @@ def _folding(strategy: kernels.Strategy, analysed: bool = False) -> kernels.Stra
     under tree.walk, whose oracle keeps that log. Runs that share steps
     share their folded prefix."""
     step = strategy.step
-    plan_of = strategy.plan_of
 
     def folded_step(
         session: Session, remaining: List[int], state: Tuple[object, object, object]
@@ -272,7 +300,6 @@ def _folding(strategy: kernels.Strategy, analysed: bool = False) -> kernels.Stra
     return strategy._replace(
         step=folded_step,
         start=(strategy.start, CHECK_START, FOLD_START if analysed else None),
-        plan_of=plan_of and (lambda state: plan_of(state[0])),
     )
 
 
@@ -464,44 +491,8 @@ def _cell_bound_rows(
     return rows
 
 
-def _walk_upward_runs(
-    n: int, lo: int, hi: int
-) -> Tuple[List[Tuple[int, int]], List[dict]]:
-    """Per-d (most tests, smallest mask spending them) over the zu runs on
-    masks lo..hi-1, (-1, 0) for a d none of them has, and their analysis
-    violations in mask order.
-
-    The runs come from one walk of zu's decision tree (_walked_runs), not
-    one run per mask: each leaf's transcript is the one core.drive makes
-    looping zigzag.zu_step on that mask, and its test count is the one
-    kernels.sweep counts. The walk carries the analysis fold
-    (analysis.fold_records) with the check fold, in one step wrapper, so
-    runs that share steps share both folded prefixes, and only the leaves
-    the analysis fold cannot certify (fold_passes) get a RunResult for
-    analyze, which writes every violation row. A failure raises as the
-    recorded run on the first failing mask does.
-    """
-    masks = range(lo, hi)
-    worst = [-1] * (n + 1)
-    argmax = [0] * (n + 1)
-    rows: Dict[int, List[dict]] = {}
-    with _recorded_on_failure("zu", n, masks):
-        for i, session, fold in _walked_runs("zu", n, masks, analysed=True):
-            mask = lo + i
-            tests = session.tests
-            d = mask.bit_count()
-            if tests > worst[d] or (tests == worst[d] and mask < argmax[d]):
-                worst[d] = tests
-                argmax[d] = mask
-            if not fold_passes(fold):
-                rows[i] = _analysis_violations(
-                    session.result("zu"), instance_from_mask(n, mask)
-                )
-    return list(zip(worst, argmax)), [v for i in sorted(rows) for v in rows[i]]
-
-
 def _analysis_violations(result: RunResult, instance: Instance) -> List[dict]:
-    """The analysis violation rows of one finalized zu run, in check order."""
+    """The analysis violation rows of one finalized run, in check order."""
     n, d = instance.n, instance.d
     try:
         report = analyze(result)
@@ -511,7 +502,7 @@ def _analysis_violations(result: RunResult, instance: Instance) -> List[dict]:
         failures = report.failures
     return [
         {
-            "algorithm": "zu",
+            "algorithm": result.algorithm,
             "n": n,
             "d": d,
             "check": name,
@@ -556,17 +547,9 @@ def _sweep_task(
 
 def _upward_task(n: int, checks: Sequence[str], block: int) -> Tuple[List[dict], List[dict]]:
     """zu's cells at n, their bound violations and then its analysis
-    violations, from one walk of its decision tree in consecutive blocks of
-    block masks (_walk_upward_runs). The blocks ascend, so a later block
-    takes a d's cell only with strictly more tests: the smallest mask wins
-    ties, as in kernels.sweep."""
-    per_d = [(-1, 0)] * (n + 1)
-    rows = []
-    end = 1 << n
-    for lo in range(0, end, block):
-        block_per_d, block_rows = _walk_upward_runs(n, lo, min(lo + block, end))
-        per_d = [new if new[0] > old[0] else old for old, new in zip(per_d, block_per_d)]
-        rows += block_rows
+    violations, from one walk of its decision tree over every mask in
+    consecutive blocks of block masks (_walk_cells)."""
+    per_d, rows = _walk_cells("zu", n, range(1 << n), True, block)
     cells, violations = _cells("zu", n, per_d, checks)
     return cells, violations + rows
 
@@ -577,8 +560,10 @@ def _grid_tasks(
     """One task per (algorithm, n), in order, so joining the outputs in list
     order gives the report. With the analysis family selected, zu's task is
     one walk of its decision tree that both fills the cells and analyzes
-    the runs (_upward_task), in blocks of kernels.BLOCK masks, so each n up
-    to 16 is one block; every other task counts its cells with
+    the runs (_upward_task, through _walk_cells, as exhaustive worst_case
+    walks), in blocks of kernels.BLOCK masks, so each n up to 16 is one
+    block; each task carries the block size read here, so pooled workers
+    walk the same blocks. Every other task counts its cells with
     kernels.sweep (_sweep_task)."""
     tasks = []
     for algorithm in algorithms:
@@ -617,8 +602,9 @@ def verify_grid(
     The grid is one task list (_grid_tasks), one task per (algorithm, n):
     kernels.sweep counts the cells, except that with the analysis family
     selected zu's cells come from the one walk of its decision tree that
-    also analyzes its transcripts, in blocks of kernels.BLOCK masks. Both
-    give the same cells. workers None, 0 or 1 run it serially in list
+    also analyzes its transcripts, in blocks of kernels.BLOCK masks
+    (_walk_cells, the walk exhaustive worst_case makes). Both give the
+    same cells. workers None, 0 or 1 run it serially in list
     order, more hand it to a process pool largest n first, and a negative
     count is rejected. Outputs are joined in list order, so the report is
     the same for every worker count.

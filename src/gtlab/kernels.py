@@ -36,8 +36,8 @@ from __future__ import annotations
 from collections import defaultdict
 from functools import reduce
 from itertools import groupby
-from operator import itemgetter, or_
-from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
+from operator import or_
+from typing import Callable, Dict, Iterator, List, NamedTuple, Sequence, Tuple
 
 from gtlab.competitive import ZC_START, individual_step, run_individual, run_zc, zc_step
 # PoolOracle is re-exported: perfbench's tracer patches kernels.PoolOracle.
@@ -54,9 +54,9 @@ MAX_SWEEP_N = 24
 # themselves take masks of any width (tests pin zd, zu and zc up to n = 200).
 MAX_COUNT_N = 62
 
-# Masks a walk takes at a time: sweep walks range(2^n), harness.worst_case
-# its weight-d family and the grid's zu analysis walk range(2^n), in
-# consecutive blocks this size.
+# Masks a walk takes at a time: sweep walks range(2^n) in consecutive blocks
+# this size, and so does harness._walk_cells, over exhaustive worst_case's
+# weight-d family and over range(2^n) for the grid's zu analysis task.
 BLOCK = 1 << 16
 
 Count = Tuple[int, int, int]
@@ -268,23 +268,21 @@ def _zc(items: int, masks: Masks) -> Iterator[Leaf]:
 
 class Strategy(NamedTuple):
     """One algorithm, written once: its recorded runner; its step and start
-    state, which core.drive loops and tree.walk walks; its bitmask counter;
-    and the function that reads a finished run's plan from its final state
-    (None when the run records no plan)."""
+    state, which core.drive loops and tree.walk walks; and its bitmask
+    counter."""
 
     run: Callable[[PoolOracle], RunResult]
     step: Step
     start: object
     count: Callable[[int, Masks], Iterator[Leaf]]
-    plan_of: Optional[Callable[[object], object]] = None
 
 
-# Every algorithm, in ALGORITHMS order. zc's final state is (plan, sub).
+# Every algorithm, in ALGORITHMS order.
 STRATEGIES = {
     "individual": Strategy(run_individual, individual_step, None, _individual),
     "zd": Strategy(run_zd, zd_step, ZD_START, _zd),
     "zu": Strategy(run_zu, zu_step, ZU_START, _zu),
-    "zc": Strategy(run_zc, zc_step, ZC_START, _zc, itemgetter(0)),
+    "zc": Strategy(run_zc, zc_step, ZC_START, _zc),
 }
 
 ALGORITHMS = tuple(STRATEGIES)

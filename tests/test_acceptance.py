@@ -15,8 +15,6 @@ import random
 import time
 from collections import Counter
 
-import pytest
-
 from gtlab import bounds, harness, kernels
 from gtlab.analysis import classify, transcript_json
 from gtlab.core import (

@@ -65,7 +65,7 @@ def test_the_passing_walks_call_finalize_never(monkeypatch):
             cell = harness.worst_case(algorithm, 10, d)
             assert calls == [instance_from_mask(10, cell.argmax_mask)], (algorithm, d)
             calls.clear()
-    assert harness._walk_upward_runs(10, 0, 1 << 10)[1]
+    assert harness._walk_cells("zu", 10, range(1 << 10), True, kernels.BLOCK)[1]
     assert calls == []
 
 
@@ -215,7 +215,7 @@ def test_a_tampered_walk_raises_the_recorded_dump(monkeypatch, algorithm, tamper
     assert str(walked.value) == expected
     if algorithm == "zu":
         with pytest.raises(AssertionError) as analysed:
-            harness._walk_upward_runs(n, 0, 1 << n)
+            harness._walk_cells("zu", n, range(1 << n), True, kernels.BLOCK)
         assert str(analysed.value) == _first_recorded_failure("zu", n, range(1 << n))
 
 

@@ -122,6 +122,18 @@ def test_worstcase_sampled_without_samples_exits_2(capsys, samples):
     assert "need samples >= 1" in captured.err
 
 
+@pytest.mark.parametrize(
+    "extra",
+    [["--samples", "0"], ["--seed", "3"], ["--mode", "exhaustive", "--samples", "5"]],
+)
+def test_worstcase_sampling_options_without_sampled_mode_exit_2(capsys, extra):
+    code = main(["worstcase", "--alg", "zu", "--n", "10", "--d", "3", *extra])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "only with --mode sampled" in captured.err
+
+
 def test_verify_clean_grid_exits_zero(capsys, tmp_path):
     out_csv = tmp_path / "grid.csv"
     code, out = _capture(

@@ -1,14 +1,7 @@
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from gtlab.competitive import run_individual, run_zc
-from gtlab.core import (
-    DRIVER,
-    Instance,
-    PoolOracle,
-    finalize,
-    instance_from_mask,
-)
+from gtlab.core import Instance, PoolOracle, finalize, instance_from_mask
 
 
 def _run(n, defectives):

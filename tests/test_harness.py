@@ -414,12 +414,13 @@ def test_verify_grid_workers_match_serial(monkeypatch):
     assert harness.report_to_json(serial) == harness.report_to_json(parallel)
 
 
+def _analysed_zu(n, masks, block=None):
+    return harness._walk_cells("zu", n, masks, True, block or kernels.BLOCK)
+
+
 def test_analysis_shards_join_to_the_full_range():
-    full_cells, full_rows = harness._walk_upward_runs(10, 0, 1 << 10)
-    parts = [
-        harness._walk_upward_runs(10, lo, hi)
-        for lo, hi in [(0, 1), (1, 300), (300, 1 << 10)]
-    ]
+    full_cells, full_rows = _analysed_zu(10, range(1 << 10))
+    parts = [_analysed_zu(10, range(lo, hi)) for lo, hi in [(0, 1), (1, 300), (300, 1 << 10)]]
     assert sum(1 for _, rows in parts if rows) == 2
     assert [v for _, rows in parts for v in rows] == full_rows
     # Each d's cell is the first shard's with the most tests, the smallest
@@ -429,6 +430,8 @@ def test_analysis_shards_join_to_the_full_range():
         full_cells
     )
     assert full_cells == kernels.sweep("zu", 10)
+    # Walked in blocks of 37 masks, the cells and rows are the same.
+    assert _analysed_zu(10, range(1 << 10), 37) == (full_cells, full_rows)
 
 
 def test_analysis_grid_analyzes_only_the_leaves_the_fold_defers(monkeypatch):

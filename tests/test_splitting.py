@@ -7,7 +7,6 @@ from hypothesis import given, strategies as st
 from gtlab.core import (
     CONTAMINATED,
     DEFECTIVE,
-    GOOD,
     Instance,
     PoolOracle,
     Session,

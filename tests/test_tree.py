@@ -29,10 +29,10 @@ def _walked(algorithm, n, masks):
     """(tests, transcript, plan) of every leaf of a walk over masks, by the
     mask of the items it identified as defective; a mask reached twice fails."""
     strategy = kernels.STRATEGIES[algorithm]
-    plan_of = strategy.plan_of
     leaves = {}
     for session, state in walk(strategy.step, strategy.start, n, masks):
-        result = session.result(algorithm, plan_of(state) if plan_of else None)
+        # zc's final state is (plan, sub); no other run records a plan.
+        result = session.result(algorithm, state[0] if algorithm == "zc" else None)
         mask = session.defective_mask
         assert mask not in leaves, (algorithm, n, mask)
         leaves[mask] = (result.tests_used, transcript_json(result.transcript), result.plan)
@@ -201,6 +201,12 @@ def _draws(n, d, samples, seed):
     return [sum(1 << i for i in rng.sample(range(n), d)) for _ in range(samples)]
 
 
+def _analysed_zu(n, masks):
+    """zu's per-d cells and analysis rows over masks, walked as the grid's
+    analysis task walks them."""
+    return harness._walk_cells("zu", n, masks, True, kernels.BLOCK)
+
+
 def _assert_names_the_first_failing_mask(dump, algorithm, n, masks):
     # The dump is the recorded run's on the first of the masks, in their
     # order, on which that run fails finalize: one of the masks, the ground
@@ -223,7 +229,7 @@ def test_a_broken_zu_fails_finalize_on_the_walk_as_on_recorded_runs(monkeypatch)
     monkeypatch.setattr(zigzag, "quarter_split", _broken_quarter_split)
     n = 8
     with pytest.raises(AssertionError, match=r"^zu failed correctness at n=8: ") as walked:
-        harness._walk_upward_runs(n, 0, 1 << n)
+        _analysed_zu(n, range(1 << n))
     _assert_names_the_first_failing_mask(_dump(walked), "zu", n, range(1 << n))
     # Exhaustive worst cases walk the tree too.
     for algorithm in ["zu", "zd", "zc"]:
@@ -287,7 +293,7 @@ def _tampered(tamper):
             pytest.param(partial(harness.worst_case, alg, 8, 3), 56, id=f"worst_case-{alg}")
             for alg in kernels.ALGORITHMS
         ),
-        pytest.param(partial(harness._walk_upward_runs, 6, 0, 1 << 6), 64, id="analysis"),
+        pytest.param(partial(_analysed_zu, 6, range(1 << 6)), 64, id="analysis"),
     ],
 )
 def test_a_walk_that_misses_or_repeats_a_mask_is_rejected(monkeypatch, consume, count, tamper):
@@ -301,7 +307,7 @@ def test_a_walk_that_misses_or_repeats_a_mask_is_rejected(monkeypatch, consume, 
     "consume, algorithm, n, count",
     [
         pytest.param(partial(harness.worst_case, "zd", 8, 3), "zd", 8, 56, id="worst_case"),
-        pytest.param(partial(harness._walk_upward_runs, 6, 0, 32), "zu", 6, 32, id="analysis"),
+        pytest.param(partial(_analysed_zu, 6, range(32)), "zu", 6, 32, id="analysis"),
     ],
 )
 def test_a_walk_that_reaches_a_mask_outside_its_list_is_rejected(
