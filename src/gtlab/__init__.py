@@ -10,7 +10,7 @@ from gtlab.core import (
     instance_from_mask,
 )
 from gtlab.competitive import ZcPlan, run_individual, run_zc
-from gtlab.splitting import dig, pool_size
+from gtlab.splitting import pool_size
 from gtlab.zigzag import initial_rank, run_zd, run_zu
 
 __version__ = "0.1.0"
@@ -22,7 +22,6 @@ __all__ = [
     "Session",
     "Transcript",
     "ZcPlan",
-    "dig",
     "finalize",
     "initial_rank",
     "instance_from_mask",

@@ -41,11 +41,13 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if (args.defectives is None) == (args.d_random is None):
         raise ValueError("give exactly one of --defectives or --d-random")
     if args.defectives is not None:
+        if args.seed is not None:
+            raise ValueError("give --seed only with --d-random")
         defectives = _parse_defectives(args.defectives, args.n)
     else:
         if not 0 <= args.d_random <= args.n:
             raise ValueError("need 0 <= --d-random <= --n")
-        rng = random.Random(args.seed)
+        rng = random.Random(args.seed or 0)
         defectives = sorted(rng.sample(range(args.n), args.d_random))
     instance = Instance(args.n, frozenset(defectives))
     result = RUNNERS[args.alg](PoolOracle(instance))
@@ -173,7 +175,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument(
         "--d-random", type=int, dest="d_random", help="sample this many defectives"
     )
-    p_run.add_argument("--seed", type=int, default=0)
+    p_run.add_argument("--seed", type=int)
     p_run.add_argument("--emit-transcript", action="store_true")
     p_run.set_defaults(func=_cmd_run)
 

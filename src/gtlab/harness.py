@@ -7,13 +7,12 @@ import itertools
 import json
 import math
 import random
-from bisect import bisect_left
 from collections import defaultdict
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import partial
 from json.encoder import encode_basestring_ascii as _encode_str
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from gtlab import bounds, kernels
 from gtlab.analysis import (
@@ -119,13 +118,14 @@ def worst_case(
 
     Both modes walk the algorithm's decision tree (_walked_runs), whose
     check fold checks each record once, by the step that made it, with
-    finalize on any leaf the fold cannot certify. Exhaustive mode walks
-    every set with _walk_cells, in ascending blocks of kernels.BLOCK masks
-    made as they are walked, refuses more than _EXHAUSTIVE_CAP masks and
-    returns the smallest mask that spends the most tests. Sampled mode is
-    a lower estimate over samples >= 1 seeded draws: one walk over their
-    distinct masks, and the first draw, in draw order, that spends the
-    most tests.
+    finalize on any leaf the fold cannot certify; kernels.add_leaves then
+    checks that the leaves are the walked masks, each once. Exhaustive mode
+    walks every set with _walk_cells, in ascending blocks of kernels.BLOCK
+    masks made as they are walked, refuses more than _EXHAUSTIVE_CAP masks
+    and returns the smallest mask that spends the most tests. Sampled mode
+    is a lower estimate over samples >= 1 seeded draws: one walk over their
+    distinct masks, whose tests are recorded as the leaves go by, and the
+    first draw, in draw order, that spends the most tests.
     A correctness failure aborts with the dump of the recorded run on the
     first failing mask: the first in ascending order in exhaustive mode,
     the first in draw order in sampled mode.
@@ -153,11 +153,16 @@ def worst_case(
     rng = random.Random(seed)
     draws = [sum(1 << i for i in rng.sample(range(n), d)) for _ in range(samples)]
     masks = sorted(set(draws))
+    cells = [(-1, 0)] * (n + 1)
     tests_of = {}
+
+    def visit(session: Session, fold: object) -> None:
+        tests_of[session.defective_mask] = session.tests
+
     with _recorded_on_failure(algorithm, n, draws):
-        for i, session, _ in _walked_runs(algorithm, n, masks):
-            tests_of[masks[i]] = session.tests
-    worst = max(tests_of.values())
+        runs = _walked_runs(algorithm, n, masks)
+        kernels.add_leaves(cells, algorithm, n, masks, _leaves(runs, visit))
+    worst = cells[d][0]
     argmax = next(mask for mask in draws if tests_of[mask] == worst)
     return _witnessed(WorstCaseCell(algorithm, n, d, worst, argmax, False))
 
@@ -199,45 +204,41 @@ def _walk_cells(
     order, and otherwise no rows.
 
     The masks are walked (_walked_runs) in consecutive blocks of block
-    masks, each taken from masks as it is walked, and a failure in a block
-    raises as the recorded run on its first failing mask does
-    (_recorded_on_failure). The blocks ascend, so a later block takes a d's
-    cell only with strictly more tests: the smallest mask wins ties, as in
-    kernels.sweep. With analysed the walk carries the analysis fold too,
-    and only the leaves it cannot certify (fold_passes) get a RunResult for
-    analyze, which writes every violation row.
+    masks, each taken from masks as it is walked, and each block's leaves
+    go to kernels.add_leaves, which checks them and keeps the cells as
+    kernels.sweep does. A failure in a block, a leaf add_leaves rejects
+    included, raises as the recorded run on its first failing mask does
+    (_recorded_on_failure). With analysed the walk carries the analysis
+    fold too, and only the leaves it cannot certify (fold_passes) get a
+    RunResult for analyze, which writes every violation row.
     """
-    worst = [-1] * (n + 1)
-    argmax = [0] * (n + 1)
-    rows: List[dict] = []
+    cells = [(-1, 0)] * (n + 1)
+    found: Dict[int, List[dict]] = {}
+
+    def visit(session: Session, fold: object) -> None:
+        if analysed and not fold_passes(fold):
+            mask = session.defective_mask
+            found[mask] = _analysis_violations(
+                session.result(algorithm), instance_from_mask(n, mask)
+            )
+
     masks = iter(masks)
     while block_masks := list(itertools.islice(masks, block)):
-        found: Dict[int, List[dict]] = {}
         with _recorded_on_failure(algorithm, n, block_masks):
-            for i, session, fold in _walked_runs(algorithm, n, block_masks, analysed):
-                tests, mask = session.tests, block_masks[i]
-                d = mask.bit_count()
-                if tests > worst[d] or (tests == worst[d] and mask < argmax[d]):
-                    worst[d] = tests
-                    argmax[d] = mask
-                if analysed and not fold_passes(fold):
-                    found[i] = _analysis_violations(
-                        session.result(algorithm), instance_from_mask(n, mask)
-                    )
-        rows += [v for i in sorted(found) for v in found[i]]
-    return list(zip(worst, argmax)), rows
+            runs = _walked_runs(algorithm, n, block_masks, analysed)
+            kernels.add_leaves(cells, algorithm, n, block_masks, _leaves(runs, visit))
+    return cells, [row for mask in sorted(found) for row in found[mask]]
 
 
 def _walked_runs(
     algorithm: str, n: int, masks: Sequence[int], analysed: bool = False
-) -> Iterator[Tuple[int, Session, object]]:
-    """Yields (index in masks, session, analysis fold state) for every leaf
-    of one walk of the algorithm's decision tree over masks, which ascend,
-    in no particular order. The session holds the leaf's run until the walk
-    resumes: session.tests is its test count, and session.result(algorithm)
-    builds its RunResult for a caller that needs one. The walk carries
-    analysis.fold_records when analysed is set; otherwise the fold state is
-    None.
+) -> Iterator[Tuple[Session, object]]:
+    """Yields (session, analysis fold state) for every leaf of one walk of
+    the algorithm's decision tree over masks, in no particular order. The
+    session holds the leaf's run until the walk resumes, and
+    session.result(algorithm) builds its RunResult for a caller that needs
+    one. The walk carries analysis.fold_records when analysed is set;
+    otherwise the fold state is None.
 
     Each leaf is checked against the mask of the items it identified as
     defective, so its run is the one the recorded run on that mask makes.
@@ -245,30 +246,26 @@ def _walked_runs(
     checked once, by the step that made it, against the walk oracle's log
     of the query that made it; only a leaf the fold cannot certify
     (check_passes) gets a RunResult and finalize, and a failure raises the
-    finalize dump. The walk fails on a leaf outside masks, on a
-    mask reached twice and on a mask never reached.
+    finalize dump. Whether the leaves are the masks, each once, is for
+    kernels.add_leaves to check (_leaves).
     """
     strategy = _folding(kernels.STRATEGIES[algorithm], analysed)
-    reached = bytearray(len(masks))
     for session, state in walk(strategy.step, strategy.start, n, masks):
-        mask = session.defective_mask
         if not check_passes(state[1], session, n):
+            mask = session.defective_mask
             _finalized(session.result(algorithm), instance_from_mask(n, mask))
-        i = bisect_left(masks, mask)
-        if i == len(masks) or masks[i] != mask:
-            raise AssertionError(
-                f"{algorithm} walk at n={n} reached mask {mask:#x}, "
-                f"not one of its {len(masks)} masks"
-            )
-        if reached[i]:
-            raise AssertionError(f"{algorithm} reached mask {mask:#x} twice at n={n}")
-        reached[i] = 1
-        yield i, session, state[2]
-    if not all(reached):
-        raise AssertionError(
-            f"{algorithm} walk at n={n} reached {sum(reached)} leaves, "
-            f"not each of the {len(masks)} masks once"
-        )
+        yield session, state[2]
+
+
+def _leaves(
+    runs: Iterable[Tuple[Session, object]], visit: Callable[[Session, object], None]
+) -> Iterator[kernels.Leaf]:
+    """Each walked run as the kernels.Leaf add_leaves checks: the masks
+    left in the walk's oracle, its tests, and its good and defective masks;
+    visit(session, fold state) reads the run first."""
+    for session, fold in runs:
+        visit(session, fold)
+        yield session.oracle.masks, session.tests, session.good_mask, session.defective_mask
 
 
 def _folding(strategy: kernels.Strategy, analysed: bool = False) -> kernels.Strategy:

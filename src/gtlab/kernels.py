@@ -1,12 +1,11 @@
-"""The strategy table, and the bitmask counter behind the exhaustive sweeps.
+"""The strategy table, the bitmask counter, and the check of every walk's leaves.
 
 STRATEGIES names every algorithm once, with its recorded runner, its step
 function and its counter; harness, the CLI and the sweeps all read it.
 
 count_run answers (tests, good_mask, defective_mask) for one run of a
-strategy on one defective mask, and sweep() validates every such answer
-against ground truth. No transcript is built; recorded runs go through
-core.Session and PoolOracle as usual.
+strategy on one defective mask. No transcript is built; recorded runs go
+through core.Session and PoolOracle as usual.
 
 The counter replays the strategy rules of zigzag and competitive on Python
 ints: the remaining set and every pool are bitmasks, and whole-pool steps
@@ -25,10 +24,11 @@ the masks that miss it take the pure branch and the masks that meet it
 fork by what the strategy learns next (the lowest defective of a four-way
 extraction, the items of a pair or triple, the clean or dirty remainder of
 zu's additional test, zc's tail items and contaminated quarters). A leaf is
-a finished run, yielded as (masks, tests, good_mask, defective_mask); it is
-right when its masks are exactly [defective_mask]. Steps shared by the masks
-of a branch are taken once, so sweep() walks range(2^n) in blocks of BLOCK
-masks, and count_run() is the same walk over one mask.
+a finished run, yielded as (masks, tests, good_mask, defective_mask). Steps
+shared by the masks of a branch are taken once, so sweep() walks range(2^n)
+in blocks of BLOCK masks, and count_run() is the same walk over one mask.
+add_leaves checks the leaves of every walk, one block of masks at a time:
+the counter's in sweep() and harness's walks of the decision tree alike.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from collections import defaultdict
 from functools import reduce
 from itertools import groupby
 from operator import or_
-from typing import Callable, Dict, Iterator, List, NamedTuple, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, NamedTuple, Sequence, Tuple
 
 from gtlab.competitive import ZC_START, individual_step, run_individual, run_zc, zc_step
 # PoolOracle is re-exported: perfbench's tracer patches kernels.PoolOracle.
@@ -56,7 +56,8 @@ MAX_COUNT_N = 62
 
 # Masks a walk takes at a time: sweep walks range(2^n) in consecutive blocks
 # this size, and so does harness._walk_cells, over exhaustive worst_case's
-# weight-d family and over range(2^n) for the grid's zu analysis task.
+# weight-d family and over range(2^n) for the grid's zu analysis task. Each
+# block's leaves go to add_leaves, which holds one reached mask per leaf.
 BLOCK = 1 << 16
 
 Count = Tuple[int, int, int]
@@ -304,37 +305,55 @@ def count_run(algorithm: str, n: int, defective_mask: int) -> Count:
 
 
 def sweep(algorithm: str, n: int) -> List[Tuple[int, int]]:
-    """Runs every defective mask of n items; returns per-d (worst_tests,
-    first mask attaining it). Raises AssertionError on any misclassification
-    and on a walk that misses a mask or reaches one twice.
-    """
+    """Runs every defective mask of n items in blocks of BLOCK; returns the
+    per-d (worst_tests, smallest mask attaining it) add_leaves keeps."""
     _check_algorithm(algorithm)
     if not 0 <= n <= MAX_SWEEP_N:
         raise ValueError(f"sweep handles 0 <= n <= {MAX_SWEEP_N}")
     walk = STRATEGIES[algorithm].count
+    cells = [(-1, 0)] * (n + 1)
+    for lo in range(0, 1 << n, BLOCK):
+        block = list(range(lo, min(lo + BLOCK, 1 << n)))
+        add_leaves(cells, algorithm, n, block, walk((1 << n) - 1, block))
+    return cells
+
+
+def add_leaves(
+    cells: List[Tuple[int, int]],
+    algorithm: str,
+    n: int,
+    masks: List[int],
+    leaves: Iterable[Leaf],
+) -> None:
+    """Checks the leaves of one walk of algorithm over masks, an ascending
+    list, and keeps in cells[d] the most tests a mask of d defectives
+    spends, with the smallest such mask on ties.
+
+    Each leaf must be the right run of exactly one mask: its masks are
+    [bad] and its good items the rest; a wrong one raises AssertionError as
+    it comes. Once the leaves run out, each of masks must have been reached
+    once: the error names the smallest mask reached outside them or twice,
+    or else the smallest never reached. A walk in blocks passes them in
+    ascending order, so a later block takes a cell only with more tests.
+    """
     full = (1 << n) - 1
-    worst = [-1] * (n + 1)
-    argmax = [0] * (n + 1)
-    for lo in range(0, full + 1, BLOCK):
-        hi = min(lo + BLOCK, full + 1)
-        reached = bytearray(hi - lo)
-        for masks, tests, good, bad in walk(full, range(lo, hi)):
-            if len(masks) != 1 or masks[0] != bad or good != full ^ bad:
-                what = f"mask {masks[0]:#x}" if len(masks) == 1 else f"{len(masks)} masks"
-                raise AssertionError(f"{algorithm} misclassified {what} at n={n}")
-            if not lo <= bad < hi:
-                raise AssertionError(
-                    f"{algorithm} reached mask {bad:#x} outside its block at n={n}"
-                )
-            if reached[bad - lo]:
-                raise AssertionError(f"{algorithm} reached mask {bad:#x} twice at n={n}")
-            reached[bad - lo] = 1
-            d = bad.bit_count()
-            if tests > worst[d] or (tests == worst[d] and bad < argmax[d]):
-                worst[d] = tests
-                argmax[d] = bad
-        if 0 in reached:
-            raise AssertionError(
-                f"{algorithm} never reached mask {lo + reached.index(0):#x} at n={n}"
-            )
-    return list(zip(worst, argmax))
+    reached = []
+    for leaf, tests, good, bad in leaves:
+        if len(leaf) != 1 or leaf[0] != bad or good != full ^ bad:
+            what = f"mask {leaf[0]:#x}" if len(leaf) == 1 else f"{len(leaf)} masks"
+            raise AssertionError(f"{algorithm} misclassified {what} at n={n}")
+        reached.append(bad)
+        d = bad.bit_count()
+        worst, argmax = cells[d]
+        if tests > worst or (tests == worst and bad < argmax):
+            cells[d] = tests, bad
+    reached.sort()
+    if reached == masks:
+        return
+    expected = set(masks)
+    for i, mask in enumerate(reached):
+        if mask not in expected or i and reached[i - 1] == mask:
+            where = "twice" if mask in expected else f"outside its {len(masks)} masks"
+            raise AssertionError(f"{algorithm} reached mask {mask:#x} {where} at n={n}")
+    missed = min(expected.difference(reached))
+    raise AssertionError(f"{algorithm} never reached mask {missed:#x} at n={n}")

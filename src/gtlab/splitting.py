@@ -8,7 +8,6 @@ the leftmost defective, for the bitmask counter and the transcript analysis.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple, Optional, Sequence, Tuple
 
@@ -32,14 +31,6 @@ def pool_size(i: int) -> int:
     if i == 1:
         return 2
     return 3 * (1 << (i - 2))
-
-
-@dataclass
-class SplitOutcome:
-    """What dig found: the defective and the tests spent finding it."""
-
-    defective_found: int
-    tests_spent: int
 
 
 def binary_split(
@@ -72,15 +63,6 @@ def binary_split(
             work = work[len(half):]
             narrowed_by_query = False
     session.identify(work[0], DEFECTIVE, parent, narrowed_by_query)
-
-
-def dig(oracle: PoolOracle, items: Sequence[int]) -> SplitOutcome:
-    """Standalone binary narrowing against a bare oracle. binary_split finds
-    the first defective of the contaminated ordered items; its one
-    identified defective and its test count are read from the session."""
-    session = Session(oracle)
-    binary_split(session, items, parent=None)
-    return SplitOutcome(session.defective_mask.bit_length() - 1, session.tests)
 
 
 def _scan_individuals(

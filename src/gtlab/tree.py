@@ -13,8 +13,8 @@ its answers met ground truth: harness carries core's check fold along the
 walk, which checks each record once, by the step that made it, against
 the log, and certifies a leaf only when the oracle has exactly the mask
 of the items it identified as defective left; any other leaf is
-finalized. Each mask of the list takes exactly one path, so the caller
-also checks that the leaves are the list's masks, each once.
+finalized. Each mask of the list takes exactly one path, so harness also
+checks that the leaves are the list's masks, each once (kernels.add_leaves).
 """
 
 from __future__ import annotations

@@ -26,10 +26,11 @@ from gtlab.core import (
     PURE,
     Instance,
     PoolOracle,
+    Session,
     finalize,
     instance_from_mask,
 )
-from gtlab.splitting import dig
+from gtlab.splitting import binary_split
 from gtlab.zigzag import run_zu
 
 N_MAX = 16
@@ -127,10 +128,11 @@ def test_criterion_06_narrowing_budget():
         budget = math.ceil(math.log2(m)) if m > 1 else 0
         attained = 0
         for pos in range(m):
-            out = dig(PoolOracle(Instance(m, frozenset({pos}))), list(range(m)))
-            assert out.defective_found == pos
-            assert out.tests_spent <= budget, (m, pos)
-            attained = max(attained, out.tests_spent)
+            session = Session(PoolOracle(Instance(m, frozenset({pos}))))
+            binary_split(session, range(m), parent=None)
+            assert session.defective_mask == 1 << pos
+            assert session.tests <= budget, (m, pos)
+            attained = max(attained, session.tests)
         assert attained == budget, m
     elapsed = time.perf_counter() - start
     ok = elapsed < 1.0

@@ -782,20 +782,20 @@ def test_final_phase_budget_red_past_the_grid_is_pinned():
     for n in range(25, 41):
         for d in range(3):
             masks = list(harness._masks_of_weight(n, d))
-            for i, session, _ in harness._walked_runs("zu", n, masks):
+            for session, _ in harness._walked_runs("zu", n, masks):
                 result = session.result("zu")
                 failures = analyze(result).failures
                 mixed, lhs = _final_phase(result.transcript.records)
                 if mixed and lhs > 7:
                     rows[n, d] += 1
-                    flagged_at_25 += [masks[i]] if n == 25 else []
+                    flagged_at_25 += [session.defective_mask] if n == 25 else []
                     ok = mixed == 1 and lhs in (8, 9) and failures == [
                         ("final-phase-budget", {"lhs": lhs, "rhs": 7})
                     ]
                 else:
                     ok = failures == []
                 if not ok:
-                    off_family.append((n, masks[i], mixed, lhs, failures))
+                    off_family.append((n, session.defective_mask, mixed, lhs, failures))
     assert off_family == []
     assert rows == Counter({(25, 1): 2, **{(n, d): 2 for n in range(26, 41) for d in (1, 2)}})
     assert sorted(flagged_at_25) == [1 << 1, 1 << 2]

@@ -297,5 +297,5 @@ def test_the_fold_defers_every_leaf_of_a_step_that_peeks(monkeypatch):
         return finalize(result, instance)
 
     monkeypatch.setattr(harness, "finalize", counted)
-    reached = [i for i, _, _ in harness._walked_runs("zu", n, range(1 << n))]
+    reached = [s.defective_mask for s, _ in harness._walked_runs("zu", n, range(1 << n))]
     assert sorted(reached) == sorted(calls) == list(range(1 << n))

@@ -51,6 +51,19 @@ def test_run_random_defectives_are_seeded(capsys):
     assert "plan" in payload
 
 
+def test_run_seed_without_d_random_exits_2(capsys):
+    code = main(["run", "--alg", "zd", "--n", "5", "--defectives", "1", "--seed", "3"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "error: give --seed only with --d-random\n"
+
+
+def test_run_d_random_without_seed_uses_seed_0(capsys):
+    argv = ["run", "--alg", "zc", "--n", "20", "--d-random", "3"]
+    assert _capture(capsys, argv) == _capture(capsys, [*argv, "--seed", "0"])
+
+
 def test_run_pins_the_whole_plan_of_a_zc_run(capsys):
     # Two contaminated quarters in the first round, so the run reaches the
     # second round and every field of the plan is set.

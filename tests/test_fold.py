@@ -39,7 +39,7 @@ from gtlab.zigzag import run_zu
 def test_the_fold_defers_exactly_the_zu_leaves_analyze_fails():
     failing = 0
     for n in range(1, 13):
-        for _, session, fold in harness._walked_runs("zu", n, range(1 << n), analysed=True):
+        for session, fold in harness._walked_runs("zu", n, range(1 << n), analysed=True):
             result = session.result("zu")
             try:
                 report = analyze(result)

@@ -90,6 +90,18 @@ def test_sweep_rejects_a_leaf_of_two_masks(monkeypatch):
         kernels.sweep("zu", 4)
 
 
+@pytest.mark.parametrize("algorithm", kernels.ALGORITHMS)
+def test_sweep_rejects_a_leaf_whose_good_items_are_wrong(monkeypatch, algorithm):
+    # Mask 5 at n = 5 leaves item 1 good; the tampered leaf drops it.
+    def drops_good_item_1(leaf):
+        masks, tests, good, bad = leaf
+        yield masks, tests, good & ~0b10 if masks == [5] else good, bad
+
+    _tampered(monkeypatch, algorithm, drops_good_item_1)
+    with pytest.raises(AssertionError, match=f"^{algorithm} misclassified mask 0x5 at n=5$"):
+        kernels.sweep(algorithm, 5)
+
+
 # With 2^3-mask blocks, mask 0x2c lies in the sixth block of n = 7.
 @pytest.mark.parametrize("block", [kernels.BLOCK, 1 << 3])
 @pytest.mark.parametrize("algorithm", kernels.ALGORITHMS)
@@ -129,7 +141,7 @@ def test_sweep_rejects_a_counter_that_leaves_its_block(monkeypatch, algorithm):
     monkeypatch.setattr(kernels, "BLOCK", 1 << 3)
     _tampered(monkeypatch, algorithm, moves_mask_5_to_0x15)
     with pytest.raises(
-        AssertionError, match=f"^{algorithm} reached mask 0x15 outside its block at n=5$"
+        AssertionError, match=f"^{algorithm} reached mask 0x15 outside its 8 masks at n=5$"
     ):
         kernels.sweep(algorithm, 5)
 

@@ -1,4 +1,3 @@
-import math
 import random
 
 import pytest
@@ -14,7 +13,6 @@ from gtlab.core import (
 )
 from gtlab.splitting import (
     binary_split,
-    dig,
     pool_size,
     quarter_plan,
     quarter_split,
@@ -72,30 +70,16 @@ def test_binary_split_rejects_empty():
         binary_split(_session(2, {0}), [], parent=None)
 
 
-def test_dig_meets_log_budget_everywhere():
-    # All window sizes up to 64, every defective position: at most
-    # ceil(log2 m) tests, with equality attained at every size.
-    for m in range(1, 65):
-        budget = math.ceil(math.log2(m)) if m > 1 else 0
-        attained = 0
-        for pos in range(m):
-            oracle = PoolOracle(Instance(m, frozenset({pos})))
-            out = dig(oracle, list(range(m)))
-            assert out.defective_found == pos
-            assert out.tests_spent <= budget
-            attained = max(attained, out.tests_spent)
-        assert attained == budget
-
-
 def test_dig_finds_the_leftmost_defective_of_every_set():
     # Every nonempty defective set over m <= 10 items: the lowest index,
     # within ceil(log2 m) tests.
     for m in range(1, 11):
         budget = (m - 1).bit_length()
         for mask in range(1, 1 << m):
-            out = dig(PoolOracle(instance_from_mask(m, mask)), list(range(m)))
-            assert out.defective_found == (mask & -mask).bit_length() - 1, (m, mask)
-            assert out.tests_spent <= budget, (m, mask)
+            session = Session(PoolOracle(instance_from_mask(m, mask)))
+            binary_split(session, range(m), parent=None)
+            assert session.defective_mask == mask & -mask, (m, mask)
+            assert session.tests <= budget, (m, mask)
 
 
 def test_quarter_split_singleton():

@@ -270,12 +270,13 @@ def test_a_failure_in_a_later_block_names_the_first_failing_mask(
     assert family.index(failing) >= kernels.BLOCK
 
 
-def _tampered(tamper):
+def _tampered(tamper, firsts):
     def tampered_walk(*args):
         # A leaf is valid until the walk resumes, so the first one can be
         # yielded twice before asking for the next.
         leaves = walk(*args)
         first = next(leaves)
+        firsts.append(first[0].defective_mask)
         if tamper == "repeated":
             yield first
             yield first
@@ -284,29 +285,48 @@ def _tampered(tamper):
     return tampered_walk
 
 
-# Both consumers of harness._walked_runs, each with the size of its family.
+# Every consumer of harness._walked_runs: exhaustive and sampled worst
+# cases, and the grid's analysis walk, each one walk long.
 @pytest.mark.parametrize("tamper", ["missing", "repeated"])
 @pytest.mark.parametrize(
-    "consume, count",
+    "consume, algorithm, n",
     [
         *(
-            pytest.param(partial(harness.worst_case, alg, 8, 3), 56, id=f"worst_case-{alg}")
+            pytest.param(partial(harness.worst_case, alg, 8, 3), alg, 8, id=f"worst_case-{alg}")
             for alg in kernels.ALGORITHMS
         ),
-        pytest.param(partial(_analysed_zu, 6, range(1 << 6)), 64, id="analysis"),
+        pytest.param(
+            partial(harness.worst_case, "zc", 8, 3, mode="sampled", samples=30, seed=1),
+            "zc", 8, id="sampled",
+        ),
+        pytest.param(partial(_analysed_zu, 6, range(1 << 6)), "zu", 6, id="analysis"),
     ],
 )
-def test_a_walk_that_misses_or_repeats_a_mask_is_rejected(monkeypatch, consume, count, tamper):
-    message = {"missing": f"not each of the {count} masks once", "repeated": "twice"}
-    monkeypatch.setattr(harness, "walk", _tampered(tamper))
-    with pytest.raises(AssertionError, match=message[tamper]):
+def test_a_walk_that_misses_or_repeats_a_mask_is_rejected(
+    monkeypatch, consume, algorithm, n, tamper
+):
+    # The walk's first leaf is dropped or yielded twice; every recorded run
+    # passes, so kernels.add_leaves' error names that leaf's mask.
+    firsts = []
+    monkeypatch.setattr(harness, "walk", _tampered(tamper, firsts))
+    with pytest.raises(AssertionError) as exc:
         consume()
+    [first] = firsts
+    message = {
+        "missing": f"{algorithm} never reached mask {first:#x} at n={n}",
+        "repeated": f"{algorithm} reached mask {first:#x} twice at n={n}",
+    }
+    assert str(exc.value) == message[tamper]
 
 
 @pytest.mark.parametrize(
     "consume, algorithm, n, count",
     [
         pytest.param(partial(harness.worst_case, "zd", 8, 3), "zd", 8, 56, id="worst_case"),
+        pytest.param(
+            partial(harness.worst_case, "zc", 8, 3, mode="sampled", samples=30, seed=1),
+            "zc", 8, len(set(_draws(8, 3, 30, 1))), id="sampled",
+        ),
         pytest.param(partial(_analysed_zu, 6, range(32)), "zu", 6, 32, id="analysis"),
     ],
 )
@@ -314,12 +334,13 @@ def test_a_walk_that_reaches_a_mask_outside_its_list_is_rejected(
     monkeypatch, consume, algorithm, n, count
 ):
     # The tampered walk also walks the all-defective mask, which is in
-    # neither family; every recorded run passes, so the walk's error stands.
+    # none of the families; every recorded run passes, so the walk's error
+    # stands.
     def wider_walk(step, start, n, masks):
         return walk(step, start, n, [*masks, (1 << n) - 1])
 
     monkeypatch.setattr(harness, "walk", wider_walk)
     full = (1 << n) - 1
-    message = f"^{algorithm} walk at n={n} reached mask {full:#x}, not one of its {count} masks$"
+    message = f"^{algorithm} reached mask {full:#x} outside its {count} masks at n={n}$"
     with pytest.raises(AssertionError, match=message):
         consume()
