@@ -68,8 +68,9 @@ DEFAULT_CHECKS = tuple(CHECK_ALGORITHMS)
 # Largest n the verify grid sweeps.
 MAX_GRID_N = 20
 
-# Most masks an exhaustive worst_case walks before it refuses.
-_EXHAUSTIVE_CAP = 10**7
+# Most masks a worst_case walks before it refuses: C(n, d) in exhaustive
+# mode, the draws in sampled mode.
+_WALK_CAP = 10**7
 
 
 @dataclass(frozen=True)
@@ -116,16 +117,14 @@ def worst_case(
     """Maximizes tests over defective sets of size d, returning the most
     tests and a mask that spends them.
 
-    Both modes walk the algorithm's decision tree (_walked_runs), whose
-    check fold checks each record once, by the step that made it, with
-    finalize on any leaf the fold cannot certify; kernels.add_leaves then
-    checks that the leaves are the walked masks, each once. Exhaustive mode
-    walks every set with _walk_cells, in ascending blocks of kernels.BLOCK
-    masks made as they are walked, refuses more than _EXHAUSTIVE_CAP masks
-    and returns the smallest mask that spends the most tests. Sampled mode
-    is a lower estimate over samples >= 1 seeded draws: one walk over their
-    distinct masks, whose tests are recorded as the leaves go by, and the
-    first draw, in draw order, that spends the most tests.
+    Both modes walk the algorithm's decision tree in ascending blocks of
+    kernels.BLOCK masks (_walk_cells). Exhaustive mode walks every set,
+    made as it is walked, and returns the smallest mask that spends the
+    most tests. Sampled mode is a lower estimate over samples seeded draws:
+    a walk over their distinct masks, whose tests are recorded as the
+    leaves go by, and the first draw, in draw order, that spends the most
+    tests. Either mode refuses to walk more than _WALK_CAP masks, C(n, d)
+    or samples, before it makes one.
     A correctness failure aborts with the dump of the recorded run on the
     first failing mask: the first in ascending order in exhaustive mode,
     the first in draw order in sampled mode.
@@ -138,30 +137,27 @@ def worst_case(
         raise ValueError("need 0 <= d <= n")
     if mode == "exhaustive":
         count = math.comb(n, d)
-        if count > _EXHAUSTIVE_CAP:
+        if count > _WALK_CAP:
             raise ValueError(
-                f"exhaustive search over C({n},{d})={count} masks exceeds cap "
-                f"{_EXHAUSTIVE_CAP}"
+                f"exhaustive search over C({n},{d})={count} masks exceeds cap {_WALK_CAP}"
             )
-        family = _masks_of_weight(n, d)
-        worst, argmax = _walk_cells(algorithm, n, family, False, kernels.BLOCK)[0][d]
+        worst, argmax = _walk_cells(algorithm, n, _masks_of_weight(n, d), kernels.BLOCK)[d]
         return _witnessed(WorstCaseCell(algorithm, n, d, worst, argmax, True))
     if mode != "sampled":
         raise ValueError(f"unknown mode {mode!r}")
     if samples < 1:
         raise ValueError(f"need samples >= 1, got {samples}")
+    if samples > _WALK_CAP:
+        raise ValueError(f"{samples} samples exceed cap {_WALK_CAP}")
     rng = random.Random(seed)
     draws = [sum(1 << i for i in rng.sample(range(n), d)) for _ in range(samples)]
-    masks = sorted(set(draws))
-    cells = [(-1, 0)] * (n + 1)
     tests_of = {}
 
     def visit(session: Session, fold: object) -> None:
         tests_of[session.defective_mask] = session.tests
 
     with _recorded_on_failure(algorithm, n, draws):
-        runs = _walked_runs(algorithm, n, masks)
-        kernels.add_leaves(cells, algorithm, n, masks, _leaves(runs, visit))
+        cells = _walk_cells(algorithm, n, sorted(set(draws)), kernels.BLOCK, visit)
     worst = cells[d][0]
     argmax = next(mask for mask in draws if tests_of[mask] == worst)
     return _witnessed(WorstCaseCell(algorithm, n, d, worst, argmax, False))
@@ -196,76 +192,48 @@ def _recorded_on_failure(algorithm: str, n: int, masks: Sequence[int]) -> Iterat
 
 
 def _walk_cells(
-    algorithm: str, n: int, masks: Iterable[int], analysed: bool, block: int
-) -> Tuple[List[Tuple[int, int]], List[dict]]:
+    algorithm: str,
+    n: int,
+    masks: Iterable[int],
+    block: int,
+    visit: Optional[Callable[[Session, object], None]] = None,
+    analysed: bool = False,
+) -> List[Tuple[int, int]]:
     """Per-d (most tests, smallest mask spending them) over the runs of
-    algorithm on masks, which ascend, (-1, 0) for a d none of them has;
-    with analysed, also the analysis violation rows of those runs in mask
-    order, and otherwise no rows.
+    algorithm on masks, which ascend, (-1, 0) for a d none of them has.
+    This is the one walk of a decision tree in harness.
 
-    The masks are walked (_walked_runs) in consecutive blocks of block
-    masks, each taken from masks as it is walked, and each block's leaves
-    go to kernels.add_leaves, which checks them and keeps the cells as
+    The masks are walked (tree.walk) in consecutive blocks of block masks,
+    each taken from masks as it is walked. The walk carries core's check
+    fold (check_records), so each record is checked once, by the step that
+    made it, against the walk oracle's log of the query that made it; only
+    a leaf the fold cannot certify (check_passes) gets a RunResult and
+    finalize. visit(session, analysis fold state) then reads each leaf,
+    whose session holds its run only until the walk resumes; with analysed
+    the walk carries analysis.fold_records too, and otherwise that state is
+    None. Each block's leaves go to kernels.add_leaves, which checks that
+    they are the block's masks, each once, and keeps the cells as
     kernels.sweep does. A failure in a block, a leaf add_leaves rejects
     included, raises as the recorded run on its first failing mask does
-    (_recorded_on_failure). With analysed the walk carries the analysis
-    fold too, and only the leaves it cannot certify (fold_passes) get a
-    RunResult for analyze, which writes every violation row.
+    (_recorded_on_failure).
     """
+    strategy = _folding(kernels.STRATEGIES[algorithm], analysed)
+
+    def leaves(block_masks: List[int]) -> Iterator[kernels.Leaf]:
+        for session, (_, checked, folded) in walk(strategy.step, strategy.start, n, block_masks):
+            if not check_passes(checked, session, n):
+                mask = session.defective_mask
+                _finalized(session.result(algorithm), instance_from_mask(n, mask))
+            if visit is not None:
+                visit(session, folded)
+            yield session.oracle.masks, session.tests, session.good_mask, session.defective_mask
+
     cells = [(-1, 0)] * (n + 1)
-    found: Dict[int, List[dict]] = {}
-
-    def visit(session: Session, fold: object) -> None:
-        if analysed and not fold_passes(fold):
-            mask = session.defective_mask
-            found[mask] = _analysis_violations(
-                session.result(algorithm), instance_from_mask(n, mask)
-            )
-
     masks = iter(masks)
     while block_masks := list(itertools.islice(masks, block)):
         with _recorded_on_failure(algorithm, n, block_masks):
-            runs = _walked_runs(algorithm, n, block_masks, analysed)
-            kernels.add_leaves(cells, algorithm, n, block_masks, _leaves(runs, visit))
-    return cells, [row for mask in sorted(found) for row in found[mask]]
-
-
-def _walked_runs(
-    algorithm: str, n: int, masks: Sequence[int], analysed: bool = False
-) -> Iterator[Tuple[Session, object]]:
-    """Yields (session, analysis fold state) for every leaf of one walk of
-    the algorithm's decision tree over masks, in no particular order. The
-    session holds the leaf's run until the walk resumes, and
-    session.result(algorithm) builds its RunResult for a caller that needs
-    one. The walk carries analysis.fold_records when analysed is set;
-    otherwise the fold state is None.
-
-    Each leaf is checked against the mask of the items it identified as
-    defective, so its run is the one the recorded run on that mask makes.
-    The walk carries core's check fold (check_records), so each record is
-    checked once, by the step that made it, against the walk oracle's log
-    of the query that made it; only a leaf the fold cannot certify
-    (check_passes) gets a RunResult and finalize, and a failure raises the
-    finalize dump. Whether the leaves are the masks, each once, is for
-    kernels.add_leaves to check (_leaves).
-    """
-    strategy = _folding(kernels.STRATEGIES[algorithm], analysed)
-    for session, state in walk(strategy.step, strategy.start, n, masks):
-        if not check_passes(state[1], session, n):
-            mask = session.defective_mask
-            _finalized(session.result(algorithm), instance_from_mask(n, mask))
-        yield session, state[2]
-
-
-def _leaves(
-    runs: Iterable[Tuple[Session, object]], visit: Callable[[Session, object], None]
-) -> Iterator[kernels.Leaf]:
-    """Each walked run as the kernels.Leaf add_leaves checks: the masks
-    left in the walk's oracle, its tests, and its good and defective masks;
-    visit(session, fold state) reads the run first."""
-    for session, fold in runs:
-        visit(session, fold)
-        yield session.oracle.masks, session.tests, session.good_mask, session.defective_mask
+            kernels.add_leaves(cells, algorithm, n, block_masks, leaves(block_masks))
+    return cells
 
 
 def _folding(strategy: kernels.Strategy, analysed: bool = False) -> kernels.Strategy:
@@ -544,11 +512,21 @@ def _sweep_task(
 
 def _upward_task(n: int, checks: Sequence[str], block: int) -> Tuple[List[dict], List[dict]]:
     """zu's cells at n, their bound violations and then its analysis
-    violations, from one walk of its decision tree over every mask in
-    consecutive blocks of block masks (_walk_cells)."""
-    per_d, rows = _walk_cells("zu", n, range(1 << n), True, block)
+    violations in mask order, from one walk of its decision tree over every
+    mask in consecutive blocks of block masks (_walk_cells). The walk
+    carries the analysis fold, and only the leaves it cannot certify
+    (fold_passes) get a RunResult for analyze, which writes every
+    violation row."""
+    found: Dict[int, List[dict]] = {}
+
+    def visit(session: Session, fold: object) -> None:
+        if not fold_passes(fold):
+            mask = session.defective_mask
+            found[mask] = _analysis_violations(session.result("zu"), instance_from_mask(n, mask))
+
+    per_d = _walk_cells("zu", n, range(1 << n), block, visit, analysed=True)
     cells, violations = _cells("zu", n, per_d, checks)
-    return cells, violations + rows
+    return cells, violations + [row for mask in sorted(found) for row in found[mask]]
 
 
 def _grid_tasks(
@@ -557,11 +535,11 @@ def _grid_tasks(
     """One task per (algorithm, n), in order, so joining the outputs in list
     order gives the report. With the analysis family selected, zu's task is
     one walk of its decision tree that both fills the cells and analyzes
-    the runs (_upward_task, through _walk_cells, as exhaustive worst_case
-    walks), in blocks of kernels.BLOCK masks, so each n up to 16 is one
-    block; each task carries the block size read here, so pooled workers
-    walk the same blocks. Every other task counts its cells with
-    kernels.sweep (_sweep_task)."""
+    the runs (_upward_task, through _walk_cells, as worst_case walks), in
+    blocks of kernels.BLOCK masks, so each n up to 16 is one block; each
+    task carries the block size read here, so pooled workers walk the same
+    blocks. Every other task counts its cells with kernels.sweep
+    (_sweep_task)."""
     tasks = []
     for algorithm in algorithms:
         for n in range(1, n_max + 1):
@@ -600,10 +578,9 @@ def verify_grid(
     kernels.sweep counts the cells, except that with the analysis family
     selected zu's cells come from the one walk of its decision tree that
     also analyzes its transcripts, in blocks of kernels.BLOCK masks
-    (_walk_cells, the walk exhaustive worst_case makes). Both give the
-    same cells. workers None, 0 or 1 run it serially in list
-    order, more hand it to a process pool largest n first, and a negative
-    count is rejected. Outputs are joined in list order, so the report is
+    (_walk_cells, the walk worst_case makes). Both give the same cells.
+    workers None, 0 or 1 run it serially in list order, more hand it to a
+    process pool largest n first, and a negative count is rejected. Outputs are joined in list order, so the report is
     the same for every worker count.
     """
     if not 1 <= n_max <= MAX_GRID_N:

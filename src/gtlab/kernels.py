@@ -56,8 +56,9 @@ MAX_COUNT_N = 62
 
 # Masks a walk takes at a time: sweep walks range(2^n) in consecutive blocks
 # this size, and so does harness._walk_cells, over exhaustive worst_case's
-# weight-d family and over range(2^n) for the grid's zu analysis task. Each
-# block's leaves go to add_leaves, which holds one reached mask per leaf.
+# weight-d family, over sampled worst_case's distinct draws and over
+# range(2^n) for the grid's zu analysis task. Each block's leaves go to
+# add_leaves, which holds one reached mask per leaf.
 BLOCK = 1 << 16
 
 Count = Tuple[int, int, int]

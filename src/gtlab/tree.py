@@ -9,12 +9,13 @@ misses the pool, and logs the step's pools and answers. The masks that
 meet the pool are explored later from a snapshot of the step's start,
 replaying the log up to that query, answered contaminated; a replay must
 ask the logged pools. A leaf is a finished run, and the oracle is where
-its answers met ground truth: harness carries core's check fold along the
-walk, which checks each record once, by the step that made it, against
-the log, and certifies a leaf only when the oracle has exactly the mask
-of the items it identified as defective left; any other leaf is
-finalized. Each mask of the list takes exactly one path, so harness also
-checks that the leaves are the list's masks, each once (kernels.add_leaves).
+its answers met ground truth. harness._walk_cells, harness's one walk,
+carries core's check fold along it, which checks each record once, by
+the step that made it, against the log, and certifies a leaf only when
+the oracle has exactly the mask of the items it identified as defective
+left; any other leaf is finalized. Each mask of the list takes exactly
+one path, so _walk_cells also checks, one block of masks at a time, that
+the leaves are the block's masks, each once (kernels.add_leaves).
 """
 
 from __future__ import annotations

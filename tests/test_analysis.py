@@ -5,7 +5,7 @@ from collections import Counter
 
 import pytest
 
-from gtlab import analysis, harness
+from gtlab import analysis, harness, kernels
 from gtlab.bounds import budget
 from gtlab.analysis import (
     StructureError,
@@ -779,23 +779,28 @@ def test_final_phase_budget_red_past_the_grid_is_pinned():
     rows = Counter()
     flagged_at_25 = []
     off_family = []
+
+    def visit(session, fold):
+        n = session.oracle.n
+        d = session.defective_mask.bit_count()
+        result = session.result("zu")
+        failures = analyze(result).failures
+        mixed, lhs = _final_phase(result.transcript.records)
+        if mixed and lhs > 7:
+            rows[n, d] += 1
+            if n == 25:
+                flagged_at_25.append(session.defective_mask)
+            ok = mixed == 1 and lhs in (8, 9) and failures == [
+                ("final-phase-budget", {"lhs": lhs, "rhs": 7})
+            ]
+        else:
+            ok = failures == []
+        if not ok:
+            off_family.append((n, session.defective_mask, mixed, lhs, failures))
+
     for n in range(25, 41):
         for d in range(3):
-            masks = list(harness._masks_of_weight(n, d))
-            for session, _ in harness._walked_runs("zu", n, masks):
-                result = session.result("zu")
-                failures = analyze(result).failures
-                mixed, lhs = _final_phase(result.transcript.records)
-                if mixed and lhs > 7:
-                    rows[n, d] += 1
-                    flagged_at_25 += [session.defective_mask] if n == 25 else []
-                    ok = mixed == 1 and lhs in (8, 9) and failures == [
-                        ("final-phase-budget", {"lhs": lhs, "rhs": 7})
-                    ]
-                else:
-                    ok = failures == []
-                if not ok:
-                    off_family.append((n, session.defective_mask, mixed, lhs, failures))
+            harness._walk_cells("zu", n, harness._masks_of_weight(n, d), kernels.BLOCK, visit)
     assert off_family == []
     assert rows == Counter({(25, 1): 2, **{(n, d): 2 for n in range(26, 41) for d in (1, 2)}})
     assert sorted(flagged_at_25) == [1 << 1, 1 << 2]

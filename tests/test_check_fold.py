@@ -65,7 +65,7 @@ def test_the_passing_walks_call_finalize_never(monkeypatch):
             cell = harness.worst_case(algorithm, 10, d)
             assert calls == [instance_from_mask(10, cell.argmax_mask)], (algorithm, d)
             calls.clear()
-    assert harness._walk_cells("zu", 10, range(1 << 10), True, kernels.BLOCK)[1]
+    assert harness._upward_task(10, ["analysis"], kernels.BLOCK)[1]
     assert calls == []
 
 
@@ -215,7 +215,7 @@ def test_a_tampered_walk_raises_the_recorded_dump(monkeypatch, algorithm, tamper
     assert str(walked.value) == expected
     if algorithm == "zu":
         with pytest.raises(AssertionError) as analysed:
-            harness._walk_cells("zu", n, range(1 << n), True, kernels.BLOCK)
+            harness._upward_task(n, ["analysis"], kernels.BLOCK)
         assert str(analysed.value) == _first_recorded_failure("zu", n, range(1 << n))
 
 
@@ -297,5 +297,10 @@ def test_the_fold_defers_every_leaf_of_a_step_that_peeks(monkeypatch):
         return finalize(result, instance)
 
     monkeypatch.setattr(harness, "finalize", counted)
-    reached = [s.defective_mask for s, _ in harness._walked_runs("zu", n, range(1 << n))]
+    reached = []
+
+    def visit(session, fold):
+        reached.append(session.defective_mask)
+
+    harness._walk_cells("zu", n, range(1 << n), kernels.BLOCK, visit)
     assert sorted(reached) == sorted(calls) == list(range(1 << n))

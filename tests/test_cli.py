@@ -135,6 +135,22 @@ def test_worstcase_sampled_without_samples_exits_2(capsys, samples):
     assert "need samples >= 1" in captured.err
 
 
+def test_worstcase_sampled_refuses_more_samples_than_the_cap(capsys, monkeypatch):
+    # Refused before a mask is drawn: no sample is taken.
+    def no_draws(*args):
+        raise AssertionError("drew a sample")
+
+    monkeypatch.setattr(harness.random.Random, "sample", no_draws)
+    code = main(
+        ["worstcase", "--alg", "zu", "--n", "10", "--d", "3",
+         "--mode", "sampled", "--samples", "10000001"]
+    )
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "10000001 samples exceed cap 10000000" in captured.err
+
+
 @pytest.mark.parametrize(
     "extra",
     [["--samples", "0"], ["--seed", "3"], ["--mode", "exhaustive", "--samples", "5"]],
@@ -234,7 +250,7 @@ def test_verify_unwritable_out_exits_2_before_the_sweep(
 
 def test_verify_workers_match_serial_across_shards(capsys, monkeypatch):
     # The smallest n whose zu analysis spans two blocks. Tasks carry their
-    # mask range, so the workers need no patch.
+    # block size, so the workers need no patch.
     monkeypatch.setattr(kernels, "BLOCK", 1 << 8)
     n = kernels.BLOCK.bit_length()
     argv = ["verify", "--n-max", str(n), "--workers"]

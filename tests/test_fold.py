@@ -12,7 +12,7 @@ import itertools
 import test_analysis
 from test_analysis import _idents, _rec
 
-from gtlab import harness
+from gtlab import harness, kernels
 from gtlab.analysis import (
     FOLD_START,
     StructureError,
@@ -37,21 +37,25 @@ from gtlab.zigzag import run_zu
 
 
 def test_the_fold_defers_exactly_the_zu_leaves_analyze_fails():
-    failing = 0
+    failing = []
+
+    def visit(session, fold):
+        result = session.result("zu")
+        try:
+            report = analyze(result)
+        except StructureError:
+            report = None
+        passes = report is not None and not report.failures
+        assert fold_passes(fold) == passes, (n, result.transcript.classified())
+        if passes:
+            assert fold.tuples == report.classification.tuples
+        else:
+            failing.append(session.defective_mask)
+
     for n in range(1, 13):
-        for session, fold in harness._walked_runs("zu", n, range(1 << n), analysed=True):
-            result = session.result("zu")
-            try:
-                report = analyze(result)
-            except StructureError:
-                report = None
-            passes = report is not None and not report.failures
-            assert fold_passes(fold) == passes, (n, result.transcript.classified())
-            if passes:
-                assert fold.tuples == report.classification.tuples
-            failing += not passes
+        harness._walk_cells("zu", n, range(1 << n), kernels.BLOCK, visit, analysed=True)
     # The known tuple-bound red, one row per failing leaf, for n = 9..12.
-    assert failing == 4 + 16 + 44 + 112
+    assert len(failing) == 4 + 16 + 44 + 112
 
 
 def _param_sets(test):

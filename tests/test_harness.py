@@ -24,7 +24,12 @@ from gtlab.core import (
 )
 from gtlab.harness import MinimaxLimits, minimax_m, verify_grid, worst_case
 from test_analysis import GRID_10_ANALYSIS_SHA256
-from test_tree import _assert_names_the_first_failing_mask, _broken_quarter_split, _draws
+from test_tree import (
+    _analysed_zu,
+    _assert_names_the_first_failing_mask,
+    _broken_quarter_split,
+    _draws,
+)
 
 # SHA-256 over every recorded run of every algorithm for n <= 9: the test
 # count and the full transcript JSON of each (algorithm, n, mask).
@@ -414,12 +419,10 @@ def test_verify_grid_workers_match_serial(monkeypatch):
     assert harness.report_to_json(serial) == harness.report_to_json(parallel)
 
 
-def _analysed_zu(n, masks, block=None):
-    return harness._walk_cells("zu", n, masks, True, block or kernels.BLOCK)
-
-
 def test_analysis_shards_join_to_the_full_range():
     full_cells, full_rows = _analysed_zu(10, range(1 << 10))
+    # The grid's analysis task writes the same rows after its cells' own.
+    assert harness._upward_task(10, ["analysis"], kernels.BLOCK)[1] == full_rows
     parts = [_analysed_zu(10, range(lo, hi)) for lo, hi in [(0, 1), (1, 300), (300, 1 << 10)]]
     assert sum(1 for _, rows in parts if rows) == 2
     assert [v for _, rows in parts for v in rows] == full_rows

@@ -5,7 +5,7 @@ from functools import partial
 import pytest
 
 from gtlab import harness, kernels, zigzag
-from gtlab.analysis import transcript_json
+from gtlab.analysis import fold_passes, transcript_json
 from gtlab.competitive import ZcPlan
 from gtlab.core import (
     DEFECTIVE,
@@ -201,10 +201,22 @@ def _draws(n, d, samples, seed):
     return [sum(1 << i for i in rng.sample(range(n), d)) for _ in range(samples)]
 
 
-def _analysed_zu(n, masks):
-    """zu's per-d cells and analysis rows over masks, walked as the grid's
-    analysis task walks them."""
-    return harness._walk_cells("zu", n, masks, True, kernels.BLOCK)
+def _analysed_zu(n, masks, block=None):
+    """zu's per-d cells and analysis rows over masks, which ascend, walked
+    in blocks of block masks (kernels.BLOCK by default) with the analysis
+    fold, as the grid's analysis task (harness._upward_task) walks every
+    mask: a leaf the fold defers is analyzed, its rows in mask order."""
+    found = {}
+
+    def visit(session, fold):
+        if not fold_passes(fold):
+            mask = session.defective_mask
+            run = session.result("zu")
+            found[mask] = harness._analysis_violations(run, instance_from_mask(n, mask))
+
+    block = block or kernels.BLOCK
+    cells = harness._walk_cells("zu", n, masks, block, visit, analysed=True)
+    return cells, [row for mask in sorted(found) for row in found[mask]]
 
 
 def _assert_names_the_first_failing_mask(dump, algorithm, n, masks):
@@ -239,17 +251,31 @@ def test_a_broken_zu_fails_finalize_on_the_walk_as_on_recorded_runs(monkeypatch)
         family = list(harness._masks_of_weight(n, 2))
         _assert_names_the_first_failing_mask(_dump(exhaustive), algorithm, n, family)
     # So do sampled ones, over their distinct draws; the dump is the first
-    # failing draw's, in draw order.
-    with pytest.raises(AssertionError, match=r"^zu failed correctness at n=8: ") as sampled:
-        harness.worst_case("zu", n, 2, mode="sampled", samples=50, seed=1)
-    _assert_names_the_first_failing_mask(_dump(sampled), "zu", n, _draws(n, 2, 50, 1))
+    # failing draw's, in draw order, also when the walk's blocks are small
+    # and that draw's block is not the first.
+    draws = _draws(n, 2, 50, 1)
+    for block in (kernels.BLOCK, 1 << 2):
+        monkeypatch.setattr(kernels, "BLOCK", block)
+        with pytest.raises(AssertionError, match=r"^zu failed correctness at n=8: ") as sampled:
+            harness.worst_case("zu", n, 2, mode="sampled", samples=50, seed=1)
+        dump = _dump(sampled)
+        _assert_names_the_first_failing_mask(dump, "zu", n, draws)
+    failing = sum(1 << i for i in dump["instance"]["defectives"])
+    assert sorted(set(draws)).index(failing) >= kernels.BLOCK
 
 
 def test_exhaustive_worst_case_is_the_same_in_small_blocks(monkeypatch):
-    cells = [(alg, n, d) for alg in kernels.ALGORITHMS for n in (7, 10) for d in (0, 1, 3)]
-    default = [harness.worst_case(*cell) for cell in cells]
+    cells = [
+        *(partial(harness.worst_case, alg, n, d)
+          for alg in kernels.ALGORITHMS for n in (7, 10) for d in (0, 1, 3)),
+        # Sampled cells walk their distinct draws in blocks too; the argmax
+        # is still the first draw, in draw order, spending the most tests.
+        *(partial(harness.worst_case, alg, 10, 3, mode="sampled", samples=50, seed=1)
+          for alg in ("zd", "zu", "zc")),
+    ]
+    default = [cell() for cell in cells]
     monkeypatch.setattr(kernels, "BLOCK", 1 << 2)
-    assert [harness.worst_case(*cell) for cell in cells] == default
+    assert [cell() for cell in cells] == default
 
 
 @pytest.mark.parametrize("algorithm, n, d", [("zu", 8, 2), ("zc", 10, 3)])
@@ -285,8 +311,8 @@ def _tampered(tamper, firsts):
     return tampered_walk
 
 
-# Every consumer of harness._walked_runs: exhaustive and sampled worst
-# cases, and the grid's analysis walk, each one walk long.
+# Every caller of harness._walk_cells: exhaustive and sampled worst cases,
+# and the grid's analysis walk, each one block long.
 @pytest.mark.parametrize("tamper", ["missing", "repeated"])
 @pytest.mark.parametrize(
     "consume, algorithm, n",
