@@ -183,7 +183,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_wc.add_argument("--alg", required=True, choices=ALGORITHMS)
     p_wc.add_argument("--n", type=int, required=True)
     p_wc.add_argument("--d", type=int, required=True)
-    p_wc.add_argument("--mode", choices=("exhaustive", "sampled"), default="exhaustive")
+    p_wc.add_argument(
+        "--mode", choices=("exhaustive", "sampled", "exact"), default="exhaustive"
+    )
     p_wc.add_argument("--samples", type=int)
     p_wc.add_argument("--seed", type=int)
     p_wc.set_defaults(func=_cmd_worstcase)
@@ -196,9 +198,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         help="worker processes (default serial); there is one task per "
-        "(algorithm, n), a sweep or, with the analysis family, the one zu "
-        "walk that fills the cells and analyzes the runs, and the report "
-        "does not depend on the count",
+        "(algorithm, n), individual's sweep, the exact cells of zd, zu and zc "
+        "or, with the analysis family, the one zu walk that fills the cells "
+        "and analyzes the runs, and the report does not depend on the count",
     )
     p_vf.add_argument("--out", help="also write the grid as CSV here")
     p_vf.set_defaults(func=_cmd_verify)

@@ -65,8 +65,12 @@ CHECK_ALGORITHMS = {
 
 DEFAULT_CHECKS = tuple(CHECK_ALGORITHMS)
 
-# Largest n the verify grid sweeps.
+# Largest n the verify grid covers.
 MAX_GRID_N = 20
+
+# Largest n the grid runs zu's analysis family at: each of its rows carries
+# a transcript, and at n = 20 the report would be 163,780 rows, over 1 GB.
+MAX_ANALYSIS_N = 15
 
 # Most masks a worst_case walks before it refuses: C(n, d) in exhaustive
 # mode, the draws in sampled mode.
@@ -117,20 +121,21 @@ def worst_case(
     """Maximizes tests over defective sets of size d, returning the most
     tests and a mask that spends them.
 
-    Both modes walk the algorithm's decision tree in ascending blocks of
-    kernels.BLOCK masks (_walk_cells). Exhaustive mode walks every set,
-    made as it is walked, and returns the smallest mask that spends the
-    most tests. Sampled mode is a lower estimate over samples seeded draws:
-    a walk over their distinct masks, whose tests are recorded as the
-    leaves go by, and the first draw, in draw order, that spends the most
-    tests. Either mode refuses to walk more than _WALK_CAP masks, C(n, d)
-    or samples, before it makes one.
+    Exhaustive and exact mode return the smallest mask that spends the
+    most tests: exact mode reads it from the step-driven DP (exact.worst),
+    which covers zd, zu and zc; exhaustive mode walks the algorithm's
+    decision tree over every set, made as it is walked, in ascending blocks
+    of kernels.BLOCK masks (_walk_cells). Sampled mode is a lower estimate
+    over samples seeded draws: a walk over their distinct masks, whose
+    tests are recorded as the leaves go by, and the first draw, in draw
+    order, that spends the most tests. Either walk refuses to walk more
+    than _WALK_CAP masks, C(n, d) or samples, before it makes one.
     A correctness failure aborts with the dump of the recorded run on the
     first failing mask: the first in ascending order in exhaustive mode,
     the first in draw order in sampled mode.
 
     Every cell then replays its witness, the returned mask, as a recorded
-    run with finalize (_witnessed): its test count must be the walk's.
+    run with finalize (_witnessed): its test count must be the cell's.
     """
     kernels._check_algorithm(algorithm)
     if not 0 <= d <= n:
@@ -143,6 +148,8 @@ def worst_case(
             )
         worst, argmax = _walk_cells(algorithm, n, _masks_of_weight(n, d), kernels.BLOCK)[d]
         return _witnessed(WorstCaseCell(algorithm, n, d, worst, argmax, True))
+    if mode == "exact":
+        return _exact_cell(algorithm, n, d)
     if mode != "sampled":
         raise ValueError(f"unknown mode {mode!r}")
     if samples < 1:
@@ -163,9 +170,18 @@ def worst_case(
     return _witnessed(WorstCaseCell(algorithm, n, d, worst, argmax, False))
 
 
+def _exact_cell(algorithm: str, n: int, d: int) -> WorstCaseCell:
+    """The cell exact.worst gives, once its witness replays (_witnessed)."""
+    # Imported here, as the process pool is: only exact cells need it.
+    from gtlab import exact
+
+    worst, argmax = exact.worst(algorithm, n, d)
+    return _witnessed(WorstCaseCell(algorithm, n, d, worst, argmax, True))
+
+
 def _witnessed(cell: WorstCaseCell) -> WorstCaseCell:
     """cell, once the recorded run on its argmax mask passes finalize and
-    spends the walked worst_tests; otherwise an AssertionError."""
+    spends the cell's worst_tests; otherwise an AssertionError."""
     algorithm, n, mask = cell.algorithm, cell.n, cell.argmax_mask
     tests = _run_checked(algorithm, instance_from_mask(n, mask)).tests_used
     if tests != cell.worst_tests:
@@ -507,7 +523,14 @@ def _cells(
 def _sweep_task(
     algorithm: str, n: int, checks: Sequence[str]
 ) -> Tuple[List[dict], List[dict]]:
-    return _cells(algorithm, n, kernels.sweep(algorithm, n), checks)
+    """The cells of one (algorithm, n) and their bound violations, from
+    kernels.sweep for individual and from _exact_cell otherwise."""
+    if algorithm == "individual":
+        per_d = kernels.sweep(algorithm, n)
+    else:
+        cells = [_exact_cell(algorithm, n, d) for d in range(n + 1)]
+        per_d = [(cell.worst_tests, cell.argmax_mask) for cell in cells]
+    return _cells(algorithm, n, per_d, checks)
 
 
 def _upward_task(n: int, checks: Sequence[str], block: int) -> Tuple[List[dict], List[dict]]:
@@ -538,8 +561,8 @@ def _grid_tasks(
     the runs (_upward_task, through _walk_cells, as worst_case walks), in
     blocks of kernels.BLOCK masks, so each n up to 16 is one block; each
     task carries the block size read here, so pooled workers walk the same
-    blocks. Every other task counts its cells with kernels.sweep
-    (_sweep_task)."""
+    blocks. Every other task is _sweep_task: individual's cells from
+    kernels.sweep, zd's, zu's and zc's from the step-driven DP."""
     tasks = []
     for algorithm in algorithms:
         for n in range(1, n_max + 1):
@@ -575,13 +598,15 @@ def verify_grid(
     (CHECK_ALGORITHMS).
 
     The grid is one task list (_grid_tasks), one task per (algorithm, n):
-    kernels.sweep counts the cells, except that with the analysis family
-    selected zu's cells come from the one walk of its decision tree that
-    also analyzes its transcripts, in blocks of kernels.BLOCK masks
-    (_walk_cells, the walk worst_case makes). Both give the same cells.
-    workers None, 0 or 1 run it serially in list order, more hand it to a
-    process pool largest n first, and a negative count is rejected. Outputs are joined in list order, so the report is
-    the same for every worker count.
+    zd, zu and zc cells come from the step-driven DP, each replaying its
+    witness (_exact_cell), and kernels.sweep counts individual's, except
+    that with the analysis family selected, which is refused past
+    MAX_ANALYSIS_N, zu's cells come from the one walk of its decision tree
+    that also analyzes its transcripts (_walk_cells). All give the same
+    cells. workers None, 0 or 1 run it serially in list order, more hand it
+    to a process pool largest n first, and a negative count is rejected.
+    Outputs are joined in list order, so the report is the same for every
+    worker count.
     """
     if not 1 <= n_max <= MAX_GRID_N:
         raise ValueError(f"need 1 <= n_max <= {MAX_GRID_N}")
@@ -608,6 +633,12 @@ def verify_grid(
             f"no check in {', '.join(checks)} applies to {', '.join(algorithms)}; "
             f"applicable pairs are {pairs}"
         )
+    if "analysis" in checks and "zu" in algorithms and n_max > MAX_ANALYSIS_N:
+        raise ValueError(
+            f"the analysis family checks zu only up to n_max {MAX_ANALYSIS_N}, since each "
+            f"of its rows carries a whole transcript; for n_max {n_max} use "
+            "--checks bounds,competitive,count"
+        )
     workers = workers or 0
     if workers < 0:
         raise ValueError(f"need workers >= 0, got {workers}")
@@ -617,6 +648,10 @@ def verify_grid(
         # multiprocessing add about a third to gtlab's import time, and only
         # a pool needs them.
         from concurrent.futures import ProcessPoolExecutor
+
+        # Loaded before the pool starts, so that forked workers share the
+        # engine's module rather than each compiling and loading it.
+        from gtlab import exact  # noqa: F401
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
             # Reversed, so each algorithm's largest n, the longest tasks,

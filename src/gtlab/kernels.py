@@ -7,6 +7,11 @@ count_run answers (tests, good_mask, defective_mask) for one run of a
 strategy on one defective mask. No transcript is built; recorded runs go
 through core.Session and PoolOracle as usual.
 
+The verify grid sweeps only individual here: its zd, zu and zc cells come
+from gtlab.exact, the DP that reads the real steps. The counter's zd, zu
+and zc walks stay as an independent copy of the rules, which tier-1
+compares with recorded runs and with that DP, and for count_run.
+
 The counter replays the strategy rules of zigzag and competitive on Python
 ints: the remaining set and every pool are bitmasks, and whole-pool steps
 (pure pools, pair and triple resolution, individual scans) are single mask

@@ -28,6 +28,22 @@ from gtlab.core import Session, Step, pool_items
 Entry = Tuple[Tuple[int, ...], bool]
 
 
+def pool_mask(pool: Tuple[int, ...], n: int) -> int:
+    """The bitmask of pool. Building it validates the pool as
+    core.pool_items does, with the same ValueError for an empty pool or an
+    item outside [0, n)."""
+    q = 0
+    try:
+        for item in pool:
+            q |= 1 << item
+    except Exception:
+        pool_items(pool, n)
+        raise
+    if not q or q >> n:
+        pool_items(pool, n)  # raises: empty, or an item >= n
+    return q
+
+
 class ListOracle:
     """Answers queries for a list of masks at once.
 
@@ -69,15 +85,7 @@ class ListOracle:
                     f"where the walk logged {logged}"
                 )
         else:
-            q = 0
-            try:
-                for item in pool:
-                    q |= 1 << item
-            except Exception:
-                pool_items(pool, self.n)
-                raise
-            if not q or q >> self.n:
-                pool_items(pool, self.n)  # raises: empty, or an item >= n
+            q = pool_mask(pool, self.n)
             masks = self.masks
             miss = [m for m in masks if not m & q]
             hit = not miss

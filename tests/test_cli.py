@@ -153,7 +153,12 @@ def test_worstcase_sampled_refuses_more_samples_than_the_cap(capsys, monkeypatch
 
 @pytest.mark.parametrize(
     "extra",
-    [["--samples", "0"], ["--seed", "3"], ["--mode", "exhaustive", "--samples", "5"]],
+    [
+        ["--samples", "0"],
+        ["--seed", "3"],
+        ["--mode", "exhaustive", "--samples", "5"],
+        ["--mode", "exact", "--samples", "5"],
+    ],
 )
 def test_worstcase_sampling_options_without_sampled_mode_exit_2(capsys, extra):
     code = main(["worstcase", "--alg", "zu", "--n", "10", "--d", "3", *extra])
@@ -161,6 +166,37 @@ def test_worstcase_sampling_options_without_sampled_mode_exit_2(capsys, extra):
     assert code == 2
     assert captured.out == ""
     assert "only with --mode sampled" in captured.err
+
+
+def test_worstcase_exact_mode(capsys):
+    code, out = _capture(
+        capsys, ["worstcase", "--alg", "zu", "--n", "20", "--d", "4", "--mode", "exact"]
+    )
+    assert code == 0
+    payload = json.loads(out)
+    # The exhaustive cell, from the step-driven DP.
+    assert (payload["worst_tests"], payload["argmax_defectives"]) == (19, [4, 8, 9, 11])
+    assert payload["exact"] is True
+
+
+def test_worstcase_exact_mode_refuses_individual(capsys):
+    code = main(["worstcase", "--alg", "individual", "--n", "10", "--d", "3", "--mode", "exact"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "individual's cells are n by construction" in captured.err
+
+
+def test_verify_analysis_past_its_limit_exits_2_before_a_walk(capsys, monkeypatch):
+    def no_walk(*args, **kwargs):
+        raise AssertionError("walked")
+
+    monkeypatch.setattr(harness, "_walk_cells", no_walk)
+    code = main(["verify", "--n-max", str(harness.MAX_ANALYSIS_N + 1)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "--checks bounds,competitive,count" in captured.err
 
 
 def test_verify_clean_grid_exits_zero(capsys, tmp_path):

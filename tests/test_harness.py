@@ -11,7 +11,7 @@ from collections import OrderedDict
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from gtlab import bounds, harness, kernels, zigzag
+from gtlab import bounds, exact, harness, kernels, zigzag
 from gtlab.analysis import analyze, transcript_json
 from gtlab.core import (
     DRIVER,
@@ -291,14 +291,17 @@ def test_worst_case_exhaustive_is_deterministic():
 
 
 def test_worst_case_agrees_with_kernel_sweep():
-    # The decision-tree walk against the independent bitmask counter.
+    # The decision-tree walk against the independent bitmask counter, and
+    # for zd, zu and zc against the step-driven DP.
     for algorithm in kernels.ALGORITHMS:
-        for n in range(12):
+        for n in range(13):
             per_d = kernels.sweep(algorithm, n)
             for d, (worst, argmax) in enumerate(per_d):
                 cell = worst_case(algorithm, n, d)
                 assert cell.worst_tests == worst, (algorithm, n, d)
                 assert cell.argmax_mask == argmax, (algorithm, n, d)
+                if algorithm in exact.ALGORITHMS:
+                    assert exact.worst(algorithm, n, d) == (worst, argmax), (algorithm, n, d)
 
 
 def test_worst_case_sampled_is_a_lower_estimate():
@@ -474,8 +477,9 @@ def test_verify_grid_report_does_not_depend_on_the_shard_size(monkeypatch):
 
 def test_zu_cells_from_the_analysis_walk_are_the_sweeps(monkeypatch):
     # With the analysis family the walk that analyzes zu's runs also fills
-    # its cells, and kernels.sweep never runs for zu; without it, the sweep
-    # counts each n once. Both give the same cells.
+    # its cells; without it, the step-driven DP does (exact.worst). Neither
+    # runs kernels.sweep, which counts only individual's cells in a grid.
+    # Walked, DP and swept cells are the same.
     calls = []
     sweep = kernels.sweep
 
@@ -486,12 +490,17 @@ def test_zu_cells_from_the_analysis_walk_are_the_sweeps(monkeypatch):
     monkeypatch.setattr(kernels, "sweep", counted)
     walked = verify_grid(12, algorithms=["zu"], checks=["bounds", "analysis"])
     assert calls == []
-    swept = verify_grid(12, algorithms=["zu"], checks=["bounds"])
-    assert calls == [("zu", n) for n in range(1, 13)]
-    assert walked["cells"] == swept["cells"]
+    from_engine = verify_grid(12, algorithms=["zu"], checks=["bounds"])
+    assert calls == []
+    swept = [
+        cell
+        for n in range(1, 13)
+        for cell in harness._cells("zu", n, sweep("zu", n), ["bounds"])[0]
+    ]
+    assert walked["cells"] == from_engine["cells"] == swept
     calls.clear()
     verify_grid(4)
-    assert calls == [(alg, n) for alg in ("individual", "zd", "zc") for n in range(1, 5)]
+    assert calls == [("individual", n) for n in range(1, 5)]
 
 
 def test_verify_grid_analysis_surfaces_known_offenders():
@@ -567,6 +576,21 @@ def test_verify_grid_rejects_bad_arguments():
         verify_grid(harness.MAX_GRID_N + 1)
     with pytest.raises(ValueError):
         verify_grid(5, algorithms=["zz"])
+
+
+def test_verify_grid_refuses_zu_analysis_past_its_limit_before_a_walk(monkeypatch):
+    def no_walk(*args, **kwargs):
+        raise AssertionError("walked")
+
+    monkeypatch.setattr(harness, "_walk_cells", no_walk)
+    monkeypatch.setattr(exact, "worst", no_walk)
+    for n_max in (harness.MAX_ANALYSIS_N + 1, harness.MAX_GRID_N):
+        for algorithms, checks in [(None, None), (["zu"], ["analysis"])]:
+            with pytest.raises(ValueError, match="--checks bounds,competitive,count$"):
+                verify_grid(n_max, algorithms=algorithms, checks=checks)
+    # The limit is zu's analysis: individual's count at the same n still runs.
+    report = verify_grid(16, algorithms=["individual"], checks=["count", "analysis"])
+    assert len(report["cells"]) == sum(n + 1 for n in range(1, 17))
 
 
 def test_verify_grid_rejects_unknown_check_families():
