@@ -1,5 +1,5 @@
 """Exact worst cases read from the real steps: a one-step explorer and a
-memoised DP over the states it leaves.
+DP over the states it leaves, one vector of cells per explored tree.
 
 zd, zu and zc leave, after each step, an ordered list of unresolved items
 and a step state. Relabel the list as range(r). What the answers so far
@@ -22,16 +22,28 @@ before the DP reads it (Engine._leaf). The sets of e defectives that
 follow a leaf are those whose e lies between its found defectives plus
 the fewest items that meet the intervals it leaves owed, and its found
 defectives plus the items it leaves; so one exploration per
-(r, state, owed) serves every e. Each consistent set follows exactly one
-leaf, so
+(r, state, owed), a tree, serves every e. Each consistent set follows
+exactly one leaf, so
 
     best(r, e, state, owed) = max over the leaves that e allows of
                               tests + best(the state the leaf leaves)
 
-with the smallest mask on ties. The DP is iterative, so no recursion
-limit applies, and its memo lives for the process, one per step function,
-as splitting.quarter_plan's lru_cache does: cells of every n share it.
-Like quarter_plan's, it assumes the steps do not change within a process.
+with the smallest mask on ties. The DP keeps one list of cells per tree,
+keyed by (r, state key, owed) and indexed by e, so a tree's vector is
+
+    cells[e] = max over its leaves and j in [fewest, left] with
+               count + j = e of tests + sub[j]
+
+sub being the vector of the tree the leaf leaves, and a leaf's mask its
+found defectives plus sub[j]'s mask, lifted from range(left) to its items
+left. Requests are demand-driven: best and worst ask for one e, cells for
+every d of a row, and a tree asks each sub-tree only for the j its missing
+e imply, then fills those e in one pass over its leaves, so it never
+recomputes an e it holds. The DP is iterative, so no recursion limit
+applies, and its trees and vectors live for the process, one set per step
+function, as splitting.quarter_plan's lru_cache does: cells of every n
+share them. Like quarter_plan's, it assumes the steps do not change within
+a process.
 
 Limits. The explorer assumes a step depends on the order of its items, not
 on their ids; the three steps only slice lists, and tier-1's comparisons
@@ -58,8 +70,8 @@ ALGORITHMS = ("zd", "zu", "zc")
 
 # (most tests, smallest mask spending them).
 Cell = Tuple[int, int]
-# A DP state's memo key: (r, e, state key, owed intervals as masks).
-Key = Tuple[int, int, Hashable, Tuple[int, ...]]
+# A tree's key: (r, state key, owed intervals as masks).
+TreeKey = Tuple[int, Hashable, Tuple[int, ...]]
 
 
 def _zc_key(state: tuple) -> Hashable:
@@ -68,7 +80,7 @@ def _zc_key(state: tuple) -> Hashable:
     return state if sub is None else sub
 
 
-# The memo key of a step state, where it is not the state itself.
+# The key of a step state in a tree key, where it is not the state itself.
 _STATE_KEYS: Dict[str, Callable[[object], Hashable]] = {"zc": _zc_key}
 
 
@@ -142,10 +154,12 @@ class _ScriptOracle:
 class _Leaf(NamedTuple):
     """One finished step: the tests it spent; the defectives it found, as a
     mask and a count; how many items it left, and where they lie, as
-    (position, width, first item) runs of consecutive items; and the state
-    it leaves, with its memo key and owed intervals over range(left). It
-    holds for every e with fewest <= e - count <= left, fewest being the
-    fewest items that meet its owed intervals."""
+    (position, width, first item) runs of consecutive items; the state it
+    leaves; and the key of the tree it leaves, (left, state key, owed
+    intervals over range(left)). It holds for every e with
+    fewest <= e - count <= left, fewest being the fewest items that meet
+    its owed intervals. _fill_one and _fill_span unpack it in field
+    order."""
 
     tests: int
     found: int
@@ -153,24 +167,23 @@ class _Leaf(NamedTuple):
     left: int
     runs: Tuple[Tuple[int, int, int], ...]
     state: object
-    state_key: Hashable
-    owed: Tuple[int, ...]
+    key: TreeKey
     fewest: int
 
 
 class Engine:
-    """The explorer and the DP of one strategy's step: memo holds each
-    state's cell, trees each (r, state key, owed)'s leaves. Both live for
-    the process, and most leaves repeat another's runs, owed intervals or
-    state, so leaves share one copy of each equal runs or owed tuple
-    (parts) and one state per state key (states)."""
+    """The explorer and the DP of one strategy's step: trees holds each
+    (r, state key, owed)'s leaves, vectors each such tree's list of cells
+    by e, None where not yet asked for. Both live for the process, and most
+    leaves repeat another's runs or sub-tree key, so leaves share one copy
+    of each equal tuple (parts) and one state per state key (states)."""
 
     def __init__(self, name: str, step: Step, state_key: Callable[[object], Hashable]) -> None:
         self.name = name
         self.step = step
         self.state_key = state_key
-        self.memo: Dict[Key, Cell] = {}
-        self.trees: Dict[Tuple[int, Hashable, Tuple[int, ...]], List[_Leaf]] = {}
+        self.trees: Dict[TreeKey, List[_Leaf]] = {}
+        self.vectors: Dict[TreeKey, List[Optional[Cell]]] = {}
         self.parts: Dict[tuple, tuple] = {}
         self.states: Dict[Hashable, object] = {}
 
@@ -184,40 +197,58 @@ class Engine:
         owed = tuple(owed)
         if not _fewest(owed) <= e <= r:
             return None
-        memo = self.memo
-        root = (r, e, self.state_key(state), owed)
-        # An iterative post-order over the DAG of states: a state is
-        # combined once every state its leaves leave for it is in memo.
-        todo = [(root, state)]
-        opened = set()
+        return self._fill((r, self.state_key(state), owed), state, e, e)[e]
+
+    def row(self, r: int, state: object) -> List[Cell]:
+        """best(r, e, state) for every e in 0..r, from one pass over each
+        tree's leaves."""
+        return self._fill((r, self.state_key(state), ()), state, 0, r)[:]
+
+    def _fill(self, root: TreeKey, state: object, lo: int, hi: int) -> List[Optional[Cell]]:
+        """root's vector, once every e in lo..hi is filled; each e must allow
+        some set.
+
+        An iterative post-order over the DAG of trees: a request (tree, lo,
+        hi) narrows to the e the tree misses, asks each leaf's sub-tree for
+        the j those e imply (_fill_one, _fill_span), and once they are
+        filled is filled in one pass over the leaves. An e between two
+        missing ones is filled again, to the same cell."""
+        trees, vectors = self.trees, self.vectors
+        todo = [(root, state, lo, hi)]
+        active = set()
         while todo:
-            key, st = todo[-1]
-            if key in memo:
+            key, state, lo, hi = todo[-1]
+            vector = vectors.get(key)
+            if vector is None:
+                r = key[0]
+                if r:
+                    trees[key] = self._explore(r, state, key[2])
+                vector = vectors[key] = [None] * (r + 1)
+            while lo <= hi and vector[lo] is not None:
+                lo += 1
+            while lo <= hi and vector[hi] is not None:
+                hi -= 1
+            if lo > hi:
                 todo.pop()
                 continue
-            r, e, state_key, owed = key
-            if not r:
-                memo[key] = (0, 0)
-                todo.pop()
-                continue
-            leaves = self.trees.get((r, state_key, owed))
-            if leaves is None:
-                leaves = self.trees[r, state_key, owed] = self._explore(r, st, owed)
-            fits = [
-                ((leaf.left, e - leaf.count, leaf.state_key, leaf.owed), leaf)
-                for leaf in leaves
-                if leaf.fewest <= e - leaf.count <= leaf.left
-            ]
-            missing = [(sub, leaf.state) for sub, leaf in fits if sub not in memo]
+            missing: List[tuple] = []
+            if not key[0]:
+                vector[0] = (0, 0)
+            elif lo == hi:
+                _fill_one(trees[key], vectors, lo, vector, missing)
+            else:
+                _fill_span(trees[key], vectors, lo, hi, vector, missing)
             if missing:
-                if key in opened:
+                # A tree asked for again while it waits on its sub-trees is
+                # one of its own sub-trees.
+                if key in active:
                     raise AssertionError(f"{self.name} step returned to the state {key}")
-                opened.add(key)
+                active.add(key)
                 todo.extend(missing)
                 continue
-            memo[key] = _combine(fits, memo)
+            active.discard(key)
             todo.pop()
-        return memo[root]
+        return vectors[root]
 
     def _explore(self, r: int, state: object, owed: Tuple[int, ...]) -> List[_Leaf]:
         """The leaves of one step from state over range(r) with owed
@@ -303,35 +334,97 @@ class Engine:
         share = self.parts.setdefault
         runs = tuple(map(tuple, runs))
         state_key = self.state_key(after)
+        key = (len(left), state_key, owed_left)
         return _Leaf(
             len(session.records), found, found.bit_count(), len(left),
-            share(runs, runs), self.states.setdefault(state_key, after), state_key,
-            share(owed_left, owed_left), _fewest(owed_left),
+            share(runs, runs), self.states.setdefault(state_key, after),
+            share(key, key), _fewest(owed_left),
         )
 
 
-def _combine(fits: List[Tuple[Key, _Leaf]], memo: Dict[Key, Cell]) -> Cell:
-    """The most tests over the leaves, each with the state it leaves, with
-    the smallest mask on ties; a leaf's mask is its found defectives plus
-    its state's mask, lifted from range(left) to its items left run by
-    run."""
+def _fill_one(
+    leaves: List[_Leaf],
+    vectors: Dict[TreeKey, List[Optional[Cell]]],
+    e: int,
+    vector: List[Optional[Cell]],
+    missing: List[tuple],
+) -> None:
+    """Fills vector[e] from the leaves that e allows, each adding its tests
+    to its sub-tree's cell at j = e - count, lifted through its runs, with
+    the smallest mask on ties; or, where a sub-tree's cell is not filled
+    yet, appends its request (key, state, j, j) to missing and fills
+    nothing. Single cells ask for one e at a time, so this pass both finds
+    the missing sub-trees and, while there are none, combines."""
     worst, argmax = -1, 0
-    for sub_key, leaf in fits:
-        tests, sub = memo[sub_key]
-        tests += leaf.tests
-        if tests < worst:
+    for tests, found, count, left, runs, state, key, fewest in leaves:
+        j = e - count
+        if not fewest <= j <= left:
             continue
-        mask = leaf.found
-        for pos, width, item in leaf.runs:
-            mask |= (sub >> pos & ((1 << width) - 1)) << item
-        if tests > worst or mask < argmax:
-            worst, argmax = tests, mask
-    return worst, argmax
+        sub = vectors.get(key)
+        if sub is None or sub[j] is None:
+            missing.append((key, state, j, j))
+        elif not missing:
+            spent, sub_mask = sub[j]
+            spent += tests
+            if spent >= worst:
+                mask = found
+                for pos, width, item in runs:
+                    mask |= (sub_mask >> pos & ((1 << width) - 1)) << item
+                if spent > worst or mask < argmax:
+                    worst, argmax = spent, mask
+    if not missing:
+        vector[e] = (worst, argmax)
+
+
+def _fill_span(
+    leaves: List[_Leaf],
+    vectors: Dict[TreeKey, List[Optional[Cell]]],
+    lo: int,
+    hi: int,
+    vector: List[Optional[Cell]],
+    missing: List[tuple],
+) -> None:
+    """_fill_one for every e in lo..hi: a leaf serves each j in
+    [max(fewest, lo - count), min(left, hi - count)], and asks its sub-tree
+    for that interval when any cell of it is missing. The sub-trees are
+    checked first, so that no cell is combined until none is missing."""
+    fits = []
+    for tests, found, count, left, runs, state, key, fewest in leaves:
+        low = lo - count
+        if low < fewest:
+            low = fewest
+        high = hi - count
+        if high > left:
+            high = left
+        if low > high:
+            continue
+        sub = vectors.get(key)
+        if sub is None or None in sub[low:high + 1]:
+            missing.append((key, state, low, high))
+        elif not missing:
+            fits.append((tests, found, count - lo, runs, sub, low, high))
+    if missing:
+        return
+    worst = [-1] * (hi - lo + 1)
+    argmax = [0] * (hi - lo + 1)
+    for spent, found, at, runs, sub, low, high in fits:
+        for j in range(low, high + 1):
+            tests, sub_mask = sub[j]
+            tests += spent
+            i = at + j
+            if tests < worst[i]:
+                continue
+            mask = found
+            for pos, width, item in runs:
+                mask |= (sub_mask >> pos & ((1 << width) - 1)) << item
+            if tests > worst[i] or mask < argmax[i]:
+                worst[i], argmax[i] = tests, mask
+    vector[lo:hi + 1] = zip(worst, argmax)
 
 
 def engine(algorithm: str) -> Engine:
     """The engine of algorithm's step in kernels.STRATEGIES; one per step
-    function, so a step patched there gets a memo of its own."""
+    function, so a step patched there gets trees and cells of its own."""
     if algorithm not in ALGORITHMS:
         kernels._check_algorithm(algorithm)
         raise ValueError(
@@ -356,3 +449,11 @@ def worst(algorithm: str, n: int, d: int) -> Cell:
     if not 0 <= d <= n:
         raise ValueError("need 0 <= d <= n")
     return engine(algorithm).best(n, d, kernels.STRATEGIES[algorithm].start)
+
+
+def cells(algorithm: str, n: int) -> List[Cell]:
+    """worst(algorithm, n, d) for every d in 0..n, filled in one pass per
+    tree."""
+    if n < 0:
+        raise ValueError("need n >= 0")
+    return engine(algorithm).row(n, kernels.STRATEGIES[algorithm].start)

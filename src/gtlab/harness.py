@@ -76,6 +76,11 @@ MAX_ANALYSIS_N = 15
 # mode, the draws in sampled mode.
 _WALK_CAP = 10**7
 
+# Largest n worst_case's exact mode takes per algorithm: the step-driven
+# DP's trees grow with about n^2.5, and one cold zu cell at n = 200 takes
+# up to about 17 s and 72 MB (README, "Counting and benchmarking").
+MAX_EXACT_N = {"zd": 200, "zu": 200, "zc": 64}
+
 
 @dataclass(frozen=True)
 class WorstCaseCell:
@@ -123,7 +128,8 @@ def worst_case(
 
     Exhaustive and exact mode return the smallest mask that spends the
     most tests: exact mode reads it from the step-driven DP (exact.worst),
-    which covers zd, zu and zc; exhaustive mode walks the algorithm's
+    which covers zd, zu and zc, and refuses an n past the algorithm's
+    MAX_EXACT_N before the DP starts; exhaustive mode walks the algorithm's
     decision tree over every set, made as it is walked, in ascending blocks
     of kernels.BLOCK masks (_walk_cells). Sampled mode is a lower estimate
     over samples seeded draws: a walk over their distinct masks, whose
@@ -171,7 +177,11 @@ def worst_case(
 
 
 def _exact_cell(algorithm: str, n: int, d: int) -> WorstCaseCell:
-    """The cell exact.worst gives, once its witness replays (_witnessed)."""
+    """The cell exact.worst gives, once its witness replays (_witnessed);
+    refused past the algorithm's MAX_EXACT_N."""
+    cap = MAX_EXACT_N.get(algorithm, n)
+    if n > cap:
+        raise ValueError(f"exact search for {algorithm} at n={n} exceeds cap {cap}")
     # Imported here, as the process pool is: only exact cells need it.
     from gtlab import exact
 
@@ -524,12 +534,18 @@ def _sweep_task(
     algorithm: str, n: int, checks: Sequence[str]
 ) -> Tuple[List[dict], List[dict]]:
     """The cells of one (algorithm, n) and their bound violations, from
-    kernels.sweep for individual and from _exact_cell otherwise."""
+    kernels.sweep for individual and otherwise from the step-driven DP's
+    whole row (exact.cells, one pass per tree for every d), each cell once
+    its witness replays (_witnessed)."""
     if algorithm == "individual":
         per_d = kernels.sweep(algorithm, n)
     else:
-        cells = [_exact_cell(algorithm, n, d) for d in range(n + 1)]
-        per_d = [(cell.worst_tests, cell.argmax_mask) for cell in cells]
+        # Imported here, as in _exact_cell.
+        from gtlab import exact
+
+        per_d = exact.cells(algorithm, n)
+        for d, (worst, argmax) in enumerate(per_d):
+            _witnessed(WorstCaseCell(algorithm, n, d, worst, argmax, True))
     return _cells(algorithm, n, per_d, checks)
 
 
@@ -599,7 +615,7 @@ def verify_grid(
 
     The grid is one task list (_grid_tasks), one task per (algorithm, n):
     zd, zu and zc cells come from the step-driven DP, each replaying its
-    witness (_exact_cell), and kernels.sweep counts individual's, except
+    witness (_sweep_task), and kernels.sweep counts individual's, except
     that with the analysis family selected, which is refused past
     MAX_ANALYSIS_N, zu's cells come from the one walk of its decision tree
     that also analyzes its transcripts (_walk_cells). All give the same

@@ -7,7 +7,7 @@ import sys
 import pytest
 
 import gtlab
-from gtlab import harness, kernels
+from gtlab import exact, harness, kernels
 from gtlab.cli import main
 
 # SHA-256 over `gtlab bounds` exit code, stdout and stderr for every n <= 20,
@@ -185,6 +185,19 @@ def test_worstcase_exact_mode_refuses_individual(capsys):
     assert code == 2
     assert captured.out == ""
     assert "individual's cells are n by construction" in captured.err
+
+
+def test_worstcase_exact_mode_past_its_cap_exits_2(capsys, monkeypatch):
+    def no_dp(*args):
+        raise AssertionError("explored")
+
+    monkeypatch.setattr(exact.Engine, "_explore", no_dp)
+    n = harness.MAX_EXACT_N["zu"] + 1
+    code = main(["worstcase", "--alg", "zu", "--n", str(n), "--d", "3", "--mode", "exact"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert f"exceeds cap {n - 1}" in captured.err
 
 
 def test_verify_analysis_past_its_limit_exits_2_before_a_walk(capsys, monkeypatch):

@@ -12,11 +12,18 @@ from gtlab.zigzag import ZD_START, ZU_START, zd_step, zu_step
 
 REFERENCE = os.path.join(os.path.dirname(__file__), "..", "perfbench", "reference.json")
 
-# The pinned cells: (worst, argmax) of every d for zd and zu with n <= 64
-# and zc with n <= 40, from the step-driven DP. Regenerate only with a
-# CHANGES.md note that names each moved cell.
-PIN_RANGES = {"zd": 64, "zu": 64, "zc": 40}
-EXACT_CELLS_SHA256 = "02a560474e7a61bc436813831bf1b45c298e1720cd34b0880c499cb86a03f5aa"
+# The pinned cells: (worst, argmax) of every d for zd with n <= 64, zu with
+# n <= 100, past n = 97 where its additional test first fires, and zc with
+# n <= 40, from the step-driven DP. Regenerate only with a CHANGES.md note
+# that names each moved cell.
+PIN_RANGES = {"zd": 64, "zu": 100, "zc": 40}
+EXACT_CELLS_SHA256 = "4b58f5052e6688af75416e25eac804d783940040b6b127787118bb7c859976f5"
+
+
+def _fresh(algorithm):
+    """A cold engine of algorithm's step, sharing no tree with the
+    process's."""
+    return exact._engine.__wrapped__(algorithm, kernels.STRATEGIES[algorithm].step)
 
 
 @pytest.mark.parametrize("algorithm", exact.ALGORITHMS)
@@ -37,8 +44,7 @@ def test_the_engine_is_the_pinned_exhaustive_cells_at_n_20():
 
 def test_exact_cells_are_pinned():
     cells = {
-        algorithm: [[list(exact.worst(algorithm, n, d)) for d in range(n + 1)]
-                    for n in range(1, top + 1)]
+        algorithm: [[list(cell) for cell in exact.cells(algorithm, n)] for n in range(1, top + 1)]
         for algorithm, top in PIN_RANGES.items()
     }
     text = json.dumps(cells, sort_keys=True, separators=(",", ":"))
@@ -49,9 +55,49 @@ def test_exact_cells_are_pinned():
     }
     # zu meets 7n/5 at every n divisible by 5 and never exceeds it.
     assert all(5 * worst <= 7 * n for n, worst in most["zu"].items())
-    assert [most["zu"][n] for n in range(5, 65, 5)] == [7 * n // 5 for n in range(5, 65, 5)]
+    fives = range(5, PIN_RANGES["zu"] + 1, 5)
+    assert [most["zu"][n] for n in fives] == [7 * n // 5 for n in fives]
     assert (most["zd"][20], most["zd"][48]) == (38, 84)
     assert most["zc"][20] == 32
+
+
+@pytest.mark.parametrize("algorithm", exact.ALGORITHMS)
+def test_a_row_is_its_single_cells(algorithm):
+    # Fresh engines for single cells and for rows, and one shared engine
+    # asked single -> row -> single, every odd d first, so a row fills
+    # around cells it already holds.
+    start = kernels.STRATEGIES[algorithm].start
+    single, batch, shared = _fresh(algorithm), _fresh(algorithm), _fresh(algorithm)
+    for n in range(21):
+        cells = [single.best(n, d, start) for d in range(n + 1)]
+        assert batch.row(n, start) == cells, n
+        assert [shared.best(n, d, start) for d in range(1, n + 1, 2)] == cells[1::2], n
+        assert shared.row(n, start) == cells, n
+        assert [shared.best(n, d, start) for d in range(n + 1)] == cells, n
+        assert exact.cells(algorithm, n) == [exact.worst(algorithm, n, d) for d in range(n + 1)]
+
+
+def test_a_single_cell_explores_only_the_trees_it_needs():
+    # A tree asks each sub-tree only for the e its own e implies, so a cold
+    # single cell explores as few trees as a memo of one cell per
+    # (r, e, state, owed) did.
+    for algorithm, d, trees in [("zu", 3, 499), ("zc", 10, 1129)]:
+        engine = _fresh(algorithm)
+        engine.best(48, d, kernels.STRATEGIES[algorithm].start)
+        assert len(engine.trees) == trees, algorithm
+
+
+def test_exact_mode_refuses_n_past_its_cap_before_the_dp(monkeypatch):
+    def no_dp(*args):
+        raise AssertionError("explored")
+
+    monkeypatch.setattr(exact.Engine, "_explore", no_dp)
+    # zu's cap covers its pinned cells, past the additional test's n = 97.
+    assert harness.MAX_EXACT_N["zu"] >= PIN_RANGES["zu"]
+    for algorithm, cap in harness.MAX_EXACT_N.items():
+        message = f"^exact search for {algorithm} at n={cap + 1} exceeds cap {cap}$"
+        with pytest.raises(ValueError, match=message):
+            harness.worst_case(algorithm, cap + 1, 1, mode="exact")
 
 
 def test_worst_case_exact_mode_replays_its_witness(monkeypatch):
@@ -95,6 +141,8 @@ def test_exact_mode_refuses_individual_and_bad_sizes():
         harness.worst_case("zz", 5, 2, mode="exact")
     with pytest.raises(ValueError, match="0 <= d <= n"):
         exact.worst("zd", 5, 6)
+    with pytest.raises(ValueError, match="n >= 0"):
+        exact.cells("zd", -1)
     # No set of 1 defective meets two disjoint owed intervals.
     assert exact.engine("zu").best(4, 1, ZU_START, (0b0011, 0b1100)) is None
 
@@ -103,8 +151,7 @@ def test_the_dp_needs_no_recursion_depth():
     # zu on n items that are all defective takes n steps, one state each,
     # more than Python's recursion limit allows frames.
     n = sys.getrecursionlimit() + 100
-    cell = harness.worst_case("zu", n, n, mode="exact")
-    assert (cell.worst_tests, cell.argmax_mask) == (n, (1 << n) - 1)
+    assert exact.worst("zu", n, n) == (n, (1 << n) - 1)
 
 
 def _engine(step):

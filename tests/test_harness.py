@@ -477,7 +477,7 @@ def test_verify_grid_report_does_not_depend_on_the_shard_size(monkeypatch):
 
 def test_zu_cells_from_the_analysis_walk_are_the_sweeps(monkeypatch):
     # With the analysis family the walk that analyzes zu's runs also fills
-    # its cells; without it, the step-driven DP does (exact.worst). Neither
+    # its cells; without it, the step-driven DP does (exact.cells). Neither
     # runs kernels.sweep, which counts only individual's cells in a grid.
     # Walked, DP and swept cells are the same.
     calls = []
@@ -584,6 +584,7 @@ def test_verify_grid_refuses_zu_analysis_past_its_limit_before_a_walk(monkeypatc
 
     monkeypatch.setattr(harness, "_walk_cells", no_walk)
     monkeypatch.setattr(exact, "worst", no_walk)
+    monkeypatch.setattr(exact, "cells", no_walk)
     for n_max in (harness.MAX_ANALYSIS_N + 1, harness.MAX_GRID_N):
         for algorithms, checks in [(None, None), (["zu"], ["analysis"])]:
             with pytest.raises(ValueError, match="--checks bounds,competitive,count$"):
