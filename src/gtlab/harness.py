@@ -76,10 +76,11 @@ MAX_ANALYSIS_N = 15
 # mode, the draws in sampled mode.
 _WALK_CAP = 10**7
 
-# Largest n worst_case's exact mode takes per algorithm: the step-driven
-# DP's trees grow with about n^2.5, and one cold zu cell at n = 200 takes
-# up to about 17 s and 72 MB (README, "Counting and benchmarking").
-MAX_EXACT_N = {"zd": 200, "zu": 200, "zc": 64}
+# Largest n worst_case's exact mode takes: the step-driven DP's trees grow
+# with about n^2.5, and one cold zu cell at n = 200 takes up to about 17 s
+# and 72 MB, a zc cell 11 s and 69 MB (README, "Counting and
+# benchmarking").
+MAX_EXACT_N = 200
 
 
 @dataclass(frozen=True)
@@ -128,10 +129,10 @@ def worst_case(
 
     Exhaustive and exact mode return the smallest mask that spends the
     most tests: exact mode reads it from the step-driven DP (exact.worst),
-    which covers zd, zu and zc, and refuses an n past the algorithm's
-    MAX_EXACT_N before the DP starts; exhaustive mode walks the algorithm's
-    decision tree over every set, made as it is walked, in ascending blocks
-    of kernels.BLOCK masks (_walk_cells). Sampled mode is a lower estimate
+    which covers zd, zu and zc, and refuses an n past MAX_EXACT_N before
+    the DP starts; exhaustive mode walks the algorithm's decision tree over
+    every set, made as it is walked, in ascending blocks of kernels.BLOCK
+    masks (_walk_cells). Sampled mode is a lower estimate
     over samples seeded draws: a walk over their distinct masks, whose
     tests are recorded as the leaves go by, and the first draw, in draw
     order, that spends the most tests. Either walk refuses to walk more
@@ -178,10 +179,11 @@ def worst_case(
 
 def _exact_cell(algorithm: str, n: int, d: int) -> WorstCaseCell:
     """The cell exact.worst gives, once its witness replays (_witnessed);
-    refused past the algorithm's MAX_EXACT_N."""
-    cap = MAX_EXACT_N.get(algorithm, n)
-    if n > cap:
-        raise ValueError(f"exact search for {algorithm} at n={n} exceeds cap {cap}")
+    refused past MAX_EXACT_N."""
+    if n > MAX_EXACT_N:
+        raise ValueError(
+            f"exact search for {algorithm} at n={n} exceeds cap {MAX_EXACT_N}"
+        )
     # Imported here, as the process pool is: only exact cells need it.
     from gtlab import exact
 

@@ -192,7 +192,7 @@ def test_worstcase_exact_mode_past_its_cap_exits_2(capsys, monkeypatch):
         raise AssertionError("explored")
 
     monkeypatch.setattr(exact.Engine, "_explore", no_dp)
-    n = harness.MAX_EXACT_N["zu"] + 1
+    n = harness.MAX_EXACT_N + 1
     code = main(["worstcase", "--alg", "zu", "--n", str(n), "--d", "3", "--mode", "exact"])
     captured = capsys.readouterr()
     assert code == 2

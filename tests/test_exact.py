@@ -80,10 +80,10 @@ def test_a_row_is_its_single_cells(algorithm):
 def test_a_single_cell_explores_only_the_trees_it_needs():
     # A tree asks each sub-tree only for the e its own e implies, so a cold
     # single cell explores as few trees as a memo of one cell per
-    # (r, e, state, owed) did.
-    for algorithm, d, trees in [("zu", 3, 499), ("zc", 10, 1129)]:
+    # (r, e, state, owed) did, and reads the cell from those trees alone.
+    for algorithm, d, tests, trees in [("zu", 3, 23, 499), ("zc", 10, 50, 1129)]:
         engine = _fresh(algorithm)
-        engine.best(48, d, kernels.STRATEGIES[algorithm].start)
+        assert engine.best(48, d, kernels.STRATEGIES[algorithm].start)[0] == tests, algorithm
         assert len(engine.trees) == trees, algorithm
 
 
@@ -92,9 +92,10 @@ def test_exact_mode_refuses_n_past_its_cap_before_the_dp(monkeypatch):
         raise AssertionError("explored")
 
     monkeypatch.setattr(exact.Engine, "_explore", no_dp)
-    # zu's cap covers its pinned cells, past the additional test's n = 97.
-    assert harness.MAX_EXACT_N["zu"] >= PIN_RANGES["zu"]
-    for algorithm, cap in harness.MAX_EXACT_N.items():
+    # The cap covers zu's pinned cells, past the additional test's n = 97.
+    cap = harness.MAX_EXACT_N
+    assert cap >= max(PIN_RANGES.values())
+    for algorithm in exact.ALGORITHMS:
         message = f"^exact search for {algorithm} at n={cap + 1} exceeds cap {cap}$"
         with pytest.raises(ValueError, match=message):
             harness.worst_case(algorithm, cap + 1, 1, mode="exact")
