@@ -75,9 +75,17 @@ TreeKey = Tuple[int, Hashable, Tuple[int, ...]]
 
 
 def _zc_key(state: tuple) -> Hashable:
-    # Once zc hands its run off, its plan changes no test.
+    # Once zc hands its run off, its plan changes no test. Before that a
+    # later test reads only the round and, in round 2, n1 and alpha1 (its
+    # assert): the tail counts and the round's size, r // 4, change none, so
+    # the trees of every n that reaches a round at r are one. A tag leads
+    # the key, where a handed-off one has a step.
     plan, sub = state
-    return state if sub is None else sub
+    if sub is not None:
+        return sub
+    if plan.alpha1 is None:
+        return ("round", 1)
+    return ("round", 2, plan.n1, plan.alpha1)
 
 
 # The key of a step state in a tree key, where it is not the state itself.

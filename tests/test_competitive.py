@@ -1,7 +1,15 @@
+import dataclasses
+import hashlib
+import json
+
 from hypothesis import given, settings, strategies as st
 
 from gtlab.competitive import run_individual, run_zc
 from gtlab.core import Instance, PoolOracle, finalize, instance_from_mask
+
+# SHA-256 over the plan of every recorded zc run with n <= 11: each
+# (n, mask, plan fields) as sorted-key JSON, in ascending n and mask.
+ZC_PLANS_SHA256 = "211cd331fe321d4540e7ce41e0f108371d298a5ad701f1a6fd0b103127b02d08"
 
 
 def _run(n, defectives):
@@ -93,6 +101,19 @@ def test_exhaustive_small_instances_classify_correctly():
             result = run_zc(PoolOracle(inst))
             verdict = finalize(result, inst)
             assert verdict.ok, (n, mask, verdict.problems)
+
+
+def test_zc_plans_are_pinned():
+    digest = hashlib.sha256()
+    runs = 0
+    for n in range(12):
+        for mask in range(1 << n):
+            plan = run_zc(PoolOracle(instance_from_mask(n, mask))).plan
+            row = [n, mask, dataclasses.asdict(plan)]
+            digest.update(json.dumps(row, sort_keys=True).encode())
+            runs += 1
+    assert runs == (1 << 12) - 1
+    assert digest.hexdigest() == ZC_PLANS_SHA256
 
 
 def test_plan_shape_matches_division():

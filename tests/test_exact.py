@@ -81,10 +81,31 @@ def test_a_single_cell_explores_only_the_trees_it_needs():
     # A tree asks each sub-tree only for the e its own e implies, so a cold
     # single cell explores as few trees as a memo of one cell per
     # (r, e, state, owed) did, and reads the cell from those trees alone.
-    for algorithm, d, tests, trees in [("zu", 3, 23, 499), ("zc", 10, 50, 1129)]:
+    # zc at n = 47 scans a tail of three items, one per step.
+    cases = [("zu", 48, 3, 23, 499), ("zc", 47, 10, 51, 1092), ("zc", 48, 10, 50, 1129)]
+    for algorithm, n, d, tests, trees in cases:
         engine = _fresh(algorithm)
-        assert engine.best(48, d, kernels.STRATEGIES[algorithm].start)[0] == tests, algorithm
-        assert len(engine.trees) == trees, algorithm
+        assert engine.best(n, d, kernels.STRATEGIES[algorithm].start)[0] == tests, (algorithm, n)
+        assert len(engine.trees) == trees, (algorithm, n)
+
+
+def test_zc_rounds_share_their_trees_across_n():
+    # zc scans its tail one item per step, and its tree key keeps only the
+    # round, n1 and alpha1 before the hand-off, so n = 13's first step
+    # leads to n = 12's root, and the round-2 trees of n = 4k .. 4k + 3
+    # are one. Rows n = 1..14 explored 128 trees and 1,098 leaves when the
+    # tail and the round were one step and the key kept the whole plan.
+    start = kernels.STRATEGIES["zc"].start
+    engine = _fresh("zc")
+    for n in range(1, 15):
+        engine.row(n, start)
+    assert len(engine.trees) == 125
+    assert sum(map(len, engine.trees.values())) == 413
+    engine = _fresh("zc")
+    engine.row(13, start)
+    trees = len(engine.trees)
+    assert engine.row(12, start) == exact.cells("zc", 12)
+    assert len(engine.trees) == trees
 
 
 def test_exact_mode_refuses_n_past_its_cap_before_the_dp(monkeypatch):
